@@ -10,7 +10,10 @@ Matrix = list[list[Fraction]]
 
 
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot column list (exact, no pivd scaling)."""
+    """Reduced row echelon form and pivot column list.
+
+    Exact: the first nonzero entry of a column is its pivot, no pivoting by size.
+    """
     m = [list(row) for row in rows]
     if not m:
         return m, []

@@ -75,10 +75,14 @@ class FiniteGradedAlgebra:
     Multiplication is polynomial product followed by normal form; the
     result is always supported on the basis again.  Normal forms of
     monomials are cached, since every structure check below reduces the
-    same products repeatedly.
+    same products repeatedly; so are the socle and the Jacobian's
+    coordinates, which several clauses of the structure report read.
     """
 
-    __slots__ = ("gb", "grading", "variables", "basis", "degrees", "index", "source_map", "_nf_cache")
+    __slots__ = (
+        "gb", "grading", "variables", "basis", "degrees", "index", "source_map",
+        "_nf_cache", "_memo",
+    )
 
     def __init__(
         self,
@@ -95,6 +99,7 @@ class FiniteGradedAlgebra:
         object.__setattr__(self, "index", {b: i for i, b in enumerate(basis)})
         object.__setattr__(self, "source_map", source_map)
         object.__setattr__(self, "_nf_cache", {})
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteGradedAlgebra is immutable")
@@ -182,20 +187,55 @@ def equivariant_multiplicity(
 def socle(q: FiniteGradedAlgebra) -> tuple[Polynomial, ...]:
     """Basis of ann(maximal ideal) = intersection of kernels of all x_v.
 
-    Solved as one exact linear system: stack the multiplication matrices
-    of every variable and take the nullspace.
+    Multiplication by x_v maps Q^k into Q^(k+w_v), so the socle splits by
+    degree: socle intersect Q^k is the kernel of one small block whose rows are
+    the coordinates of degree k+w_v for each v, and whose columns are the
+    basis monomials of degree k.  These are the diagonal blocks of the
+    stacked multiplication matrices, so the vectors are those of the
+    stacked nullspace: one per free column, that column = 1, listed in
+    increasing free column over the whole basis.
+
+    Raises ValueError when some x_v * b_j has a coordinate outside degree
+    deg(b_j) + w_v, i.e. the ideal is not homogeneous for the grading.
+    The result is memoised on q.
     """
-    dim = q.dimension
-    if dim == 0:
-        return ()
-    stacked: list[list[Fraction]] = []
-    for v in range(len(q.variables)):
-        stacked.extend(q.variable_matrix(v))
-    out = []
-    for vec in nullspace(stacked, dim):
-        terms = {q.basis[i]: c for i, c in enumerate(vec) if c}
-        out.append(Polynomial(q.variables, terms))
-    return tuple(out)
+    got = q._memo.get("socle")
+    if got is None:
+        got = q._memo["socle"] = _graded_socle(q)
+    return got
+
+
+def _graded_socle(q: FiniteGradedAlgebra) -> tuple[Polynomial, ...]:
+    by_degree: dict[int, list[int]] = {}
+    for i, d in enumerate(q.degrees):
+        by_degree.setdefault(d, []).append(i)
+    n = len(q.variables)
+    found: list[tuple[int, Polynomial]] = []
+    for k, cols in by_degree.items():
+        block: list[list[Fraction]] = []
+        for v, w in enumerate(q.grading.weights):
+            unit = tuple(1 if u == v else 0 for u in range(n))
+            images = [q.monomial_coordinates(mono_mul(q.basis[j], unit)) for j in cols]
+            for j, image in zip(cols, images):
+                if any(c and q.degrees[i] != k + w for i, c in enumerate(image)):
+                    raise ValueError(
+                        f"{q.variables[v]} * {q.basis_monomial(j)} leaves degree {k + w}: "
+                        "the ideal is not homogeneous for the grading"
+                    )
+            block.extend([image[i] for image in images] for i in by_degree.get(k + w, ()))
+        for vec in nullspace(block, len(cols)):
+            terms = {q.basis[cols[c]]: x for c, x in enumerate(vec) if x}
+            free = max(c for c, x in enumerate(vec) if x)  # pivots lie left of it
+            found.append((cols[free], Polynomial(q.variables, terms)))
+    return tuple(p for _, p in sorted(found, key=lambda item: item[0]))
+
+
+def _jacobian_coordinates(q: FiniteGradedAlgebra) -> list[Fraction]:
+    """Coordinates of the source map's Jacobian determinant, memoised on q."""
+    got = q._memo.get("jacobian")
+    if got is None:
+        got = q._memo["jacobian"] = q.coordinates(jacobian_determinant(q.source_map))
+    return got
 
 
 def jacobian_spans_socle(q: FiniteGradedAlgebra) -> bool:
@@ -206,7 +246,7 @@ def jacobian_spans_socle(q: FiniteGradedAlgebra) -> bool:
     soc = socle(q)
     if len(soc) != 1:
         return False
-    jac = q.coordinates(jacobian_determinant(q.source_map))
+    jac = _jacobian_coordinates(q)
     if not any(jac):
         return False
     gen = q.coordinates(soc[0])
@@ -251,7 +291,7 @@ def pairing_matrices(q: FiniteGradedAlgebra) -> PairingReport:
     scale = Fraction(1) / gen_vec[slot]
     normalized = False
     if q.source_map is not None:
-        jac = q.coordinates(jacobian_determinant(q.source_map))
+        jac = _jacobian_coordinates(q)
         if jac[slot]:
             scale = Fraction(1) / jac[slot]
             normalized = True

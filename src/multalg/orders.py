@@ -23,9 +23,6 @@ class MonomialOrder:
     def key(self, exps: Exponents):  # pragma: no cover - interface
         raise NotImplementedError
 
-    def greater(self, a: Exponents, b: Exponents) -> bool:
-        return self.key(a) > self.key(b)
-
 
 @dataclass(frozen=True)
 class WeightedGrevlex(MonomialOrder):

@@ -206,10 +206,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
-    def constant_value(self) -> Fraction:
-        """Coefficient of the constant monomial (0 if absent)."""
-        return self.terms.get((0,) * len(self.variables), Fraction(0))
-
     # arithmetic ---------------------------------------------------------
 
     def _check(self, other: "Polynomial") -> None:

@@ -3,8 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+import multalg.linalg
+import multalg.multiplicity
+from multalg.grassmann import grassmann_presentation
 from multalg.groebner import groebner_basis, Ideal, normal_form
 from multalg.linalg import nullspace, rank, rref
+from multalg.orders import Lex, WeightedGrevlex
 from multalg.multiplicity import (
     FiniteGradedAlgebra,
     NotFinite,
@@ -22,6 +26,7 @@ from multalg.poly import (
     PolynomialMap,
     WeightedGrading,
     jacobian_determinant,
+    monomials_of_weighted_degree,
     parse_polynomial,
 )
 from multalg.series import RationalSeries, UniPoly
@@ -142,16 +147,88 @@ def test_socle_examples():
 
 
 def test_socle_of_fat_point_is_two_dimensional():
-    vs = ("x", "y")
-    ideal = Ideal(
-        vs,
-        (P("x^2", vs), P("x*y", vs), P("y^2", vs)),
-        WeightedGrading.units(2),
-    )
-    q = FiniteGradedAlgebra(groebner_basis(ideal), WeightedGrading.units(2))
+    q = fat_point()
     assert len(socle(q)) == 2
     with pytest.raises(ValueError):
         pairing_matrices(q)
+
+
+def fat_point():
+    vs = ("x", "y")
+    ideal = Ideal(vs, (P("x^2", vs), P("x*y", vs), P("y^2", vs)), WeightedGrading.units(2))
+    return FiniteGradedAlgebra(groebner_basis(ideal), WeightedGrading.units(2))
+
+
+def dense_socle_reference(q):
+    """The socle as one stacked nullspace over all multiplication matrices."""
+    stacked = [row for v in range(len(q.variables)) for row in q.variable_matrix(v)]
+    return nullspace(stacked, q.dimension)
+
+
+def test_graded_socle_matches_dense_reference():
+    vs = ("x", "y")
+    weighted = PolynomialMap.build(
+        (P("x^4 + x^2*y + y^2", vs), P("x^2*y - 3*y^2", vs)), WeightedGrading((1, 2))
+    )
+    algebras = [
+        build_quotient(x2_map()),
+        build_quotient(gr21_map()),
+        fat_point(),
+        build_quotient(grassmann_presentation(4, 2).as_map()),
+        build_quotient(grassmann_presentation(6, 3).as_map()),
+        build_quotient(weighted),
+    ]
+    rng = random.Random(7)
+    for n_vars in (3, 3, 4, 4):
+        algebras.append(build_quotient(random_zero_dimensional_map(rng, n_vars, max_degree=4)))
+    # cubes plus two dense quadrics: socles in two degrees, with many terms;
+    # a Lex basis is not sorted by degree, so its degree blocks interleave
+    vs3, units = ("x", "y", "z"), WeightedGrading.units(3)
+    quadrics = monomials_of_weighted_degree((1, 1, 1), 2)
+    for _ in range(3):
+        gens = [P(f"{v}^3", vs3) for v in vs3]
+        for _ in range(2):
+            gens.append(Polynomial(vs3, {e: rng.choice((-3, -1, 1, 2)) for e in quadrics}))
+        ideal = Ideal(vs3, tuple(gens), units)
+        for order in (WeightedGrevlex.units(3), Lex()):
+            algebras.append(FiniteGradedAlgebra(groebner_basis(ideal, order), units))
+    for q in algebras:
+        got = [[s.terms.get(b, Fraction(0)) for b in q.basis] for s in socle(q)]
+        assert got == dense_socle_reference(q)
+    assert [str(s) for s in socle(fat_point())] == ["y", "x"]
+
+
+def test_socle_rejects_grading_the_ideal_does_not_respect():
+    vs = ("x", "y")
+    ideal = Ideal(vs, (P("x^2 - y", vs), P("y^2", vs)), WeightedGrading.units(2))
+    q = FiniteGradedAlgebra(groebner_basis(ideal), WeightedGrading.units(2))
+    with pytest.raises(ValueError, match="not homogeneous"):
+        socle(q)
+
+
+def test_structure_report_computes_each_artefact_once(monkeypatch):
+    calls = {"jacobian": 0, "max_cells": 0}
+    jacobian, rref_ = multalg.multiplicity.jacobian_determinant, multalg.linalg.rref
+
+    def counting_jacobian(m):
+        calls["jacobian"] += 1
+        return jacobian(m)
+
+    def measuring_rref(rows):
+        cells = len(rows) * (len(rows[0]) if rows else 0)
+        calls["max_cells"] = max(calls["max_cells"], cells)
+        return rref_(rows)
+
+    monkeypatch.setattr(multalg.multiplicity, "jacobian_determinant", counting_jacobian)
+    monkeypatch.setattr(multalg.linalg, "rref", measuring_rref)
+    vs = ("x", "y", "z", "w")
+    components = ("x^3 + y*z*w", "y^3 - x*z^2", "z^3 + 2*x*y*w", "w^3 - x^2*y")
+    m = PolynomialMap.build(tuple(P(c, vs) for c in components), WeightedGrading.units(4))
+    rep = verify_structure_theorem(m)
+    assert rep.dimension == 81 and rep.all_true()
+    assert calls["jacobian"] == 1
+    # largest degree block: rows 4 * dim Q^4 = 76, columns dim Q^3 = 16
+    assert 0 < calls["max_cells"] <= 76 * 16
 
 
 def test_jacobian_spans_socle():
