@@ -5,6 +5,10 @@ leading monomials, and the chain criterion in its order-safe form: a pair
 (i, j) is dropped only when some k has lm_k dividing lcm(lm_i, lm_j) and
 *both* pairs (i, k) and (j, k) have already left the queue).  Pair
 selection is the normal strategy: smallest lcm in the monomial order.
+Pairs wait on a heap keyed by (key(lcm), i, j), so each pair is keyed once
+and pops in the same order a `min` over the pending pairs by that key would
+give; a set of the pending (i, j) answers the chain criterion's membership
+tests, and a pair leaves both when it is popped.
 
 Every run is bounded by an explicit cap on processed S-pair reductions;
 exceeding it raises ResourceLimitExceeded rather than returning anything.
@@ -20,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Callable, Iterable, Sequence
 
@@ -294,15 +299,15 @@ def buchberger(
     work = [_content_normalize(g, order) for g in ideal.generators]
     lms = [leading_exponents(g, order) for g in work]
 
-    pending: dict[tuple[int, int], Exponents] = {}
-    for j in range(len(work)):
-        for i in range(j):
-            pending[(i, j)] = mono_lcm(lms[i], lms[j])
+    pending = {(i, j) for j in range(len(work)) for i in range(j)}
+    queue = [(key(mono_lcm(lms[i], lms[j])), i, j) for i, j in pending]
+    heapify(queue)
 
     processed = 0
-    while pending:
-        (i, j) = min(pending, key=lambda ij: (key(pending[ij]), ij))
-        big = pending.pop((i, j))
+    while queue:
+        _, i, j = heappop(queue)
+        pending.remove((i, j))
+        big = mono_lcm(lms[i], lms[j])
         # coprime criterion
         if big == mono_mul(lms[i], lms[j]):
             continue
@@ -335,7 +340,8 @@ def buchberger(
         work.append(r)
         lms.append(leading_exponents(r, order))
         for i2 in range(t):
-            pending[(i2, t)] = mono_lcm(lms[i2], lms[t])
+            pending.add((i2, t))
+            heappush(queue, (key(mono_lcm(lms[i2], lms[t])), i2, t))
 
     reduced = _reduce_basis(work, order)
     return GroebnerBasis(variables, order, reduced, source=ideal.generators)

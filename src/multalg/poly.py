@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import le
 from typing import Iterable, Mapping
 
 Exponents = tuple[int, ...]
@@ -105,7 +106,7 @@ def mono_mul(a: Exponents, b: Exponents) -> Exponents:
 
 def mono_divides(a: Exponents, b: Exponents) -> bool:
     """True when the monomial with exponents `a` divides the one with `b`."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Exponents, b: Exponents) -> Exponents:

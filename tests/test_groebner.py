@@ -36,6 +36,8 @@ from multalg.groebner import (
     s_polynomial,
     standard_monomials,
 )
+from multalg.grassmann import grassmann_presentation
+from multalg.jets import jet_presentation
 from multalg.orders import EliminationOrder, Lex, WeightedGrevlex
 from multalg.poly import Polynomial, WeightedGrading, parse_polynomial
 from multalg.series import RationalSeries, UniPoly, weight_denominator
@@ -447,6 +449,47 @@ def test_resource_cap_raises():
             I(XYZ, "x^2 + y*z", "y^2 + x*z", "z^2 + x*y"), limits=tiny
         )
     assert err.value.cap == 1
+
+
+def _map_ideal(ring):
+    m = ring.as_map()
+    return Ideal(m.variables, m.components, m.grading)
+
+
+def _pair_sequence_cases():
+    for n, k, counts in [(4, 2, (5, 9, 12)), (6, 3, (27, 53, 108)), (8, 4, (144, 249))]:
+        ideal = _map_ideal(grassmann_presentation(n, k))
+        orders = (ideal.default_order(), WeightedGrevlex.units(len(ideal.variables)), Lex())
+        for order, count in zip(orders, counts):
+            yield ideal, order, count
+    jet = _map_ideal(jet_presentation(grassmann_presentation(4, 1), 3).ring)
+    yield jet, WeightedGrevlex.units(12), 198
+
+
+def test_pair_sequence_and_cap_are_unchanged():
+    # exact processed-pair counts: the chain criterion skips a pair only once
+    # its partner pairs have left the queue, so taking the pairs in another
+    # order can move these counts, and changing a criterion does
+    for ideal, order, count in _pair_sequence_cases():
+        buchberger(ideal, order, ReductionLimits(count))
+        with pytest.raises(ResourceLimitExceeded):
+            buchberger(ideal, order, ReductionLimits(count - 1))
+
+
+def test_pair_selection_does_not_rekey_pending_pairs(monkeypatch):
+    # re-keying every pending pair at each step makes over a million key calls here
+    ideal = _map_ideal(grassmann_presentation(8, 4))
+    calls = 0
+    key = WeightedGrevlex.key
+
+    def counting_key(self, exps):
+        nonlocal calls
+        calls += 1
+        return key(self, exps)
+
+    monkeypatch.setattr(WeightedGrevlex, "key", counting_key)
+    buchberger(ideal, ideal.default_order(), DEFAULT_LIMITS)
+    assert calls < 20_000
 
 
 def test_cache_returns_identical_object():
