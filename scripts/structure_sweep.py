@@ -22,8 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from multalg.grassmann import grassmann_presentation
 from multalg.groebner import ReductionLimits
-from multalg.multiplicity import verify_structure_theorem
-from multalg.verification import random_zero_dimensional_map
+from multalg.multiplicity import random_zero_dimensional_map, verify_structure_theorem
 
 
 def main(argv: list[str] | None = None) -> int:

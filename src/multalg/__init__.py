@@ -45,6 +45,7 @@ from .multiplicity import (
 from .rings import FixtureError, PresentedRing, ideal_from_json, ideal_to_json
 from .grassmann import (
     DivisorData,
+    closure_vs_grassmann_dimensions,
     gaussian_binomial,
     grassmann_multiplicity,
     grassmann_presentation,
@@ -70,7 +71,6 @@ from .verification import (
     CheckCase,
     RunSummary,
     catalogue,
-    closure_vs_grassmann_dimensions,
     embedded_point_check,
     run_all,
 )

@@ -21,6 +21,7 @@ import sys
 
 from .grassmann import (
     DivisorData,
+    closure_vs_grassmann_dimensions,
     gaussian_binomial,
     grassmann_multiplicity,
     grassmann_presentation,
@@ -30,7 +31,7 @@ from .jets import jet_invariants, jet_presentation
 from .multiplicity import equivariant_multiplicity, hitchin_base_weights, verify_structure_theorem
 from .poly import PolynomialError, polynomial_to_text, weighted_degree
 from .rings import FixtureError, PresentedRing
-from .verification import closure_vs_grassmann_dimensions, run_all
+from .verification import run_all
 from .weights import DominantWeight, dominance_leq, weyl_orbit_size
 
 __all__ = ["main", "build_parser"]

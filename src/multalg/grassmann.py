@@ -11,6 +11,9 @@ for q_j), with relations the coefficients of x^0..x^{n-1} in
     (x^k + p_1 x^(k-1) + ... + p_k) * (x^(n-k) + q_1 x^(n-k-1) + ... + q_(n-k)) - x^n.
 
 The relations are emitted in ascending weighted degree (degree 1 first).
+
+`closure_vs_grassmann_dimensions` stratifies the dominance closure of a
+GL_n weight and attaches these multiplicity polynomials to its strata.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .groebner import DEFAULT_LIMITS, ReductionLimits, hilbert_series
 from .poly import Polynomial
 from .rings import PresentedRing
 from .series import RationalSeries, UniPoly, one_minus_power
+from .weights import DominantWeight, fundamental_decomposition, lower_set
 
 __all__ = [
     "gaussian_binomial",
@@ -29,6 +33,9 @@ __all__ = [
     "DivisorData",
     "grassmann_multiplicity",
     "product_hilbert",
+    "StratumReport",
+    "ClosureReport",
+    "closure_vs_grassmann_dimensions",
 ]
 
 
@@ -129,3 +136,65 @@ def expected_point_count(d: DivisorData) -> int:
     for i, mult in enumerate(d.m, start=1):
         out *= comb(d.n, i) ** mult
     return out
+
+
+@dataclass(frozen=True)
+class StratumReport:
+    weight: tuple[int, ...]
+    alpha: tuple[int, ...]
+    status: str  # "multiplicity" | "no_paper_formula"
+    polynomial: str | None
+    point_count: int | None
+    note: str
+
+    def to_json_dict(self) -> dict:
+        return {
+            "weight": list(self.weight),
+            "alpha": list(self.alpha),
+            "status": self.status,
+            "polynomial": self.polynomial,
+            "point_count": self.point_count,
+            "note": self.note,
+        }
+
+
+@dataclass(frozen=True)
+class ClosureReport:
+    mu: tuple[int, ...]
+    strata: tuple[StratumReport, ...]
+
+    def to_json_dict(self) -> dict:
+        return {"mu": list(self.mu), "strata": [s.to_json_dict() for s in self.strata]}
+
+
+def closure_vs_grassmann_dimensions(mu: DominantWeight) -> ClosureReport:
+    """Stratify the closure of mu and attach multiplicity polynomials.
+
+    Multiplicity-free strata (all fundamental coefficients alpha_1..alpha_(n-1)
+    in {0,1}) get the product of Gaussian binomials for their divisor data;
+    other strata have no closed formula here and are annotated, including the
+    jet-ring pointer when exactly one coefficient exceeds 1.
+    """
+    n = len(mu)
+    strata = []
+    for lam in lower_set(mu):
+        alpha, _ = fundamental_decomposition(lam)
+        inner = alpha[: n - 1]
+        if all(a in (0, 1) for a in inner):
+            data = DivisorData(n, inner)
+            poly = grassmann_multiplicity(data)
+            note = "central" if not any(inner) else ""
+            strata.append(
+                StratumReport(
+                    lam.entries, alpha, "multiplicity", str(poly), poly(1), note
+                )
+            )
+        else:
+            nonzero = [(i + 1, a) for i, a in enumerate(inner) if a]
+            if len(nonzero) == 1:
+                k, a = nonzero[0]
+                note = f"jet case: order-{a - 1} jets of the Gr({k},{n}) ring"
+            else:
+                note = ""
+            strata.append(StratumReport(lam.entries, alpha, "no_paper_formula", None, None, note))
+    return ClosureReport(mu.entries, tuple(strata))

@@ -22,7 +22,6 @@ reports carry the assumption text.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 from .groebner import (
@@ -203,22 +202,24 @@ def jet_invariants(
     relations has no unit grading to count by, so the series falls back
     to the level-shifted weights of the presentation itself; either way
     `series_weights` records the grading the series was computed under.
-    Krull dimension, finiteness, and vector-space dimension are
-    order-theoretic and carry no such choice.
+
+    One Groebner basis answers everything: the one under weighted grevlex
+    for the series grading, which the Hilbert numerator needs.  Krull
+    dimension, finiteness, and vector-space dimension are read from the
+    same basis, since they do not depend on the monomial order.
     """
     ideal = jet.ring.ideal()
     units = WeightedGrading.units(len(jet.ring.variables))
-    gb = groebner_basis(ideal, WeightedGrevlex(units.weights), limits)
-    finite = is_zero_dimensional(gb)
-    dimension = len(standard_monomials(gb)) if finite else None
     unit_graded = all(
         quasi_homogeneity_witness(g, units) is None for g in ideal.generators
     )
     series_grading = units if unit_graded else jet.ring.grading()
+    gb = groebner_basis(ideal, WeightedGrevlex(series_grading.weights), limits)
+    finite = is_zero_dimensional(gb)
     return JetInvariants(
         krull_dimension=krull_dimension(gb),
         hilbert=hilbert_series(ideal, series_grading, limits),
         series_weights=series_grading.weights,
         finite=finite,
-        dimension=dimension,
+        dimension=len(standard_monomials(gb)) if finite else None,
     )

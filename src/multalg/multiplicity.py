@@ -21,6 +21,7 @@ arithmetic and returns a report; nothing here ever rounds.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -45,6 +46,7 @@ from .poly import (
     jacobian_determinant,
     mono_mul,
     monomial_to_text,
+    monomials_of_weighted_degree,
 )
 from .series import RationalSeries, UniPoly
 
@@ -62,6 +64,7 @@ __all__ = [
     "StructureReport",
     "verify_structure_theorem",
     "hitchin_base_weights",
+    "random_zero_dimensional_map",
 ]
 
 # build_quotient raises the staircase error unchanged; the basis rides along
@@ -436,3 +439,40 @@ def hitchin_base_weights(n: int, g: int) -> tuple[int, ...]:
     for i in range(2, n + 1):
         out.extend([i] * ((2 * i - 1) * (g - 1)))
     return tuple(out)
+
+
+def random_zero_dimensional_map(
+    rng: random.Random,
+    n_vars: int,
+    max_degree: int = 5,
+    limits: ReductionLimits = DEFAULT_LIMITS,
+) -> PolynomialMap:
+    """Random quasi-homogeneous map with a finite quotient.
+
+    Component i always contains the pure power x_i^(d_i/w_i), which keeps
+    the finite case generic; resamples until the quotient is actually
+    zero-dimensional.
+    """
+    names = ("x", "y", "z", "w")[:n_vars]
+    for _ in range(60):
+        weights = tuple(rng.choice((1, 1, 1, 2)) for _ in range(n_vars))
+        comps = []
+        for i in range(n_vars):
+            k = rng.randint(1, max(1, max_degree // weights[i]))
+            degree = weights[i] * k
+            pure = tuple(k if j == i else 0 for j in range(n_vars))
+            terms = {pure: Fraction(1)}
+            for mono in monomials_of_weighted_degree(weights, degree):
+                if mono == pure or rng.random() < 0.5:
+                    continue
+                c = rng.randint(-3, 3)
+                if c:
+                    terms[mono] = Fraction(c)
+            comps.append(Polynomial(names, terms))
+        candidate = PolynomialMap.build(comps, WeightedGrading(weights))
+        try:
+            build_quotient(candidate, limits)
+        except NotFinite:
+            continue
+        return candidate
+    raise RuntimeError("could not sample a finite quotient in 60 tries")

@@ -16,6 +16,14 @@ witness).
 Provenance tags: "paper" for values copied from the source results,
 "trivial" for immediate identities, "derived" for values computed by an
 independent oracle and frozen.
+
+Adding a case is one decorated module-level function: put
+`@_case(name, tag, anchor)` on a `_`-prefixed runner that takes the
+reduction limits and returns None or a witness.  The case's module comes
+from the name's prefix ("poly" -> "poly_core", "multiplicity" ->
+"multiplicity_algebra", "verification" -> "verification_suite", any
+other prefix names its module as is); a name already in the catalogue
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -24,10 +32,12 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from .grassmann import (
     DivisorData,
+    closure_vs_grassmann_dimensions,
     gaussian_binomial,
     grassmann_multiplicity,
     grassmann_presentation,
@@ -59,6 +69,7 @@ from .multiplicity import (
     jacobian_spans_socle,
     pairing_matrices,
     poincare_polynomial,
+    random_zero_dimensional_map,
     socle,
     verify_structure_theorem,
 )
@@ -70,7 +81,6 @@ from .poly import (
     ZeroDegreeUndefined,
     NotQuasiHomogeneous,
     jacobian_determinant,
-    monomials_of_weighted_degree,
     parse_polynomial,
     weighted_degree,
 )
@@ -92,10 +102,6 @@ __all__ = [
     "catalogue",
     "run_all",
     "embedded_point_check",
-    "closure_vs_grassmann_dimensions",
-    "StratumReport",
-    "ClosureReport",
-    "random_zero_dimensional_map",
 ]
 
 Runner = Callable[[ReductionLimits], "str | None"]
@@ -191,43 +197,6 @@ def _expect(condition: bool, witness: str) -> str | None:
     return None if condition else witness
 
 
-def random_zero_dimensional_map(
-    rng: random.Random,
-    n_vars: int,
-    max_degree: int = 5,
-    limits: ReductionLimits = DEFAULT_LIMITS,
-) -> PolynomialMap:
-    """Random quasi-homogeneous map with a finite quotient.
-
-    Component i always contains the pure power x_i^(d_i/w_i), which keeps
-    the finite case generic; resamples until the quotient is actually
-    zero-dimensional.
-    """
-    names = ("x", "y", "z", "w")[:n_vars]
-    for _ in range(60):
-        weights = tuple(rng.choice((1, 1, 1, 2)) for _ in range(n_vars))
-        comps = []
-        for i in range(n_vars):
-            k = rng.randint(1, max(1, max_degree // weights[i]))
-            degree = weights[i] * k
-            pure = tuple(k if j == i else 0 for j in range(n_vars))
-            terms = {pure: Fraction(1)}
-            for mono in monomials_of_weighted_degree(weights, degree):
-                if mono == pure or rng.random() < 0.5:
-                    continue
-                c = rng.randint(-3, 3)
-                if c:
-                    terms[mono] = Fraction(c)
-            comps.append(Polynomial(names, terms))
-        candidate = PolynomialMap.build(comps, WeightedGrading(weights))
-        try:
-            build_quotient(candidate, limits)
-        except NotFinite:
-            continue
-        return candidate
-    raise RuntimeError("could not sample a finite quotient in 60 tries")
-
-
 # ---------------------------------------------------------------------------
 # standalone named checks (also exposed to the CLI)
 
@@ -241,1589 +210,1263 @@ def embedded_point_check(limits: ReductionLimits = DEFAULT_LIMITS) -> bool:
     return ideal_equal(meet, _d2_ideal(), limits=limits)
 
 
-@dataclass(frozen=True)
-class StratumReport:
-    weight: tuple[int, ...]
-    alpha: tuple[int, ...]
-    status: str  # "multiplicity" | "no_paper_formula"
-    polynomial: str | None
-    point_count: int | None
-    note: str
+# ---------------------------------------------------------------------------
+# the catalogue: one `@_case` per entry, plus the seeded sweep in `catalogue`
 
-    def to_json_dict(self) -> dict:
-        return {
-            "weight": list(self.weight),
-            "alpha": list(self.alpha),
-            "status": self.status,
-            "polynomial": self.polynomial,
-            "point_count": self.point_count,
-            "note": self.note,
-        }
+_MODULE_OF_PREFIX = {
+    "poly": "poly_core",
+    "multiplicity": "multiplicity_algebra",
+    "verification": "verification_suite",
+}
+_SEEDED_SWEEP = "multiplicity.structure_random_sweep"
+_REGISTRY: dict[str, CheckCase] = {}
 
 
-@dataclass(frozen=True)
-class ClosureReport:
-    mu: tuple[int, ...]
-    strata: tuple[StratumReport, ...]
+def _check_case(
+    name: str, tag: str, anchor: str, run: Runner, negative_control: bool = False
+) -> CheckCase:
+    prefix = name.split(".", 1)[0]
+    module = _MODULE_OF_PREFIX.get(prefix, prefix)
+    return CheckCase(name, module, tag, anchor, run, negative_control)
 
-    def to_json_dict(self) -> dict:
-        return {"mu": list(self.mu), "strata": [s.to_json_dict() for s in self.strata]}
 
+def _case(name: str, tag: str, anchor: str, negative_control: bool = False):
+    """Register the decorated runner as the catalogue case `name`."""
 
-def closure_vs_grassmann_dimensions(mu: DominantWeight) -> ClosureReport:
-    """Stratify the closure of mu and attach multiplicity polynomials.
+    def register(run: Runner) -> Runner:
+        if name in _REGISTRY or name == _SEEDED_SWEEP:
+            raise ValueError(f"duplicate case name {name!r}")
+        _REGISTRY[name] = _check_case(name, tag, anchor, run, negative_control)
+        return run
 
-    Multiplicity-free strata (all fundamental coefficients alpha_1..alpha_(n-1)
-    in {0,1}) get the product of Gaussian binomials for their divisor data;
-    other strata have no closed formula here and are annotated, including the
-    jet-ring pointer when exactly one coefficient exceeds 1.
-    """
-    n = len(mu)
-    strata = []
-    for lam in lower_set(mu):
-        alpha, _ = fundamental_decomposition(lam)
-        inner = alpha[: n - 1]
-        if all(a in (0, 1) for a in inner):
-            data = DivisorData(n, inner)
-            poly = grassmann_multiplicity(data)
-            note = "central" if not any(inner) else ""
-            strata.append(
-                StratumReport(
-                    lam.entries, alpha, "multiplicity", str(poly), poly(1), note
-                )
-            )
-        else:
-            nonzero = [(i + 1, a) for i, a in enumerate(inner) if a]
-            if len(nonzero) == 1:
-                k, a = nonzero[0]
-                note = f"jet case: order-{a - 1} jets of the Gr({k},{n}) ring"
-            else:
-                note = ""
-            strata.append(StratumReport(lam.entries, alpha, "no_paper_formula", None, None, note))
-    return ClosureReport(mu.entries, tuple(strata))
+    return register
 
 
 # ---------------------------------------------------------------------------
-# the catalogue
+# poly_core
 
 
-def _case_poly() -> list[CheckCase]:
-    cases = []
-
-    def roundtrip(_):
-        p = _p("a0^2", _A2)
-        return _expect(
-            p.terms == {(2, 0): Fraction(1)} and str(p) == "a0^2",
-            f"parsed to {p!r}",
-        )
-
-    cases.append(
-        CheckCase(
-            "poly.parse_single_monomial", "poly_core", "trivial",
-            "text 'a0^2' parses to the squared first variable", roundtrip,
-        )
+@_case("poly.parse_single_monomial", "trivial", "text 'a0^2' parses to the squared first variable")
+def _parse_single_monomial(_):
+    p = _p("a0^2", _A2)
+    return _expect(
+        p.terms == {(2, 0): Fraction(1)} and str(p) == "a0^2",
+        f"parsed to {p!r}",
     )
 
-    def two_term(_):
-        p = _p("a0*a2 + a1^2", _A3)
-        return _expect(
-            p.terms == {(1, 0, 1): Fraction(1), (0, 2, 0): Fraction(1)},
-            f"parsed to {p!r}",
-        )
 
-    cases.append(
-        CheckCase(
-            "poly.parse_two_term_generator", "poly_core", "paper",
-            "the degree-4 jet relation a0*a2 + a1^2 parses with both terms", two_term,
-        )
+@_case(
+    "poly.parse_two_term_generator", "paper",
+    "the degree-4 jet relation a0*a2 + a1^2 parses with both terms",
+)
+def _parse_two_term_generator(_):
+    p = _p("a0*a2 + a1^2", _A3)
+    return _expect(
+        p.terms == {(1, 0, 1): Fraction(1), (0, 2, 0): Fraction(1)},
+        f"parsed to {p!r}",
     )
 
-    cases.append(
-        CheckCase(
-            "poly.parse_zero", "poly_core", "trivial",
-            "text '0' is the empty-term polynomial",
-            lambda _: _expect(_p("0", _A2).is_zero(), "nonzero parse of '0'"),
-        )
-    )
 
-    def binomial_product(_):
-        vs = ("p1", "q1", "x")
-        lhs = _p("p1 + x", vs) * _p("q1 + x", vs)
-        rhs = _p("p1*q1 + p1*x + q1*x + x^2", vs)
-        return _expect(lhs == rhs, f"(p1+x)(q1+x) = {lhs}")
-
-    cases.append(
-        CheckCase(
-            "poly.product_of_monic_linear_factors", "poly_core", "paper",
-            "(p1+x)(q1+x) expands to p1*q1 + (p1+q1)x + x^2", binomial_product,
-        )
-    )
-
-    cases.append(
-        CheckCase(
-            "poly.additive_identity", "poly_core", "trivial",
-            "f + 0 = f",
-            lambda _: _expect(
-                (f := _p("3*a0 - 1/2*a1", _A2)) + Polynomial.zero(_A2) == f, "f+0 != f"
-            ),
-        )
-    )
-
-    def truncated_square(_):
-        vs = ("a0", "a1", "a2", "z")
-        series = _p("a0 + a1*z + a2*z^2", vs)
-        sq = series * series
-        # read off z-coefficients of the square up to z^2
-        by_z: dict[int, dict] = {}
-        for exps, c in sq.terms.items():
-            by_z.setdefault(exps[3], {})[exps[:3]] = c
-        want0 = {(2, 0, 0): Fraction(1)}
-        want1 = {(1, 1, 0): Fraction(2)}
-        want2 = {(1, 0, 1): Fraction(2), (0, 2, 0): Fraction(1)}
-        ok = by_z.get(0) == want0 and by_z.get(1) == want1 and by_z.get(2) == want2
-        return _expect(ok, f"z-coefficients were {by_z}")
-
-    cases.append(
-        CheckCase(
-            "poly.truncated_series_square", "poly_core", "derived",
-            "(a0 + a1 z + a2 z^2)^2 has z-coefficients a0^2, 2a0a1, 2a0a2 + a1^2",
-            truncated_square,
-        )
-    )
-
-    def wdeg4(_):
-        d = weighted_degree(_p("a0*a2 + a1^2", _A3), WeightedGrading((1, 2, 3)))
-        return _expect(d == 4, f"degree {d}")
-
-    cases.append(
-        CheckCase(
-            "poly.weighted_degree_mixed_weights", "poly_core", "derived",
-            "a0*a2 + a1^2 has weighted degree 4 under weights (1,2,3)", wdeg4,
-        )
-    )
-
-    cases.append(
-        CheckCase(
-            "poly.weighted_degree_pure_power", "poly_core", "trivial",
-            "x^5 has degree 5 under unit weights",
-            lambda _: _expect(
-                weighted_degree(_p("x^5", ("x",)), WeightedGrading((1,))) == 5, "wrong degree"
-            ),
-        )
-    )
-
-    def inhomogeneous(_):
-        try:
-            weighted_degree(_p("a0^2 + a1", _A2), WeightedGrading.units(2))
-        except NotQuasiHomogeneous as e:
-            return _expect(sorted(e.degrees) == [1, 2], f"witness degrees {e.degrees}")
-        return "no inhomogeneity report"
-
-    cases.append(
-        CheckCase(
-            "poly.inhomogeneity_witnesses", "poly_core", "trivial",
-            "a0^2 + a1 is flagged with witness degrees 2 and 1", inhomogeneous,
-        )
-    )
-
-    def zero_degree(_):
-        try:
-            weighted_degree(Polynomial.zero(_A2), WeightedGrading.units(2))
-        except ZeroDegreeUndefined:
-            return None
-        return "zero polynomial was assigned a degree"
-
-    cases.append(
-        CheckCase(
-            "poly.zero_polynomial_has_no_degree", "poly_core", "trivial",
-            "the zero polynomial raises the distinguished degree error", zero_degree,
-        )
-    )
-
-    cases.append(
-        CheckCase(
-            "poly.jacobian_one_variable", "poly_core", "trivial",
-            "the map (x^2) has Jacobian determinant 2x",
-            lambda _: _expect(
-                jacobian_determinant(_x2_map()) == _p("2*x", ("x",)), "wrong derivative"
-            ),
-        )
-    )
-
-    def jac_2x2(_):
-        jac = jacobian_determinant(_gr21_map())
-        want = _p("p1 - q1", ("p1", "q1"))
-        return _expect(jac == want, f"J = {jac}")
-
-    cases.append(
-        CheckCase(
-            "poly.jacobian_two_by_two", "poly_core", "derived",
-            "the map (p1+q1, p1*q1) has Jacobian determinant p1 - q1", jac_2x2,
-        )
-    )
-
-    def jac_degree(_):
-        m = _gr24_map()
-        d = weighted_degree(jacobian_determinant(m), m.grading)
-        want = sum(m.degrees) - sum(m.grading.weights)
-        return _expect(d == want == 4, f"degree {d}, expected {want}")
-
-    cases.append(
-        CheckCase(
-            "poly.jacobian_degree_grassmann_4_2", "poly_core", "derived",
-            "Jacobian degree of the (4,2) presentation map is (1+2+3+4)-(1+2+1+2) = 4",
-            jac_degree,
-        )
-    )
-    return cases
+@_case("poly.parse_zero", "trivial", "text '0' is the empty-term polynomial")
+def _parse_zero(_):
+    return _expect(_p("0", _A2).is_zero(), "nonzero parse of '0'")
 
 
-def _case_groebner() -> list[CheckCase]:
-    cases = []
+@_case(
+    "poly.product_of_monic_linear_factors", "paper",
+    "(p1+x)(q1+x) expands to p1*q1 + (p1+q1)x + x^2",
+)
+def _product_of_monic_linear_factors(_):
+    vs = ("p1", "q1", "x")
+    lhs = _p("p1 + x", vs) * _p("q1 + x", vs)
+    rhs = _p("p1*q1 + p1*x + q1*x + x^2", vs)
+    return _expect(lhs == rhs, f"(p1+x)(q1+x) = {lhs}")
 
-    def gb_gr21(limits):
-        gb = groebner_basis(_ideal(("p1", "q1"), ("p1 + q1", "p1*q1")), limits=limits)
-        want = (_p("p1 + q1", ("p1", "q1")), _p("q1^2", ("p1", "q1")))
-        return _expect(gb.basis == want, f"basis {[str(b) for b in gb.basis]}")
 
-    cases.append(
-        CheckCase(
-            "groebner.reduced_basis_gr_2_1", "groebner", "derived",
-            "(p1+q1, p1*q1) reduces to the basis {p1+q1, q1^2}", gb_gr21,
-        )
-    )
+@_case("poly.additive_identity", "trivial", "f + 0 = f")
+def _additive_identity(_):
+    return _expect((f := _p("3*a0 - 1/2*a1", _A2)) + Polynomial.zero(_A2) == f, "f+0 != f")
 
-    cases.append(
-        CheckCase(
-            "groebner.principal_ideal", "groebner", "trivial",
-            "(a0) is its own reduced basis",
-            lambda limits: _expect(
-                groebner_basis(_ideal(_A2, ("a0",)), limits=limits).basis
-                == (_p("a0", _A2),),
-                "unexpected basis",
-            ),
-        )
-    )
 
-    def contains_cube(limits):
-        gb = groebner_basis(_d3_ideal(), Lex(), limits)
-        cube = _p("a1^3", _A3)
-        if cube not in gb.basis:
-            return f"lex basis {[str(b) for b in gb.basis]} lacks a1^3"
-        default_gb = groebner_basis(_d3_ideal(), limits=limits)
-        return _expect(
-            normal_form(cube, default_gb).is_zero(), "a1^3 not a member under grevlex"
-        )
+@_case(
+    "poly.truncated_series_square", "derived",
+    "(a0 + a1 z + a2 z^2)^2 has z-coefficients a0^2, 2a0a1, 2a0a2 + a1^2",
+)
+def _truncated_series_square(_):
+    vs = ("a0", "a1", "a2", "z")
+    series = _p("a0 + a1*z + a2*z^2", vs)
+    sq = series * series
+    # read off z-coefficients of the square up to z^2
+    by_z: dict[int, dict] = {}
+    for exps, c in sq.terms.items():
+        by_z.setdefault(exps[3], {})[exps[:3]] = c
+    want0 = {(2, 0, 0): Fraction(1)}
+    want1 = {(1, 1, 0): Fraction(2)}
+    want2 = {(1, 0, 1): Fraction(2), (0, 2, 0): Fraction(1)}
+    ok = by_z.get(0) == want0 and by_z.get(1) == want1 and by_z.get(2) == want2
+    return _expect(ok, f"z-coefficients were {by_z}")
 
-    cases.append(
-        CheckCase(
-            "groebner.syzygy_gives_cube", "groebner", "derived",
-            "a1^3 = a1(a0a2+a1^2) - a2(a0a1) enters the lex basis of the degree-3 jet ideal",
-            contains_cube,
-        )
-    )
 
-    def nf_product(limits):
-        gb = groebner_basis(_ideal(("p1", "q1"), ("p1 + q1", "p1*q1")), limits=limits)
-        r = normal_form(_p("p1*q1", ("p1", "q1")), gb)
-        return _expect(r.is_zero(), f"normal form {r}")
+@_case(
+    "poly.weighted_degree_mixed_weights", "derived",
+    "a0*a2 + a1^2 has weighted degree 4 under weights (1,2,3)",
+)
+def _weighted_degree_mixed_weights(_):
+    d = weighted_degree(_p("a0*a2 + a1^2", _A3), WeightedGrading((1, 2, 3)))
+    return _expect(d == 4, f"degree {d}")
 
-    cases.append(
-        CheckCase(
-            "groebner.normal_form_reduces_generator", "groebner", "derived",
-            "p1*q1 reduces to zero through -q1^2", nf_product,
-        )
-    )
 
-    cases.append(
-        CheckCase(
-            "groebner.normal_form_of_unit", "groebner", "trivial",
-            "1 survives reduction modulo a proper homogeneous ideal",
-            lambda limits: _expect(
-                normal_form(
-                    Polynomial.constant(_A2, 1),
-                    groebner_basis(_d2_ideal(), limits=limits),
-                )
-                == Polynomial.constant(_A2, 1),
-                "unit did not survive",
-            ),
-        )
-    )
+@_case("poly.weighted_degree_pure_power", "trivial", "x^5 has degree 5 under unit weights")
+def _weighted_degree_pure_power(_):
+    return _expect(weighted_degree(_p("x^5", ("x",)), WeightedGrading((1,))) == 5, "wrong degree")
 
-    def nf_member(limits):
-        gb = groebner_basis(_d3_ideal(), limits=limits)
-        r = normal_form(_p("a0*a2 + a1^2", _A3), gb)
-        return _expect(r.is_zero(), f"normal form {r}")
 
-    cases.append(
-        CheckCase(
-            "groebner.normal_form_of_jet_generator", "groebner", "paper",
-            "a0*a2 + a1^2 is a member of the degree-3 jet ideal", nf_member,
-        )
-    )
+@_case(
+    "poly.inhomogeneity_witnesses", "trivial",
+    "a0^2 + a1 is flagged with witness degrees 2 and 1",
+)
+def _inhomogeneity_witnesses(_):
+    try:
+        weighted_degree(_p("a0^2 + a1", _A2), WeightedGrading.units(2))
+    except NotQuasiHomogeneous as e:
+        return _expect(sorted(e.degrees) == [1, 2], f"witness degrees {e.degrees}")
+    return "no inhomogeneity report"
 
-    cases.append(
-        CheckCase(
-            "groebner.zero_dimensional_gr_2_1", "groebner", "derived",
-            "(p1+q1, q1^2) has pure-power leading monomials p1 and q1^2",
-            lambda limits: _expect(
-                is_zero_dimensional(
-                    groebner_basis(_ideal(("p1", "q1"), ("p1 + q1", "p1*q1")), limits=limits)
-                ),
-                "reported positive-dimensional",
-            ),
-        )
-    )
 
-    cases.append(
-        CheckCase(
-            "groebner.not_zero_dimensional_embedded_line", "groebner", "paper",
-            "(a0^2, a0a1) has no pure power of a1: an infinite staircase",
-            lambda limits: _expect(
-                not is_zero_dimensional(groebner_basis(_d2_ideal(), limits=limits)),
-                "claimed zero-dimensional",
-            ),
-        )
-    )
-
-    cases.append(
-        CheckCase(
-            "groebner.zero_dimensional_principal", "groebner", "trivial",
-            "(x) in one variable is zero-dimensional",
-            lambda limits: _expect(
-                is_zero_dimensional(
-                    groebner_basis(_ideal(("x",), ("x",)), limits=limits)
-                ),
-                "claimed positive-dimensional",
-            ),
-        )
-    )
-
-    def std_gr21(limits):
-        gb = groebner_basis(_ideal(("p1", "q1"), ("p1 + q1", "p1*q1")), limits=limits)
-        mons = standard_monomials(gb)
-        return _expect(mons == [(0, 0), (0, 1)], f"staircase {mons}")
-
-    cases.append(
-        CheckCase(
-            "groebner.staircase_gr_2_1", "groebner", "derived",
-            "standard monomials of (p1+q1, q1^2) are 1 and q1", std_gr21,
-        )
-    )
-
-    def std_gr24(limits):
-        ring = grassmann_presentation(4, 2)
-        gb = groebner_basis(ring.ideal(), limits=limits)
-        count = len(standard_monomials(gb))
-        return _expect(count == 6, f"{count} standard monomials")
-
-    cases.append(
-        CheckCase(
-            "groebner.staircase_count_gr_4_2", "groebner", "derived",
-            "the (4,2) presentation has 6 standard monomials = C(4,2)", std_gr24,
-        )
-    )
-
-    cases.append(
-        CheckCase(
-            "groebner.staircase_principal", "groebner", "trivial",
-            "(x) leaves only the constant monomial",
-            lambda limits: _expect(
-                standard_monomials(groebner_basis(_ideal(("x",), ("x",)), limits=limits))
-                == [(0,)],
-                "unexpected staircase",
-            ),
-        )
-    )
-
-    def hilb_finite(limits):
-        s = hilbert_series(_ideal(("p1", "q1"), ("p1 + q1", "p1*q1")), limits=limits)
-        return _expect(s == UniPoly([1, 1]), f"series {s}")
-
-    cases.append(
-        CheckCase(
-            "groebner.hilbert_series_finite_quotient", "groebner", "derived",
-            "quotient by (p1+q1, p1q1) has Hilbert series 1 + t", hilb_finite,
-        )
-    )
-
-    def hilb_line(limits):
-        s = hilbert_series(_d2_ideal(), limits=limits)
-        want = RationalSeries(UniPoly([1, 1, -1]), UniPoly([1, -1]))
-        return _expect(s == want, f"series {s}")
-
-    cases.append(
-        CheckCase(
-            "groebner.hilbert_series_embedded_point", "groebner", "derived",
-            "quotient by (a0^2, a0a1) has series (1 + t - t^2)/(1 - t)", hilb_line,
-        )
-    )
-
-    def hilb_free(limits):
-        s = hilbert_series(Ideal(("x",), (), WeightedGrading((1,))), limits=limits)
-        want = RationalSeries(UniPoly([1]), UniPoly([1, -1]))
-        return _expect(s == want, f"series {s}")
-
-    cases.append(
-        CheckCase(
-            "groebner.hilbert_series_free_ring", "groebner", "trivial",
-            "the zero ideal in one weight-1 variable gives 1/(1 - t)", hilb_free,
-        )
-    )
-
-    cases.append(
-        CheckCase(
-            "groebner.krull_dimension_embedded_point", "groebner", "paper",
-            "the degree-2 jet ideal cuts out a line: dimension 1",
-            lambda limits: _expect(
-                krull_dimension(_d2_ideal(), limits) == 1, "dimension != 1"
-            ),
-        )
-    )
-
-    cases.append(
-        CheckCase(
-            "groebner.krull_dimension_grassmann", "groebner", "derived",
-            "the (4,2) presentation ideal is zero-dimensional",
-            lambda limits: _expect(
-                krull_dimension(grassmann_presentation(4, 2).ideal(), limits) == 0,
-                "dimension != 0",
-            ),
-        )
-    )
-
-    cases.append(
-        CheckCase(
-            "groebner.krull_dimension_zero_ideal", "groebner", "trivial",
-            "the zero ideal in 3 variables has dimension 3",
-            lambda limits: _expect(
-                krull_dimension(Ideal(_A3, (), WeightedGrading.units(3)), limits) == 3,
-                "dimension != 3",
-            ),
-        )
-    )
-
-    def intersect_embedded(limits):
-        return _expect(embedded_point_check(limits), "identity failed")
-
-    cases.append(
-        CheckCase(
-            "groebner.intersection_embedded_point", "groebner", "paper",
-            "(a0,a1)^2 meet (a0) equals (a0^2, a0a1) by elimination", intersect_embedded,
-        )
-    )
-
-    def intersect_self(limits):
-        gr = _ideal(("p1", "q1"), ("p1 + q1", "p1*q1"))
-        return _expect(
-            ideal_equal(ideal_intersection(gr, gr, limits), gr, limits=limits),
-            "I meet I != I",
-        )
-
-    cases.append(
-        CheckCase(
-            "groebner.intersection_idempotent", "groebner", "trivial",
-            "I meet I = I", intersect_self,
-        )
-    )
-
-    def intersect_coprime(limits):
-        meet = ideal_intersection(_ideal(_A2, ("a0",)), _ideal(_A2, ("a1",)), limits)
-        return _expect(
-            ideal_equal(meet, _ideal(_A2, ("a0*a1",)), limits=limits),
-            f"generators {[str(g) for g in meet.generators]}",
-        )
-
-    cases.append(
-        CheckCase(
-            "groebner.intersection_coprime_principal", "groebner", "derived",
-            "(a0) meet (a1) = (a0*a1)", intersect_coprime,
-        )
-    )
-
-    cases.append(
-        CheckCase(
-            "groebner.equality_unit_scaling", "groebner", "trivial",
-            "(x) and (2x) are the same ideal",
-            lambda limits: _expect(
-                ideal_equal(_ideal(("x",), ("x",)), _ideal(("x",), ("2*x",)), limits=limits),
-                "scaling changed the ideal",
-            ),
-        )
-    )
-
-    def inequality_witness(limits):
-        one = _ideal(_A3, ("a0*a2 + a1^2",))
-        two = _ideal(_A3, ("2*a0*a2 + a1^2",))
-        if ideal_equal(one, two, limits=limits):
-            return "distinct principal ideals compared equal"
-        witness = normal_form(one.generators[0], groebner_basis(two, limits=limits))
-        return _expect(not witness.is_zero(), "no normal-form witness")
-
-    cases.append(
-        CheckCase(
-            "groebner.inequality_with_witness", "groebner", "derived",
-            "(a0a2 + a1^2) differs from (2a0a2 + a1^2), witnessed by a normal form",
-            inequality_witness,
-        )
-    )
-
-    def certified(limits):
-        for ideal, order in (
-            (_ideal(("p1", "q1"), ("p1 + q1", "p1*q1")), None),
-            (_d3_ideal(), None),
-            (grassmann_presentation(4, 2).ideal(), None),
-        ):
-            certify(groebner_basis(ideal, order, limits), limits)
+@_case(
+    "poly.zero_polynomial_has_no_degree", "trivial",
+    "the zero polynomial raises the distinguished degree error",
+)
+def _zero_polynomial_has_no_degree(_):
+    try:
+        weighted_degree(Polynomial.zero(_A2), WeightedGrading.units(2))
+    except ZeroDegreeUndefined:
         return None
-
-    cases.append(
-        CheckCase(
-            "groebner.certification_pass", "groebner", "derived",
-            "every S-polynomial of the worked bases reduces to zero post hoc", certified,
-        )
-    )
-    return cases
+    return "zero polynomial was assigned a degree"
 
 
-def _case_multiplicity(seed: int = 0) -> list[CheckCase]:
-    cases = []
+@_case("poly.jacobian_one_variable", "trivial", "the map (x^2) has Jacobian determinant 2x")
+def _jacobian_one_variable(_):
+    return _expect(jacobian_determinant(_x2_map()) == _p("2*x", ("x",)), "wrong derivative")
 
-    def quotient_gr21(limits):
-        q = build_quotient(_gr21_map(), limits)
-        return _expect(
-            q.dimension == 2 and q.basis == ((0, 0), (0, 1)),
-            f"dimension {q.dimension}, basis {q.basis}",
-        )
 
-    cases.append(
-        CheckCase(
-            "multiplicity.quotient_gr_2_1", "multiplicity_algebra", "derived",
-            "the (2,1) presentation map gives a 2-dimensional algebra on {1, q1}",
-            quotient_gr21,
-        )
-    )
+@_case(
+    "poly.jacobian_two_by_two", "derived",
+    "the map (p1+q1, p1*q1) has Jacobian determinant p1 - q1",
+)
+def _jacobian_two_by_two(_):
+    jac = jacobian_determinant(_gr21_map())
+    want = _p("p1 - q1", ("p1", "q1"))
+    return _expect(jac == want, f"J = {jac}")
 
-    cases.append(
-        CheckCase(
-            "multiplicity.quotient_x_squared", "multiplicity_algebra", "paper",
-            "(x^2) gives the 2-dimensional algebra of the projective line",
-            lambda limits: _expect(
-                build_quotient(_x2_map(), limits).dimension == 2, "dimension != 2"
-            ),
-        )
-    )
 
-    def wobbly(limits):
-        try:
-            build_quotient(
-                PolynomialMap.build(
-                    (_p("a0^2", _A2), _p("a0*a1", _A2)), WeightedGrading((1, 2))
-                ),
-                limits,
-            )
-        except NotFinite as e:
-            return _expect(len(e.basis.basis) > 0, "error carried no basis")
-        return "degenerate map produced a finite algebra"
+@_case(
+    "poly.jacobian_degree_grassmann_4_2", "derived",
+    "Jacobian degree of the (4,2) presentation map is (1+2+3+4)-(1+2+1+2) = 4",
+)
+def _jacobian_degree_grassmann_4_2(_):
+    m = _gr24_map()
+    d = weighted_degree(jacobian_determinant(m), m.grading)
+    want = sum(m.degrees) - sum(m.grading.weights)
+    return _expect(d == want == 4, f"degree {d}, expected {want}")
 
-    cases.append(
-        CheckCase(
-            "multiplicity.degenerate_map_not_finite", "multiplicity_algebra", "paper",
-            "(a0^2, a0a1) is degenerate: the quotient is not finite-dimensional", wobbly,
-        )
+
+# ---------------------------------------------------------------------------
+# groebner
+
+
+@_case(
+    "groebner.reduced_basis_gr_2_1", "derived",
+    "(p1+q1, p1*q1) reduces to the basis {p1+q1, q1^2}",
+)
+def _reduced_basis_gr_2_1(limits):
+    gb = groebner_basis(_ideal(("p1", "q1"), ("p1 + q1", "p1*q1")), limits=limits)
+    want = (_p("p1 + q1", ("p1", "q1")), _p("q1^2", ("p1", "q1")))
+    return _expect(gb.basis == want, f"basis {[str(b) for b in gb.basis]}")
+
+
+@_case("groebner.principal_ideal", "trivial", "(a0) is its own reduced basis")
+def _principal_ideal(limits):
+    return _expect(
+        groebner_basis(_ideal(_A2, ("a0",)), limits=limits).basis
+        == (_p("a0", _A2),),
+        "unexpected basis",
     )
 
-    cases.append(
-        CheckCase(
-            "multiplicity.poincare_gr_2_1", "multiplicity_algebra", "derived",
-            "Poincare polynomial of the (2,1) quotient is 1 + t",
-            lambda limits: _expect(
-                poincare_polynomial(build_quotient(_gr21_map(), limits)) == UniPoly([1, 1]),
-                "wrong polynomial",
-            ),
+
+@_case(
+    "groebner.syzygy_gives_cube", "derived",
+    "a1^3 = a1(a0a2+a1^2) - a2(a0a1) enters the lex basis of the degree-3 jet ideal",
+)
+def _syzygy_gives_cube(limits):
+    gb = groebner_basis(_d3_ideal(), Lex(), limits)
+    cube = _p("a1^3", _A3)
+    if cube not in gb.basis:
+        return f"lex basis {[str(b) for b in gb.basis]} lacks a1^3"
+    default_gb = groebner_basis(_d3_ideal(), limits=limits)
+    return _expect(normal_form(cube, default_gb).is_zero(), "a1^3 not a member under grevlex")
+
+
+@_case("groebner.normal_form_reduces_generator", "derived", "p1*q1 reduces to zero through -q1^2")
+def _normal_form_reduces_generator(limits):
+    gb = groebner_basis(_ideal(("p1", "q1"), ("p1 + q1", "p1*q1")), limits=limits)
+    r = normal_form(_p("p1*q1", ("p1", "q1")), gb)
+    return _expect(r.is_zero(), f"normal form {r}")
+
+
+@_case(
+    "groebner.normal_form_of_unit", "trivial",
+    "1 survives reduction modulo a proper homogeneous ideal",
+)
+def _normal_form_of_unit(limits):
+    return _expect(
+        normal_form(
+            Polynomial.constant(_A2, 1),
+            groebner_basis(_d2_ideal(), limits=limits),
         )
+        == Polynomial.constant(_A2, 1),
+        "unit did not survive",
     )
 
-    def poincare_gr24(limits):
-        got = poincare_polynomial(build_quotient(_gr24_map(), limits))
-        return _expect(got == gaussian_binomial(4, 2), f"got {got}")
 
-    cases.append(
-        CheckCase(
-            "multiplicity.poincare_gr_4_2", "multiplicity_algebra", "derived",
-            "Poincare polynomial of the (4,2) quotient equals the (4,2) Gaussian binomial",
-            poincare_gr24,
-        )
+@_case(
+    "groebner.normal_form_of_jet_generator", "paper",
+    "a0*a2 + a1^2 is a member of the degree-3 jet ideal",
+)
+def _normal_form_of_jet_generator(limits):
+    gb = groebner_basis(_d3_ideal(), limits=limits)
+    r = normal_form(_p("a0*a2 + a1^2", _A3), gb)
+    return _expect(r.is_zero(), f"normal form {r}")
+
+
+@_case(
+    "groebner.zero_dimensional_gr_2_1", "derived",
+    "(p1+q1, q1^2) has pure-power leading monomials p1 and q1^2",
+)
+def _zero_dimensional_gr_2_1(limits):
+    return _expect(
+        is_zero_dimensional(
+            groebner_basis(_ideal(("p1", "q1"), ("p1 + q1", "p1*q1")), limits=limits)
+        ),
+        "reported positive-dimensional",
     )
 
-    cases.append(
-        CheckCase(
-            "multiplicity.poincare_x_squared", "multiplicity_algebra", "paper",
-            "Poincare polynomial of C[x]/(x^2) is 1 + t",
-            lambda limits: _expect(
-                poincare_polynomial(build_quotient(_x2_map(), limits)) == UniPoly([1, 1]),
-                "wrong polynomial",
-            ),
-        )
+
+@_case(
+    "groebner.not_zero_dimensional_embedded_line", "paper",
+    "(a0^2, a0a1) has no pure power of a1: an infinite staircase",
+)
+def _not_zero_dimensional_embedded_line(limits):
+    return _expect(
+        not is_zero_dimensional(groebner_basis(_d2_ideal(), limits=limits)),
+        "claimed zero-dimensional",
     )
 
-    def socle_x2(limits):
-        s = socle(build_quotient(_x2_map(), limits))
-        return _expect(
-            len(s) == 1 and s[0] == _p("x", ("x",)), f"socle {[str(x) for x in s]}"
-        )
 
-    cases.append(
-        CheckCase(
-            "multiplicity.socle_x_squared", "multiplicity_algebra", "trivial",
-            "socle of C[x]/(x^2) is spanned by x in degree 1", socle_x2,
-        )
+@_case("groebner.zero_dimensional_principal", "trivial", "(x) in one variable is zero-dimensional")
+def _zero_dimensional_principal(limits):
+    return _expect(
+        is_zero_dimensional(
+            groebner_basis(_ideal(("x",), ("x",)), limits=limits)
+        ),
+        "claimed positive-dimensional",
     )
 
-    def socle_gr21(limits):
-        s = socle(build_quotient(_gr21_map(), limits))
-        return _expect(
-            len(s) == 1 and s[0] == _p("q1", ("p1", "q1")),
-            f"socle {[str(x) for x in s]}",
-        )
 
-    cases.append(
-        CheckCase(
-            "multiplicity.socle_gr_2_1", "multiplicity_algebra", "derived",
-            "socle of the (2,1) quotient is spanned by q1", socle_gr21,
-        )
+@_case("groebner.staircase_gr_2_1", "derived", "standard monomials of (p1+q1, q1^2) are 1 and q1")
+def _staircase_gr_2_1(limits):
+    gb = groebner_basis(_ideal(("p1", "q1"), ("p1 + q1", "p1*q1")), limits=limits)
+    mons = standard_monomials(gb)
+    return _expect(mons == [(0, 0), (0, 1)], f"staircase {mons}")
+
+
+@_case(
+    "groebner.staircase_count_gr_4_2", "derived",
+    "the (4,2) presentation has 6 standard monomials = C(4,2)",
+)
+def _staircase_count_gr_4_2(limits):
+    ring = grassmann_presentation(4, 2)
+    gb = groebner_basis(ring.ideal(), limits=limits)
+    count = len(standard_monomials(gb))
+    return _expect(count == 6, f"{count} standard monomials")
+
+
+@_case("groebner.staircase_principal", "trivial", "(x) leaves only the constant monomial")
+def _staircase_principal(limits):
+    return _expect(
+        standard_monomials(groebner_basis(_ideal(("x",), ("x",)), limits=limits))
+        == [(0,)],
+        "unexpected staircase",
     )
 
-    def socle_gr24(limits):
-        q = build_quotient(_gr24_map(), limits)
-        s = socle(q)
-        if len(s) != 1:
-            return f"socle dimension {len(s)}"
-        degree = {q.grading.degree(e) for e in s[0].terms}
-        return _expect(degree == {4}, f"socle degrees {degree}")
 
-    cases.append(
-        CheckCase(
-            "multiplicity.socle_gr_4_2", "multiplicity_algebra", "derived",
-            "socle of the (4,2) quotient is one-dimensional in degree 4 = k(n-k)",
-            socle_gr24,
-        )
+@_case(
+    "groebner.hilbert_series_finite_quotient", "derived",
+    "quotient by (p1+q1, p1q1) has Hilbert series 1 + t",
+)
+def _hilbert_series_finite_quotient(limits):
+    s = hilbert_series(_ideal(("p1", "q1"), ("p1 + q1", "p1*q1")), limits=limits)
+    return _expect(s == UniPoly([1, 1]), f"series {s}")
+
+
+@_case(
+    "groebner.hilbert_series_embedded_point", "derived",
+    "quotient by (a0^2, a0a1) has series (1 + t - t^2)/(1 - t)",
+)
+def _hilbert_series_embedded_point(limits):
+    s = hilbert_series(_d2_ideal(), limits=limits)
+    want = RationalSeries(UniPoly([1, 1, -1]), UniPoly([1, -1]))
+    return _expect(s == want, f"series {s}")
+
+
+@_case(
+    "groebner.hilbert_series_free_ring", "trivial",
+    "the zero ideal in one weight-1 variable gives 1/(1 - t)",
+)
+def _hilbert_series_free_ring(limits):
+    s = hilbert_series(Ideal(("x",), (), WeightedGrading((1,))), limits=limits)
+    want = RationalSeries(UniPoly([1]), UniPoly([1, -1]))
+    return _expect(s == want, f"series {s}")
+
+
+@_case(
+    "groebner.krull_dimension_embedded_point", "paper",
+    "the degree-2 jet ideal cuts out a line: dimension 1",
+)
+def _krull_dimension_embedded_point(limits):
+    return _expect(krull_dimension(_d2_ideal(), limits) == 1, "dimension != 1")
+
+
+@_case(
+    "groebner.krull_dimension_grassmann", "derived",
+    "the (4,2) presentation ideal is zero-dimensional",
+)
+def _krull_dimension_grassmann(limits):
+    return _expect(
+        krull_dimension(grassmann_presentation(4, 2).ideal(), limits) == 0,
+        "dimension != 0",
     )
 
-    cases.append(
-        CheckCase(
-            "multiplicity.jacobian_socle_x_squared", "multiplicity_algebra", "trivial",
-            "2x spans the socle of C[x]/(x^2)",
-            lambda limits: _expect(
-                jacobian_spans_socle(build_quotient(_x2_map(), limits)), "check failed"
-            ),
-        )
+
+@_case(
+    "groebner.krull_dimension_zero_ideal", "trivial",
+    "the zero ideal in 3 variables has dimension 3",
+)
+def _krull_dimension_zero_ideal(limits):
+    return _expect(
+        krull_dimension(Ideal(_A3, (), WeightedGrading.units(3)), limits) == 3,
+        "dimension != 3",
     )
 
-    cases.append(
-        CheckCase(
-            "multiplicity.jacobian_socle_gr_2_1", "multiplicity_algebra", "derived",
-            "p1 - q1 reduces to -2q1 and spans the socle",
-            lambda limits: _expect(
-                jacobian_spans_socle(build_quotient(_gr21_map(), limits)), "check failed"
-            ),
-        )
+
+@_case(
+    "groebner.intersection_embedded_point", "paper",
+    "(a0,a1)^2 meet (a0) equals (a0^2, a0a1) by elimination",
+)
+def _intersection_embedded_point(limits):
+    return _expect(embedded_point_check(limits), "identity failed")
+
+
+@_case("groebner.intersection_idempotent", "trivial", "I meet I = I")
+def _intersection_idempotent(limits):
+    gr = _ideal(("p1", "q1"), ("p1 + q1", "p1*q1"))
+    return _expect(
+        ideal_equal(ideal_intersection(gr, gr, limits), gr, limits=limits),
+        "I meet I != I",
     )
 
-    cases.append(
-        CheckCase(
-            "multiplicity.jacobian_socle_gr_4_2", "multiplicity_algebra", "derived",
-            "the (4,2) Jacobian determinant spans the socle",
-            lambda limits: _expect(
-                jacobian_spans_socle(build_quotient(_gr24_map(), limits)), "check failed"
-            ),
-        )
+
+@_case("groebner.intersection_coprime_principal", "derived", "(a0) meet (a1) = (a0*a1)")
+def _intersection_coprime_principal(limits):
+    meet = ideal_intersection(_ideal(_A2, ("a0",)), _ideal(_A2, ("a1",)), limits)
+    return _expect(
+        ideal_equal(meet, _ideal(_A2, ("a0*a1",)), limits=limits),
+        f"generators {[str(g) for g in meet.generators]}",
     )
 
-    def pairing_x2(limits):
-        rep = pairing_matrices(build_quotient(_x2_map(), limits))
-        return _expect(rep.perfect, "pairing not perfect")
 
-    cases.append(
-        CheckCase(
-            "multiplicity.pairing_x_squared", "multiplicity_algebra", "trivial",
-            "the (1, x) pairing of C[x]/(x^2) is perfect", pairing_x2,
-        )
+@_case("groebner.equality_unit_scaling", "trivial", "(x) and (2x) are the same ideal")
+def _equality_unit_scaling(limits):
+    return _expect(
+        ideal_equal(_ideal(("x",), ("x",)), _ideal(("x",), ("2*x",)), limits=limits),
+        "scaling changed the ideal",
     )
 
-    def pairing_gr24(limits):
-        rep = pairing_matrices(build_quotient(_gr24_map(), limits))
-        middle = next(p for p in rep.by_degree if p.degree == 2)
-        ok = (
-            rep.perfect
-            and len(middle.matrix) == 2
-            and middle.rank == 2
-        )
-        return _expect(ok, f"middle degree pairing rank {middle.rank}")
 
-    cases.append(
-        CheckCase(
-            "multiplicity.pairing_gr_4_2_middle", "multiplicity_algebra", "derived",
-            "the 2x2 middle-degree pairing matrix of the (4,2) quotient is invertible",
-            pairing_gr24,
-        )
+@_case(
+    "groebner.inequality_with_witness", "derived",
+    "(a0a2 + a1^2) differs from (2a0a2 + a1^2), witnessed by a normal form",
+)
+def _inequality_with_witness(limits):
+    one = _ideal(_A3, ("a0*a2 + a1^2",))
+    two = _ideal(_A3, ("2*a0*a2 + a1^2",))
+    if ideal_equal(one, two, limits=limits):
+        return "distinct principal ideals compared equal"
+    witness = normal_form(one.generators[0], groebner_basis(two, limits=limits))
+    return _expect(not witness.is_zero(), "no normal-form witness")
+
+
+@_case(
+    "groebner.certification_pass", "derived",
+    "every S-polynomial of the worked bases reduces to zero post hoc",
+)
+def _certification_pass(limits):
+    for ideal, order in (
+        (_ideal(("p1", "q1"), ("p1 + q1", "p1*q1")), None),
+        (_d3_ideal(), None),
+        (grassmann_presentation(4, 2).ideal(), None),
+    ):
+        certify(groebner_basis(ideal, order, limits), limits)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# multiplicity_algebra
+
+
+@_case(
+    "multiplicity.quotient_gr_2_1", "derived",
+    "the (2,1) presentation map gives a 2-dimensional algebra on {1, q1}",
+)
+def _quotient_gr_2_1(limits):
+    q = build_quotient(_gr21_map(), limits)
+    return _expect(
+        q.dimension == 2 and q.basis == ((0, 0), (0, 1)),
+        f"dimension {q.dimension}, basis {q.basis}",
     )
 
-    def pairing_needs_gorenstein(limits):
-        # three quadric generators in two variables: socle is {x, y}, 2-dimensional
-        vs = ("x", "y")
-        ideal = _ideal(vs, ("x^2", "x*y", "y^2"))
-        gb = groebner_basis(ideal, limits=limits)
-        q = FiniteGradedAlgebra(gb, WeightedGrading.units(2))
-        if len(socle(q)) != 2:
-            return f"socle dimension {len(socle(q))}"
-        try:
-            pairing_matrices(q)
-        except ValueError:
-            return None
-        return "pairing accepted a 2-dimensional socle"
 
-    cases.append(
-        CheckCase(
-            "multiplicity.pairing_flags_fat_socle", "multiplicity_algebra", "trivial",
-            "a 2-dimensional socle (non-square degree pairing) is rejected",
-            pairing_needs_gorenstein,
-        )
-    )
+@_case(
+    "multiplicity.quotient_x_squared", "paper",
+    "(x^2) gives the 2-dimensional algebra of the projective line",
+)
+def _quotient_x_squared(limits):
+    return _expect(build_quotient(_x2_map(), limits).dimension == 2, "dimension != 2")
 
-    cases.append(
-        CheckCase(
-            "multiplicity.equivariant_cancellation", "multiplicity_algebra", "derived",
-            "degrees {1,2} over weights {1,1} reduce to 1 + t",
-            lambda _: _expect(
-                equivariant_multiplicity((1, 1), (1, 2)) == UniPoly([1, 1]),
-                "wrong series",
-            ),
-        )
-    )
 
-    cases.append(
-        CheckCase(
-            "multiplicity.equivariant_gr_4_2", "multiplicity_algebra", "derived",
-            "degrees {1,2,3,4} over weights {1,2,1,2} give the (4,2) Gaussian binomial",
-            lambda _: _expect(
-                equivariant_multiplicity((1, 2, 1, 2), (1, 2, 3, 4))
-                == gaussian_binomial(4, 2),
-                "wrong series",
-            ),
-        )
-    )
-
-    cases.append(
-        CheckCase(
-            "multiplicity.equivariant_identity_map", "multiplicity_algebra", "trivial",
-            "equal weight multisets give the constant series 1",
-            lambda _: _expect(
-                equivariant_multiplicity((1, 2), (1, 2)) == UniPoly([1]), "wrong series"
-            ),
-        )
-    )
-
-    def report_gr24(limits):
-        rep = verify_structure_theorem(_gr24_map(), limits)
-        ok = rep.all_true() and rep.dimension == 6 and rep.m_at_1 == 6
-        return _expect(ok, f"dimension {rep.dimension}, clauses {rep.clauses}")
-
-    cases.append(
-        CheckCase(
-            "multiplicity.structure_report_gr_4_2", "multiplicity_algebra", "derived",
-            "the (4,2) quotient passes every structure clause with dimension 6",
-            report_gr24,
-        )
-    )
-
-    def report_x2(limits):
-        rep = verify_structure_theorem(_x2_map(), limits)
-        return _expect(rep.all_true() and rep.dimension == 2, f"clauses {rep.clauses}")
-
-    cases.append(
-        CheckCase(
-            "multiplicity.structure_report_x_squared", "multiplicity_algebra", "paper",
-            "C[x]/(x^2) passes every structure clause with dimension 2", report_x2,
-        )
-    )
-
-    def report_wobbly(limits):
-        rep = verify_structure_theorem(
+@_case(
+    "multiplicity.degenerate_map_not_finite", "paper",
+    "(a0^2, a0a1) is degenerate: the quotient is not finite-dimensional",
+)
+def _degenerate_map_not_finite(limits):
+    try:
+        build_quotient(
             PolynomialMap.build(
                 (_p("a0^2", _A2), _p("a0*a1", _A2)), WeightedGrading((1, 2))
             ),
             limits,
         )
-        return _expect(
-            not rep.finite_dimensional and not rep.clauses, "degenerate map got clauses"
-        )
+    except NotFinite as e:
+        return _expect(len(e.basis.basis) > 0, "error carried no basis")
+    return "degenerate map produced a finite algebra"
 
-    cases.append(
-        CheckCase(
-            "multiplicity.structure_report_degenerate", "multiplicity_algebra", "paper",
-            "the degenerate map reports finite_dimensional = false and nothing else",
-            report_wobbly,
-        )
+
+@_case(
+    "multiplicity.poincare_gr_2_1", "derived",
+    "Poincare polynomial of the (2,1) quotient is 1 + t",
+)
+def _poincare_gr_2_1(limits):
+    return _expect(
+        poincare_polynomial(build_quotient(_gr21_map(), limits)) == UniPoly([1, 1]),
+        "wrong polynomial",
     )
 
-    def random_sweep(limits):
-        rng = random.Random(seed)
-        for i in range(5):
-            m = random_zero_dimensional_map(rng, n_vars=rng.randint(1, 3), max_degree=4, limits=limits)
-            rep = verify_structure_theorem(m, limits)
+
+@_case(
+    "multiplicity.poincare_gr_4_2", "derived",
+    "Poincare polynomial of the (4,2) quotient equals the (4,2) Gaussian binomial",
+)
+def _poincare_gr_4_2(limits):
+    got = poincare_polynomial(build_quotient(_gr24_map(), limits))
+    return _expect(got == gaussian_binomial(4, 2), f"got {got}")
+
+
+@_case("multiplicity.poincare_x_squared", "paper", "Poincare polynomial of C[x]/(x^2) is 1 + t")
+def _poincare_x_squared(limits):
+    return _expect(
+        poincare_polynomial(build_quotient(_x2_map(), limits)) == UniPoly([1, 1]),
+        "wrong polynomial",
+    )
+
+
+@_case("multiplicity.socle_x_squared", "trivial", "socle of C[x]/(x^2) is spanned by x in degree 1")
+def _socle_x_squared(limits):
+    s = socle(build_quotient(_x2_map(), limits))
+    return _expect(len(s) == 1 and s[0] == _p("x", ("x",)), f"socle {[str(x) for x in s]}")
+
+
+@_case("multiplicity.socle_gr_2_1", "derived", "socle of the (2,1) quotient is spanned by q1")
+def _socle_gr_2_1(limits):
+    s = socle(build_quotient(_gr21_map(), limits))
+    return _expect(
+        len(s) == 1 and s[0] == _p("q1", ("p1", "q1")),
+        f"socle {[str(x) for x in s]}",
+    )
+
+
+@_case(
+    "multiplicity.socle_gr_4_2", "derived",
+    "socle of the (4,2) quotient is one-dimensional in degree 4 = k(n-k)",
+)
+def _socle_gr_4_2(limits):
+    q = build_quotient(_gr24_map(), limits)
+    s = socle(q)
+    if len(s) != 1:
+        return f"socle dimension {len(s)}"
+    degree = {q.grading.degree(e) for e in s[0].terms}
+    return _expect(degree == {4}, f"socle degrees {degree}")
+
+
+@_case("multiplicity.jacobian_socle_x_squared", "trivial", "2x spans the socle of C[x]/(x^2)")
+def _jacobian_socle_x_squared(limits):
+    return _expect(jacobian_spans_socle(build_quotient(_x2_map(), limits)), "check failed")
+
+
+@_case(
+    "multiplicity.jacobian_socle_gr_2_1", "derived",
+    "p1 - q1 reduces to -2q1 and spans the socle",
+)
+def _jacobian_socle_gr_2_1(limits):
+    return _expect(jacobian_spans_socle(build_quotient(_gr21_map(), limits)), "check failed")
+
+
+@_case(
+    "multiplicity.jacobian_socle_gr_4_2", "derived",
+    "the (4,2) Jacobian determinant spans the socle",
+)
+def _jacobian_socle_gr_4_2(limits):
+    return _expect(jacobian_spans_socle(build_quotient(_gr24_map(), limits)), "check failed")
+
+
+@_case("multiplicity.pairing_x_squared", "trivial", "the (1, x) pairing of C[x]/(x^2) is perfect")
+def _pairing_x_squared(limits):
+    rep = pairing_matrices(build_quotient(_x2_map(), limits))
+    return _expect(rep.perfect, "pairing not perfect")
+
+
+@_case(
+    "multiplicity.pairing_gr_4_2_middle", "derived",
+    "the 2x2 middle-degree pairing matrix of the (4,2) quotient is invertible",
+)
+def _pairing_gr_4_2_middle(limits):
+    rep = pairing_matrices(build_quotient(_gr24_map(), limits))
+    middle = next(p for p in rep.by_degree if p.degree == 2)
+    ok = (
+        rep.perfect
+        and len(middle.matrix) == 2
+        and middle.rank == 2
+    )
+    return _expect(ok, f"middle degree pairing rank {middle.rank}")
+
+
+@_case(
+    "multiplicity.pairing_flags_fat_socle", "trivial",
+    "a 2-dimensional socle (non-square degree pairing) is rejected",
+)
+def _pairing_flags_fat_socle(limits):
+    # three quadric generators in two variables: socle is {x, y}, 2-dimensional
+    vs = ("x", "y")
+    ideal = _ideal(vs, ("x^2", "x*y", "y^2"))
+    gb = groebner_basis(ideal, limits=limits)
+    q = FiniteGradedAlgebra(gb, WeightedGrading.units(2))
+    if len(socle(q)) != 2:
+        return f"socle dimension {len(socle(q))}"
+    try:
+        pairing_matrices(q)
+    except ValueError:
+        return None
+    return "pairing accepted a 2-dimensional socle"
+
+
+@_case(
+    "multiplicity.equivariant_cancellation", "derived",
+    "degrees {1,2} over weights {1,1} reduce to 1 + t",
+)
+def _equivariant_cancellation(_):
+    return _expect(
+        equivariant_multiplicity((1, 1), (1, 2)) == UniPoly([1, 1]),
+        "wrong series",
+    )
+
+
+@_case(
+    "multiplicity.equivariant_gr_4_2", "derived",
+    "degrees {1,2,3,4} over weights {1,2,1,2} give the (4,2) Gaussian binomial",
+)
+def _equivariant_gr_4_2(_):
+    return _expect(
+        equivariant_multiplicity((1, 2, 1, 2), (1, 2, 3, 4))
+        == gaussian_binomial(4, 2),
+        "wrong series",
+    )
+
+
+@_case(
+    "multiplicity.equivariant_identity_map", "trivial",
+    "equal weight multisets give the constant series 1",
+)
+def _equivariant_identity_map(_):
+    return _expect(equivariant_multiplicity((1, 2), (1, 2)) == UniPoly([1]), "wrong series")
+
+
+@_case(
+    "multiplicity.structure_report_gr_4_2", "derived",
+    "the (4,2) quotient passes every structure clause with dimension 6",
+)
+def _structure_report_gr_4_2(limits):
+    rep = verify_structure_theorem(_gr24_map(), limits)
+    ok = rep.all_true() and rep.dimension == 6 and rep.m_at_1 == 6
+    return _expect(ok, f"dimension {rep.dimension}, clauses {rep.clauses}")
+
+
+@_case(
+    "multiplicity.structure_report_x_squared", "paper",
+    "C[x]/(x^2) passes every structure clause with dimension 2",
+)
+def _structure_report_x_squared(limits):
+    rep = verify_structure_theorem(_x2_map(), limits)
+    return _expect(rep.all_true() and rep.dimension == 2, f"clauses {rep.clauses}")
+
+
+@_case(
+    "multiplicity.structure_report_degenerate", "paper",
+    "the degenerate map reports finite_dimensional = false and nothing else",
+)
+def _structure_report_degenerate(limits):
+    rep = verify_structure_theorem(
+        PolynomialMap.build(
+            (_p("a0^2", _A2), _p("a0*a1", _A2)), WeightedGrading((1, 2))
+        ),
+        limits,
+    )
+    return _expect(not rep.finite_dimensional and not rep.clauses, "degenerate map got clauses")
+
+
+@_case(
+    "multiplicity.base_weights_rank_1", "derived",
+    "rank 1 genus 2 base weights are {1,1}, cardinality 1^2 * 1 + 1",
+)
+def _base_weights_rank_1(_):
+    return _expect(hitchin_base_weights(1, 2) == (1, 1), "wrong multiset")
+
+
+@_case(
+    "multiplicity.base_weights_rank_2", "derived",
+    "rank 2 genus 2 base weights are {1,1,2,2,2}, cardinality 5",
+)
+def _base_weights_rank_2(_):
+    return _expect(hitchin_base_weights(2, 2) == (1, 1, 2, 2, 2), "wrong multiset")
+
+
+@_case(
+    "multiplicity.base_weights_rank_3", "derived",
+    "rank 3 genus 3 base has 19 = 9*2 + 1 weights",
+)
+def _base_weights_rank_3(_):
+    return _expect(len(hitchin_base_weights(3, 3)) == 19, "wrong cardinality")
+
+
+# ---------------------------------------------------------------------------
+# grassmann
+
+
+@_case(
+    "grassmann.gaussian_2_1", "derived",
+    "the (2,1) Gaussian binomial is 1 + t (counts lines in the plane)",
+)
+def _gaussian_2_1(_):
+    return _expect(gaussian_binomial(2, 1) == UniPoly([1, 1]), "wrong value")
+
+
+@_case(
+    "grassmann.gaussian_4_2", "derived",
+    "the (4,2) Gaussian binomial is 1 + t + 2t^2 + t^3 + t^4, value 6 at t=1",
+)
+def _gaussian_4_2(_):
+    return _expect(
+        gaussian_binomial(4, 2) == UniPoly([1, 1, 2, 1, 1])
+        and gaussian_binomial(4, 2)(1) == 6,
+        f"got {gaussian_binomial(4, 2)}",
+    )
+
+
+@_case("grassmann.gaussian_k_zero", "trivial", "[n 0] = 1")
+def _gaussian_k_zero(_):
+    return _expect(gaussian_binomial(7, 0) == UniPoly([1]), "wrong value")
+
+
+@_case(
+    "grassmann.presentation_2_1", "paper",
+    "the (2,1) ring has variables (p1, q1) and relations p1+q1, p1*q1",
+)
+def _presentation_2_1(_):
+    ring = grassmann_presentation(2, 1)
+    want = {_p("p1 + q1", ring.variables), _p("p1*q1", ring.variables)}
+    return _expect(
+        ring.variables == ("p1", "q1") and set(ring.relations) == want,
+        f"relations {[str(r) for r in ring.relations]}",
+    )
+
+
+@_case(
+    "grassmann.presentation_4_2", "derived",
+    "the (4,2) ring has 4 relations of degrees 1..4 from the monic product",
+)
+def _presentation_4_2(_):
+    ring = grassmann_presentation(4, 2)
+    vs = ring.variables
+    want = (
+        _p("p1 + q1", vs),
+        _p("p2 + p1*q1 + q2", vs),
+        _p("p2*q1 + p1*q2", vs),
+        _p("p2*q2", vs),
+    )
+    degs = tuple(weighted_degree(r, ring.grading()) for r in ring.relations)
+    return _expect(
+        ring.relations == want and degs == (1, 2, 3, 4),
+        f"relations {[str(r) for r in ring.relations]} of degrees {degs}",
+    )
+
+
+@_case(
+    "grassmann.presentation_3_1", "derived",
+    "(p1+x)(q2+q1x+x^2) yields relations p1q2, p1q1+q2, p1+q1",
+)
+def _presentation_3_1(_):
+    ring = grassmann_presentation(3, 1)
+    vs = ring.variables
+    want = {_p("p1*q2", vs), _p("p1*q1 + q2", vs), _p("p1 + q1", vs)}
+    return _expect(
+        set(ring.relations) == want,
+        f"relations {[str(r) for r in ring.relations]}",
+    )
+
+
+@_case(
+    "grassmann.multiplicity_single_point_rank_2", "paper",
+    "rank 2 with one simple point gives 1 + t",
+)
+def _multiplicity_single_point_rank_2(_):
+    return _expect(
+        grassmann_multiplicity(DivisorData(2, (1,))) == UniPoly([1, 1]),
+        "wrong polynomial",
+    )
+
+
+@_case(
+    "grassmann.multiplicity_single_factor", "derived",
+    "rank 4 with m = (0,1,0) is the single factor [4 2]",
+)
+def _multiplicity_single_factor(_):
+    return _expect(
+        grassmann_multiplicity(DivisorData(4, (0, 1, 0)))
+        == gaussian_binomial(4, 2),
+        "wrong polynomial",
+    )
+
+
+@_case(
+    "grassmann.multiplicity_square", "derived",
+    "rank 3 with m = (1,1) gives (1+t+t^2)^2 = 1 + 2t + 3t^2 + 2t^3 + t^4",
+)
+def _multiplicity_square(_):
+    return _expect(
+        grassmann_multiplicity(DivisorData(3, (1, 1)))
+        == UniPoly([1, 2, 3, 2, 1]),
+        "wrong polynomial",
+    )
+
+
+@_case(
+    "grassmann.product_hilbert_two_lines", "derived",
+    "two copies of the (2,1) ring give (1+t)^2 by the dimension count",
+)
+def _product_hilbert_two_lines(limits):
+    ring = grassmann_presentation(2, 1)
+    s = product_hilbert([ring, ring], limits)
+    return _expect(s == UniPoly([1, 2, 1]), f"series {s}")
+
+
+@_case("grassmann.product_hilbert_empty", "trivial", "the empty product has Hilbert series 1")
+def _product_hilbert_empty(limits):
+    return _expect(product_hilbert([], limits) == UniPoly([1]), "wrong series")
+
+
+@_case(
+    "grassmann.product_hilbert_matches_multiplicity", "derived",
+    "one (4,2) factor matches the divisor-data product formula",
+)
+def _product_hilbert_matches_multiplicity(limits):
+    s = product_hilbert([grassmann_presentation(4, 2)], limits)
+    want = grassmann_multiplicity(DivisorData(4, (0, 1, 0)))
+    return _expect(s == want, f"series {s}")
+
+
+@_case(
+    "grassmann.hilbert_equals_gaussian_sweep", "derived",
+    "presented-ring Hilbert series match Gaussian binomials for n up to 5",
+)
+def _hilbert_equals_gaussian_sweep(limits):
+    for n in range(2, 6):
+        for k in range(1, n):
+            ring = grassmann_presentation(n, k)
+            got = hilbert_series(ring.ideal(), ring.grading(), limits)
+            if got != gaussian_binomial(n, k):
+                return f"({n},{k}): {got}"
+    return None
+
+
+@_case(
+    "grassmann.structure_sweep", "derived",
+    "every presentation with n up to 5 passes the full structure suite",
+)
+def _structure_sweep(limits):
+    for n in range(2, 6):
+        for k in range(1, n):
+            rep = verify_structure_theorem(grassmann_presentation(n, k).as_map(), limits)
             if not rep.all_true():
-                bad = [k for k, v in rep.clauses.items() if not v]
-                return f"sample {i} failed clauses {bad}"
+                bad = [c for c, v in rep.clauses.items() if not v]
+                return f"({n},{k}) failed {bad}"
+    return None
+
+
+@_case("grassmann.gaussian_duality", "derived", "[n k] = [n n-k] for n up to 6")
+def _gaussian_duality(_):
+    for n in range(1, 7):
+        for k in range(0, n + 1):
+            if gaussian_binomial(n, k) != gaussian_binomial(n, n - k):
+                return f"({n},{k}) duality broken"
+    return None
+
+
+@_case(
+    "grassmann.gaussian_pascal_recurrence", "derived",
+    "[n k] = [n-1 k-1] + t^k [n-1 k] for n up to 10",
+)
+def _gaussian_pascal_recurrence(_):
+    for n in range(1, 11):
+        for k in range(1, n):
+            lhs = gaussian_binomial(n, k)
+            rhs = gaussian_binomial(n - 1, k - 1) + UniPoly.term(1, k) * gaussian_binomial(n - 1, k)
+            if lhs != rhs:
+                return f"({n},{k}) recurrence broken"
+    return None
+
+
+@_case(
+    "grassmann.equivariant_closed_form", "derived",
+    "weight ratio {1..n} over {1..k}+{1..n-k} equals [n k] for n up to 8",
+)
+def _equivariant_closed_form(_):
+    for n in range(2, 9):
+        for k in range(1, n):
+            dom = tuple(range(1, k + 1)) + tuple(range(1, n - k + 1))
+            cod = tuple(range(1, n + 1))
+            if equivariant_multiplicity(dom, cod) != gaussian_binomial(n, k):
+                return f"({n},{k}) closed form broken"
+    return None
+
+
+# ---------------------------------------------------------------------------
+# jets
+
+
+@_case("jets.square_zero_order_1", "paper", "order-1 jets of C[a]/(a^2) are C[a0]/(a0^2)")
+def _square_zero_order_1(limits):
+    jet = jet_presentation(_square_ring(), 1)
+    want = _ideal(("a0",), ("a0^2",))
+    return _expect(
+        jet.ring.variables == ("a0",)
+        and ideal_equal(jet.ring.ideal(), want, limits=limits),
+        f"relations {[str(r) for r in jet.ring.relations]}",
+    )
+
+
+@_case(
+    "jets.square_zero_order_2", "paper",
+    "order-2 jets give (a0^2, 2a0a1), the ideal (a0^2, a0a1)",
+)
+def _square_zero_order_2(limits):
+    jet = jet_presentation(_square_ring(), 2)
+    want_rel = (_p("a0^2", _A2), _p("2*a0*a1", _A2))
+    return _expect(
+        jet.ring.relations == want_rel
+        and ideal_equal(jet.ring.ideal(), _d2_ideal(), limits=limits),
+        f"relations {[str(r) for r in jet.ring.relations]}",
+    )
+
+
+@_case(
+    "jets.square_zero_order_3", "paper",
+    "order-3 jets give (a0^2, 2a0a1, 2a0a2+a1^2), the reference ideal rescaled by a2 -> 2a2",
+)
+def _square_zero_order_3(limits):
+    jet = jet_presentation(_square_ring(), 3)
+    want_rel = (
+        _p("a0^2", _A3),
+        _p("2*a0*a1", _A3),
+        _p("2*a0*a2 + a1^2", _A3),
+    )
+    if jet.ring.relations != want_rel:
+        return f"relations {[str(r) for r in jet.ring.relations]}"
+    # the diagonal rescaling a2 -> 2a2 carries the reference ideal
+    # (a0^2, a0a1, a0a2 + a1^2) onto the jet ideal exactly
+    rescaled = apply_substitution(_d3_ideal(), {"a2": _p("2*a2", _A3)})
+    if not ideal_equal(rescaled, jet.ring.ideal(), limits=limits):
+        return "a2 -> 2a2 on the reference ideal did not reach the jet ideal"
+    # equivalent inverse witness: a2 -> a2/2 on the jet ideal
+    halved = apply_substitution(jet.ring.ideal(), {"a2": _p("1/2*a2", _A3)})
+    return _expect(
+        ideal_equal(halved, _d3_ideal(), limits=limits),
+        "a2 -> a2/2 on the jet ideal did not reach the reference ideal",
+    )
+
+
+@_case("jets.substitution_identity", "trivial", "the identity substitution preserves the ideal")
+def _substitution_identity(limits):
+    ideal = _d3_ideal()
+    image = apply_substitution(ideal, {})
+    return _expect(ideal_equal(image, ideal, limits=limits), "identity changed the ideal")
+
+
+@_case(
+    "jets.substitution_collapse_to_zero", "trivial",
+    "a0 -> 0 on (a0^2) collapses to the zero ideal",
+)
+def _substitution_collapse_to_zero(_):
+    ideal = _ideal(_A2, ("a0^2",))
+    image = apply_substitution(ideal, {"a0": Polynomial.zero(_A2)})
+    return _expect(image.is_zero(), f"generators {[str(g) for g in image.generators]}")
+
+
+@_case(
+    "jets.invariants_order_2", "derived",
+    "order-2 jets of the square-zero ring: a line (dimension 1), series (1+t-t^2)/(1-t)",
+)
+def _invariants_order_2(limits):
+    inv = jet_invariants(jet_presentation(_square_ring(), 2), limits)
+    want = RationalSeries(UniPoly([1, 1, -1]), UniPoly([1, -1]))
+    return _expect(
+        inv.krull_dimension == 1 and inv.hilbert == want and not inv.finite,
+        f"krull {inv.krull_dimension}, series {inv.hilbert}",
+    )
+
+
+@_case(
+    "jets.invariants_order_1", "paper",
+    "order-1 jets are the ring itself: finite of dimension 2",
+)
+def _invariants_order_1(limits):
+    inv = jet_invariants(jet_presentation(_square_ring(), 1), limits)
+    return _expect(
+        inv.finite and inv.dimension == 2 and inv.krull_dimension == 0,
+        f"finite {inv.finite}, dimension {inv.dimension}",
+    )
+
+
+@_case(
+    "jets.order_1_is_identity", "trivial",
+    "order-1 jets of the (3,1) ring equal the ring after renaming",
+)
+def _order_1_is_identity(limits):
+    ring = grassmann_presentation(3, 1)
+    jet = jet_presentation(ring, 1)
+    # rename base variables into the jet ring and compare ideals
+    target = jet.ring.variables
+    assignment = {
+        v: Polynomial.variable(target, jv)
+        for v, jv in zip(ring.variables, target)
+    }
+    renamed = apply_substitution(ring.ideal(), assignment)
+    return _expect(
+        ideal_equal(renamed, jet.ring.ideal(), limits=limits),
+        "order-1 jet ideal differs from the base ideal",
+    )
+
+
+@_case(
+    "jets.counts_scale_with_order", "trivial",
+    "variable and relation counts both scale by the jet order",
+)
+def _counts_scale_with_order(_):
+    ring = grassmann_presentation(3, 2)
+    jet = jet_presentation(ring, 3)
+    ok = (
+        len(jet.ring.variables) == 3 * len(ring.variables)
+        and len(jet.ring.relations) == 3 * len(ring.relations)
+    )
+    return _expect(ok, f"{len(jet.ring.variables)} variables, {len(jet.ring.relations)} relations")
+
+
+@_case(
+    "jets.induced_grading_homogeneous", "derived",
+    "jet relations are quasi-homogeneous for weight(x, level j) = weight(x) + j",
+)
+def _induced_grading_homogeneous(_):
+    ring = grassmann_presentation(3, 1)
+    jet = jet_presentation(ring, 2)
+    grading = jet.ring.grading()
+    for rel in jet.ring.relations:
+        if rel.is_zero():
+            continue
+        weighted_degree(rel, grading)  # raises if inhomogeneous
+    want = (1, 2, 1, 2, 2, 3)  # p1 then q1, q2, each at levels 0 and 1
+    return _expect(jet.ring.weights == want, f"weights {jet.ring.weights}")
+
+
+@_case(
+    "jets.negative_control_corrupted_order_3", "trivial",
+    "a sign-flipped order-3 fixture must NOT match the rescaled jet ideal",
+    negative_control=True,
+)
+def _negative_control_corrupted_order_3(limits):
+    jet = jet_presentation(_square_ring(), 3)
+    corrupted = _ideal(_A3, ("a0^2", "a0*a1", "a0*a2 - a1^2"))
+    rescaled = apply_substitution(corrupted, {"a2": _p("2*a2", _A3)})
+    if ideal_equal(rescaled, jet.ring.ideal(), limits=limits):
         return None
+    gb = groebner_basis(rescaled, limits=limits)
+    witness = next(
+        (normal_form(g, gb) for g in jet.ring.ideal().generators
+         if not normal_form(g, gb).is_zero()),
+        None,
+    )
+    return f"ideals differ; normal-form witness: {witness}"
 
-    cases.append(
-        CheckCase(
-            "multiplicity.structure_random_sweep", "multiplicity_algebra", "derived",
-            "five seeded random finite quotients pass every structure clause",
-            random_sweep,
-        )
+
+# ---------------------------------------------------------------------------
+# weights
+
+_W = DominantWeight
+
+
+@_case(
+    "weights.dominance_positive_root", "derived",
+    "(1,1,0) lies below (2,0,0): the difference is a positive root",
+)
+def _dominance_positive_root(_):
+    return _expect(dominance_leq(_W((1, 1, 0)), _W((2, 0, 0))), "not below")
+
+
+@_case("weights.dominance_reflexive", "trivial", "every weight lies below itself")
+def _dominance_reflexive(_):
+    return _expect(dominance_leq(_W((3, 1, 0)), _W((3, 1, 0))), "not reflexive")
+
+
+@_case(
+    "weights.dominance_totals_differ", "trivial",
+    "(2,0) and (1,0) are incomparable: totals differ",
+)
+def _dominance_totals_differ(_):
+    return _expect(
+        not dominance_leq(_W((2, 0)), _W((1, 0)))
+        and not dominance_leq(_W((1, 0)), _W((2, 0))),
+        "weights with different totals compared",
     )
 
-    cases.append(
-        CheckCase(
-            "multiplicity.base_weights_rank_1", "multiplicity_algebra", "derived",
-            "rank 1 genus 2 base weights are {1,1}, cardinality 1^2 * 1 + 1",
-            lambda _: _expect(hitchin_base_weights(1, 2) == (1, 1), "wrong multiset"),
-        )
+
+@_case("weights.lower_set_two_zero", "derived", "the closure of (2,0) has strata (2,0) and (1,1)")
+def _lower_set_two_zero(_):
+    return _expect(
+        [w.entries for w in lower_set(_W((2, 0)))] == [(2, 0), (1, 1)],
+        f"lower set {[str(w) for w in lower_set(_W((2, 0)))]}",
     )
 
-    cases.append(
-        CheckCase(
-            "multiplicity.base_weights_rank_2", "multiplicity_algebra", "derived",
-            "rank 2 genus 2 base weights are {1,1,2,2,2}, cardinality 5",
-            lambda _: _expect(
-                hitchin_base_weights(2, 2) == (1, 1, 2, 2, 2), "wrong multiset"
-            ),
-        )
+
+@_case("weights.lower_set_four_zero", "derived", "the closure of (4,0) has 3 = floor(4/2)+1 strata")
+def _lower_set_four_zero(_):
+    return _expect(
+        [w.entries for w in lower_set(_W((4, 0)))] == [(4, 0), (3, 1), (2, 2)],
+        f"lower set {[str(w) for w in lower_set(_W((4, 0)))]}",
     )
 
-    cases.append(
-        CheckCase(
-            "multiplicity.base_weights_rank_3", "multiplicity_algebra", "derived",
-            "rank 3 genus 3 base has 19 = 9*2 + 1 weights",
-            lambda _: _expect(len(hitchin_base_weights(3, 3)) == 19, "wrong cardinality"),
-        )
-    )
-    return cases
 
-
-def _case_grassmann() -> list[CheckCase]:
-    cases = []
-
-    cases.append(
-        CheckCase(
-            "grassmann.gaussian_2_1", "grassmann", "derived",
-            "the (2,1) Gaussian binomial is 1 + t (counts lines in the plane)",
-            lambda _: _expect(gaussian_binomial(2, 1) == UniPoly([1, 1]), "wrong value"),
-        )
+@_case(
+    "weights.lower_set_minuscule_singleton", "paper",
+    "the first fundamental weight of GL_3 is alone in its closure",
+)
+def _lower_set_minuscule_singleton(_):
+    return _expect(
+        [w.entries for w in lower_set(_W((1, 0, 0)))] == [(1, 0, 0)],
+        "extra strata below a minuscule weight",
     )
 
-    cases.append(
-        CheckCase(
-            "grassmann.gaussian_4_2", "grassmann", "derived",
-            "the (4,2) Gaussian binomial is 1 + t + 2t^2 + t^3 + t^4, value 6 at t=1",
-            lambda _: _expect(
-                gaussian_binomial(4, 2) == UniPoly([1, 1, 2, 1, 1])
-                and gaussian_binomial(4, 2)(1) == 6,
-                f"got {gaussian_binomial(4, 2)}",
-            ),
-        )
+
+@_case("weights.orbit_size_rank_2", "paper", "(d+1, 0) has a 2-element symmetric-group orbit")
+def _orbit_size_rank_2(_):
+    return _expect(
+        all(weyl_orbit_size(_W((d + 1, 0))) == 2 for d in range(0, 6)),
+        "wrong orbit size",
     )
 
-    cases.append(
-        CheckCase(
-            "grassmann.gaussian_k_zero", "grassmann", "trivial",
-            "[n 0] = 1",
-            lambda _: _expect(gaussian_binomial(7, 0) == UniPoly([1]), "wrong value"),
-        )
+
+@_case("weights.orbit_size_choose", "derived", "(3,3,0,0) has orbit size 4!/(2!2!) = 6 = C(4,2)")
+def _orbit_size_choose(_):
+    return _expect(weyl_orbit_size(_W((3, 3, 0, 0))) == 6, "wrong orbit size")
+
+
+@_case("weights.orbit_size_central", "trivial", "constant weights have a singleton orbit")
+def _orbit_size_central(_):
+    return _expect(weyl_orbit_size(_W((5, 5, 5))) == 1, "wrong orbit size")
+
+
+@_case(
+    "weights.decomposition_omega_2", "derived",
+    "(1,1,0,0) decomposes as omega_2 with reversed exponents (0,0,1,0)",
+)
+def _decomposition_omega_2(_):
+    alpha, delta = fundamental_decomposition(_W((1, 1, 0, 0)))
+    return _expect(
+        alpha == (0, 1, 0, 0) and delta == (0, 0, 1, 0),
+        f"alpha {alpha}, delta {delta}",
     )
 
-    def pres21(_):
-        ring = grassmann_presentation(2, 1)
-        want = {_p("p1 + q1", ring.variables), _p("p1*q1", ring.variables)}
-        return _expect(
-            ring.variables == ("p1", "q1") and set(ring.relations) == want,
-            f"relations {[str(r) for r in ring.relations]}",
-        )
 
-    cases.append(
-        CheckCase(
-            "grassmann.presentation_2_1", "grassmann", "paper",
-            "the (2,1) ring has variables (p1, q1) and relations p1+q1, p1*q1", pres21,
-        )
+@_case(
+    "weights.decomposition_rank_2", "paper",
+    "(2,0) has coefficients (2,0) and reversed exponents (0,2)",
+)
+def _decomposition_rank_2(_):
+    d = 1
+    alpha, delta = fundamental_decomposition(_W((d + 1, 0)))
+    return _expect(
+        alpha == (d + 1, 0) and delta == (0, d + 1),
+        f"alpha {alpha}, delta {delta}",
     )
 
-    def pres42(_):
-        ring = grassmann_presentation(4, 2)
-        vs = ring.variables
-        want = (
-            _p("p1 + q1", vs),
-            _p("p2 + p1*q1 + q2", vs),
-            _p("p2*q1 + p1*q2", vs),
-            _p("p2*q2", vs),
-        )
-        degs = tuple(weighted_degree(r, ring.grading()) for r in ring.relations)
-        return _expect(
-            ring.relations == want and degs == (1, 2, 3, 4),
-            f"relations {[str(r) for r in ring.relations]} of degrees {degs}",
-        )
 
-    cases.append(
-        CheckCase(
-            "grassmann.presentation_4_2", "grassmann", "derived",
-            "the (4,2) ring has 4 relations of degrees 1..4 from the monic product",
-            pres42,
-        )
+@_case("weights.decomposition_zero", "trivial", "the zero weight decomposes to all zeros")
+def _decomposition_zero(_):
+    return _expect(
+        fundamental_decomposition(_W((0, 0, 0))) == ((0, 0, 0), (0, 0, 0)),
+        "nonzero decomposition",
     )
 
-    def pres31(_):
-        ring = grassmann_presentation(3, 1)
-        vs = ring.variables
-        want = {_p("p1*q2", vs), _p("p1*q1 + q2", vs), _p("p1 + q1", vs)}
-        return _expect(
-            set(ring.relations) == want,
-            f"relations {[str(r) for r in ring.relations]}",
-        )
 
-    cases.append(
-        CheckCase(
-            "grassmann.presentation_3_1", "grassmann", "derived",
-            "(p1+x)(q2+q1x+x^2) yields relations p1q2, p1q1+q2, p1+q1", pres31,
-        )
+@_case("weights.minuscule_omega_2", "paper", "the second fundamental weight of GL_4 is minuscule")
+def _minuscule_omega_2(_):
+    return _expect(is_minuscule(_W((1, 1, 0, 0))), "not minuscule")
+
+
+@_case(
+    "weights.minuscule_fails_above", "derived",
+    "(2,0) is not minuscule: (1,1) lies strictly below",
+)
+def _minuscule_fails_above(_):
+    return _expect(not is_minuscule(_W((2, 0))), "claimed minuscule")
+
+
+@_case("weights.minuscule_zero", "trivial", "the zero weight is minuscule")
+def _minuscule_zero(_):
+    return _expect(is_minuscule(_W((0, 0, 0))), "not minuscule")
+
+
+# ---------------------------------------------------------------------------
+# verification_suite
+
+
+@_case("verification.embedded_point_identity", "paper", "(a0,a1)^2 meet (a0) = (a0^2, a0a1)")
+def _embedded_point_identity(limits):
+    return _expect(embedded_point_check(limits), "identity failed")
+
+
+@_case(
+    "verification.embedded_point_symmetric", "derived",
+    "(a0,a1)^2 meet (a1) = (a1^2, a0a1) by the same elimination",
+)
+def _embedded_point_symmetric(limits):
+    linear = _ideal(_A2, ("a0", "a1"))
+    meet = ideal_intersection(
+        ideal_product(linear, linear), _ideal(_A2, ("a1",)), limits
+    )
+    want = _ideal(_A2, ("a1^2", "a0*a1"))
+    return _expect(ideal_equal(meet, want, limits=limits), "symmetric identity failed")
+
+
+@_case(
+    "verification.embedded_point_diagonal_differs", "derived",
+    "(a0,a1)^2 meet (a0+a1) is a different ideal",
+)
+def _embedded_point_diagonal_differs(limits):
+    linear = _ideal(_A2, ("a0", "a1"))
+    meet = ideal_intersection(
+        ideal_product(linear, linear), _ideal(_A2, ("a0 + a1",)), limits
+    )
+    return _expect(
+        not ideal_equal(meet, _d2_ideal(), limits=limits),
+        "diagonal intersection unexpectedly matched",
     )
 
-    cases.append(
-        CheckCase(
-            "grassmann.multiplicity_single_point_rank_2", "grassmann", "paper",
-            "rank 2 with one simple point gives 1 + t",
-            lambda _: _expect(
-                grassmann_multiplicity(DivisorData(2, (1,))) == UniPoly([1, 1]),
-                "wrong polynomial",
-            ),
-        )
+
+@_case(
+    "verification.closure_rank_2", "derived",
+    "(2,0) strata: a jet case without a closed formula, then the central stratum",
+)
+def _closure_rank_2(_):
+    report = closure_vs_grassmann_dimensions(DominantWeight((2, 0)))
+    if len(report.strata) != 2:
+        return f"{len(report.strata)} strata"
+    top, central = report.strata
+    ok = (
+        top.status == "no_paper_formula"
+        and "jet" in top.note
+        and central.status == "multiplicity"
+        and central.polynomial == "1"
+        and central.note == "central"
+    )
+    return _expect(ok, f"strata {[s.to_json_dict() for s in report.strata]}")
+
+
+@_case(
+    "verification.closure_minuscule", "derived",
+    "the second fundamental weight of GL_4 has one stratum with the (4,2) binomial",
+)
+def _closure_minuscule(_):
+    report = closure_vs_grassmann_dimensions(fundamental_weight(4, 2))
+    if len(report.strata) != 1:
+        return f"{len(report.strata)} strata"
+    s = report.strata[0]
+    return _expect(
+        s.status == "multiplicity" and s.polynomial == str(gaussian_binomial(4, 2)),
+        f"stratum {s.to_json_dict()}",
     )
 
-    cases.append(
-        CheckCase(
-            "grassmann.multiplicity_single_factor", "grassmann", "derived",
-            "rank 4 with m = (0,1,0) is the single factor [4 2]",
-            lambda _: _expect(
-                grassmann_multiplicity(DivisorData(4, (0, 1, 0)))
-                == gaussian_binomial(4, 2),
-                "wrong polynomial",
-            ),
-        )
+
+@_case(
+    "verification.closure_zero_weight", "trivial",
+    "the zero weight has a single stratum with multiplicity polynomial 1",
+)
+def _closure_zero_weight(_):
+    report = closure_vs_grassmann_dimensions(DominantWeight((0, 0, 0)))
+    s = report.strata
+    return _expect(
+        len(s) == 1 and s[0].polynomial == "1", f"strata {[x.to_json_dict() for x in s]}"
     )
 
-    cases.append(
-        CheckCase(
-            "grassmann.multiplicity_square", "grassmann", "derived",
-            "rank 3 with m = (1,1) gives (1+t+t^2)^2 = 1 + 2t + 3t^2 + 2t^3 + t^4",
-            lambda _: _expect(
-                grassmann_multiplicity(DivisorData(3, (1, 1)))
-                == UniPoly([1, 2, 3, 2, 1]),
-                "wrong polynomial",
-            ),
-        )
-    )
 
-    def product_twice(limits):
-        ring = grassmann_presentation(2, 1)
-        s = product_hilbert([ring, ring], limits)
-        return _expect(s == UniPoly([1, 2, 1]), f"series {s}")
-
-    cases.append(
-        CheckCase(
-            "grassmann.product_hilbert_two_lines", "grassmann", "derived",
-            "two copies of the (2,1) ring give (1+t)^2 by the dimension count",
-            product_twice,
-        )
-    )
-
-    cases.append(
-        CheckCase(
-            "grassmann.product_hilbert_empty", "grassmann", "trivial",
-            "the empty product has Hilbert series 1",
-            lambda limits: _expect(
-                product_hilbert([], limits) == UniPoly([1]), "wrong series"
-            ),
-        )
-    )
-
-    def product_single(limits):
-        s = product_hilbert([grassmann_presentation(4, 2)], limits)
-        want = grassmann_multiplicity(DivisorData(4, (0, 1, 0)))
-        return _expect(s == want, f"series {s}")
-
-    cases.append(
-        CheckCase(
-            "grassmann.product_hilbert_matches_multiplicity", "grassmann", "derived",
-            "one (4,2) factor matches the divisor-data product formula", product_single,
-        )
-    )
-
-    def hilbert_sweep(limits):
-        for n in range(2, 6):
-            for k in range(1, n):
-                ring = grassmann_presentation(n, k)
-                got = hilbert_series(ring.ideal(), ring.grading(), limits)
-                if got != gaussian_binomial(n, k):
-                    return f"({n},{k}): {got}"
-        return None
-
-    cases.append(
-        CheckCase(
-            "grassmann.hilbert_equals_gaussian_sweep", "grassmann", "derived",
-            "presented-ring Hilbert series match Gaussian binomials for n up to 5",
-            hilbert_sweep,
-        )
-    )
-
-    def structure_sweep(limits):
-        for n in range(2, 6):
-            for k in range(1, n):
-                rep = verify_structure_theorem(grassmann_presentation(n, k).as_map(), limits)
-                if not rep.all_true():
-                    bad = [c for c, v in rep.clauses.items() if not v]
-                    return f"({n},{k}) failed {bad}"
-        return None
-
-    cases.append(
-        CheckCase(
-            "grassmann.structure_sweep", "grassmann", "derived",
-            "every presentation with n up to 5 passes the full structure suite",
-            structure_sweep,
-        )
-    )
-
-    def duality(_):
-        for n in range(1, 7):
-            for k in range(0, n + 1):
-                if gaussian_binomial(n, k) != gaussian_binomial(n, n - k):
-                    return f"({n},{k}) duality broken"
-        return None
-
-    cases.append(
-        CheckCase(
-            "grassmann.gaussian_duality", "grassmann", "derived",
-            "[n k] = [n n-k] for n up to 6", duality,
-        )
-    )
-
-    def pascal(_):
-        for n in range(1, 11):
-            for k in range(1, n):
-                lhs = gaussian_binomial(n, k)
-                rhs = gaussian_binomial(n - 1, k - 1) + UniPoly.term(1, k) * gaussian_binomial(n - 1, k)
-                if lhs != rhs:
-                    return f"({n},{k}) recurrence broken"
-        return None
-
-    cases.append(
-        CheckCase(
-            "grassmann.gaussian_pascal_recurrence", "grassmann", "derived",
-            "[n k] = [n-1 k-1] + t^k [n-1 k] for n up to 10", pascal,
-        )
-    )
-
-    def equivariant_closed_form(_):
-        for n in range(2, 9):
-            for k in range(1, n):
-                dom = tuple(range(1, k + 1)) + tuple(range(1, n - k + 1))
-                cod = tuple(range(1, n + 1))
-                if equivariant_multiplicity(dom, cod) != gaussian_binomial(n, k):
-                    return f"({n},{k}) closed form broken"
-        return None
-
-    cases.append(
-        CheckCase(
-            "grassmann.equivariant_closed_form", "grassmann", "derived",
-            "weight ratio {1..n} over {1..k}+{1..n-k} equals [n k] for n up to 8",
-            equivariant_closed_form,
-        )
-    )
-    return cases
-
-
-def _case_jets() -> list[CheckCase]:
-    cases = []
-
-    def jet_d1(limits):
-        jet = jet_presentation(_square_ring(), 1)
-        want = _ideal(("a0",), ("a0^2",))
-        return _expect(
-            jet.ring.variables == ("a0",)
-            and ideal_equal(jet.ring.ideal(), want, limits=limits),
-            f"relations {[str(r) for r in jet.ring.relations]}",
-        )
-
-    cases.append(
-        CheckCase(
-            "jets.square_zero_order_1", "jets", "paper",
-            "order-1 jets of C[a]/(a^2) are C[a0]/(a0^2)", jet_d1,
-        )
-    )
-
-    def jet_d2(limits):
-        jet = jet_presentation(_square_ring(), 2)
-        want_rel = (_p("a0^2", _A2), _p("2*a0*a1", _A2))
-        return _expect(
-            jet.ring.relations == want_rel
-            and ideal_equal(jet.ring.ideal(), _d2_ideal(), limits=limits),
-            f"relations {[str(r) for r in jet.ring.relations]}",
-        )
-
-    cases.append(
-        CheckCase(
-            "jets.square_zero_order_2", "jets", "paper",
-            "order-2 jets give (a0^2, 2a0a1), the ideal (a0^2, a0a1)", jet_d2,
-        )
-    )
-
-    def jet_d3(limits):
-        jet = jet_presentation(_square_ring(), 3)
-        want_rel = (
-            _p("a0^2", _A3),
-            _p("2*a0*a1", _A3),
-            _p("2*a0*a2 + a1^2", _A3),
-        )
-        if jet.ring.relations != want_rel:
-            return f"relations {[str(r) for r in jet.ring.relations]}"
-        # the diagonal rescaling a2 -> 2a2 carries the reference ideal
-        # (a0^2, a0a1, a0a2 + a1^2) onto the jet ideal exactly
-        rescaled = apply_substitution(_d3_ideal(), {"a2": _p("2*a2", _A3)})
-        if not ideal_equal(rescaled, jet.ring.ideal(), limits=limits):
-            return "a2 -> 2a2 on the reference ideal did not reach the jet ideal"
-        # equivalent inverse witness: a2 -> a2/2 on the jet ideal
-        halved = apply_substitution(jet.ring.ideal(), {"a2": _p("1/2*a2", _A3)})
-        return _expect(
-            ideal_equal(halved, _d3_ideal(), limits=limits),
-            "a2 -> a2/2 on the jet ideal did not reach the reference ideal",
-        )
-
-    cases.append(
-        CheckCase(
-            "jets.square_zero_order_3", "jets", "paper",
-            "order-3 jets give (a0^2, 2a0a1, 2a0a2+a1^2), the reference ideal rescaled by a2 -> 2a2",
-            jet_d3,
-        )
-    )
-
-    def subst_identity(limits):
-        ideal = _d3_ideal()
-        image = apply_substitution(ideal, {})
-        return _expect(ideal_equal(image, ideal, limits=limits), "identity changed the ideal")
-
-    cases.append(
-        CheckCase(
-            "jets.substitution_identity", "jets", "trivial",
-            "the identity substitution preserves the ideal", subst_identity,
-        )
-    )
-
-    def subst_collapse(_):
-        ideal = _ideal(_A2, ("a0^2",))
-        image = apply_substitution(ideal, {"a0": Polynomial.zero(_A2)})
-        return _expect(image.is_zero(), f"generators {[str(g) for g in image.generators]}")
-
-    cases.append(
-        CheckCase(
-            "jets.substitution_collapse_to_zero", "jets", "trivial",
-            "a0 -> 0 on (a0^2) collapses to the zero ideal", subst_collapse,
-        )
-    )
-
-    def invariants_d2(limits):
-        inv = jet_invariants(jet_presentation(_square_ring(), 2), limits)
-        want = RationalSeries(UniPoly([1, 1, -1]), UniPoly([1, -1]))
-        return _expect(
-            inv.krull_dimension == 1 and inv.hilbert == want and not inv.finite,
-            f"krull {inv.krull_dimension}, series {inv.hilbert}",
-        )
-
-    cases.append(
-        CheckCase(
-            "jets.invariants_order_2", "jets", "derived",
-            "order-2 jets of the square-zero ring: a line (dimension 1), series (1+t-t^2)/(1-t)",
-            invariants_d2,
-        )
-    )
-
-    def invariants_d1(limits):
-        inv = jet_invariants(jet_presentation(_square_ring(), 1), limits)
-        return _expect(
-            inv.finite and inv.dimension == 2 and inv.krull_dimension == 0,
-            f"finite {inv.finite}, dimension {inv.dimension}",
-        )
-
-    cases.append(
-        CheckCase(
-            "jets.invariants_order_1", "jets", "paper",
-            "order-1 jets are the ring itself: finite of dimension 2", invariants_d1,
-        )
-    )
-
-    def jet_identity_on_fixture(limits):
-        ring = grassmann_presentation(3, 1)
-        jet = jet_presentation(ring, 1)
-        # rename base variables into the jet ring and compare ideals
-        target = jet.ring.variables
-        assignment = {
-            v: Polynomial.variable(target, jv)
-            for v, jv in zip(ring.variables, target)
-        }
-        renamed = apply_substitution(ring.ideal(), assignment)
-        return _expect(
-            ideal_equal(renamed, jet.ring.ideal(), limits=limits),
-            "order-1 jet ideal differs from the base ideal",
-        )
-
-    cases.append(
-        CheckCase(
-            "jets.order_1_is_identity", "jets", "trivial",
-            "order-1 jets of the (3,1) ring equal the ring after renaming", jet_identity_on_fixture,
-        )
-    )
-
-    def jet_counts(_):
-        ring = grassmann_presentation(3, 2)
-        jet = jet_presentation(ring, 3)
-        ok = (
-            len(jet.ring.variables) == 3 * len(ring.variables)
-            and len(jet.ring.relations) == 3 * len(ring.relations)
-        )
-        return _expect(ok, f"{len(jet.ring.variables)} variables, {len(jet.ring.relations)} relations")
-
-    cases.append(
-        CheckCase(
-            "jets.counts_scale_with_order", "jets", "trivial",
-            "variable and relation counts both scale by the jet order", jet_counts,
-        )
-    )
-
-    def jet_weights_check(_):
-        ring = grassmann_presentation(3, 1)
-        jet = jet_presentation(ring, 2)
-        grading = jet.ring.grading()
-        for rel in jet.ring.relations:
-            if rel.is_zero():
-                continue
-            weighted_degree(rel, grading)  # raises if inhomogeneous
-        want = (1, 2, 1, 2, 2, 3)  # p1 then q1, q2, each at levels 0 and 1
-        return _expect(jet.ring.weights == want, f"weights {jet.ring.weights}")
-
-    cases.append(
-        CheckCase(
-            "jets.induced_grading_homogeneous", "jets", "derived",
-            "jet relations are quasi-homogeneous for weight(x, level j) = weight(x) + j",
-            jet_weights_check,
-        )
-    )
-
-    def corrupted_d3(limits):
-        jet = jet_presentation(_square_ring(), 3)
-        corrupted = _ideal(_A3, ("a0^2", "a0*a1", "a0*a2 - a1^2"))
-        rescaled = apply_substitution(corrupted, {"a2": _p("2*a2", _A3)})
-        if ideal_equal(rescaled, jet.ring.ideal(), limits=limits):
-            return None
-        gb = groebner_basis(rescaled, limits=limits)
-        witness = next(
-            (normal_form(g, gb) for g in jet.ring.ideal().generators
-             if not normal_form(g, gb).is_zero()),
-            None,
-        )
-        return f"ideals differ; normal-form witness: {witness}"
-
-    cases.append(
-        CheckCase(
-            "jets.negative_control_corrupted_order_3", "jets", "trivial",
-            "a sign-flipped order-3 fixture must NOT match the rescaled jet ideal",
-            corrupted_d3,
-            negative_control=True,
-        )
-    )
-    return cases
-
-
-def _case_weights() -> list[CheckCase]:
-    cases = []
-    W = DominantWeight
-
-    cases.append(
-        CheckCase(
-            "weights.dominance_positive_root", "weights", "derived",
-            "(1,1,0) lies below (2,0,0): the difference is a positive root",
-            lambda _: _expect(dominance_leq(W((1, 1, 0)), W((2, 0, 0))), "not below"),
-        )
-    )
-
-    cases.append(
-        CheckCase(
-            "weights.dominance_reflexive", "weights", "trivial",
-            "every weight lies below itself",
-            lambda _: _expect(dominance_leq(W((3, 1, 0)), W((3, 1, 0))), "not reflexive"),
-        )
-    )
-
-    cases.append(
-        CheckCase(
-            "weights.dominance_totals_differ", "weights", "trivial",
-            "(2,0) and (1,0) are incomparable: totals differ",
-            lambda _: _expect(
-                not dominance_leq(W((2, 0)), W((1, 0)))
-                and not dominance_leq(W((1, 0)), W((2, 0))),
-                "weights with different totals compared",
-            ),
-        )
-    )
-
-    cases.append(
-        CheckCase(
-            "weights.lower_set_two_zero", "weights", "derived",
-            "the closure of (2,0) has strata (2,0) and (1,1)",
-            lambda _: _expect(
-                [w.entries for w in lower_set(W((2, 0)))] == [(2, 0), (1, 1)],
-                f"lower set {[str(w) for w in lower_set(W((2, 0)))]}",
-            ),
-        )
-    )
-
-    cases.append(
-        CheckCase(
-            "weights.lower_set_four_zero", "weights", "derived",
-            "the closure of (4,0) has 3 = floor(4/2)+1 strata",
-            lambda _: _expect(
-                [w.entries for w in lower_set(W((4, 0)))] == [(4, 0), (3, 1), (2, 2)],
-                f"lower set {[str(w) for w in lower_set(W((4, 0)))]}",
-            ),
-        )
-    )
-
-    cases.append(
-        CheckCase(
-            "weights.lower_set_minuscule_singleton", "weights", "paper",
-            "the first fundamental weight of GL_3 is alone in its closure",
-            lambda _: _expect(
-                [w.entries for w in lower_set(W((1, 0, 0)))] == [(1, 0, 0)],
-                "extra strata below a minuscule weight",
-            ),
-        )
-    )
-
-    cases.append(
-        CheckCase(
-            "weights.orbit_size_rank_2", "weights", "paper",
-            "(d+1, 0) has a 2-element symmetric-group orbit",
-            lambda _: _expect(
-                all(weyl_orbit_size(W((d + 1, 0))) == 2 for d in range(0, 6)),
-                "wrong orbit size",
-            ),
-        )
-    )
-
-    cases.append(
-        CheckCase(
-            "weights.orbit_size_choose", "weights", "derived",
-            "(3,3,0,0) has orbit size 4!/(2!2!) = 6 = C(4,2)",
-            lambda _: _expect(weyl_orbit_size(W((3, 3, 0, 0))) == 6, "wrong orbit size"),
-        )
-    )
-
-    cases.append(
-        CheckCase(
-            "weights.orbit_size_central", "weights", "trivial",
-            "constant weights have a singleton orbit",
-            lambda _: _expect(weyl_orbit_size(W((5, 5, 5))) == 1, "wrong orbit size"),
-        )
-    )
-
-    def decomp_omega2(_):
-        alpha, delta = fundamental_decomposition(W((1, 1, 0, 0)))
-        return _expect(
-            alpha == (0, 1, 0, 0) and delta == (0, 0, 1, 0),
-            f"alpha {alpha}, delta {delta}",
-        )
-
-    cases.append(
-        CheckCase(
-            "weights.decomposition_omega_2", "weights", "derived",
-            "(1,1,0,0) decomposes as omega_2 with reversed exponents (0,0,1,0)",
-            decomp_omega2,
-        )
-    )
-
-    def decomp_rank2(_):
-        d = 1
-        alpha, delta = fundamental_decomposition(W((d + 1, 0)))
-        return _expect(
-            alpha == (d + 1, 0) and delta == (0, d + 1),
-            f"alpha {alpha}, delta {delta}",
-        )
-
-    cases.append(
-        CheckCase(
-            "weights.decomposition_rank_2", "weights", "paper",
-            "(2,0) has coefficients (2,0) and reversed exponents (0,2)", decomp_rank2,
-        )
-    )
-
-    cases.append(
-        CheckCase(
-            "weights.decomposition_zero", "weights", "trivial",
-            "the zero weight decomposes to all zeros",
-            lambda _: _expect(
-                fundamental_decomposition(W((0, 0, 0))) == ((0, 0, 0), (0, 0, 0)),
-                "nonzero decomposition",
-            ),
-        )
-    )
-
-    cases.append(
-        CheckCase(
-            "weights.minuscule_omega_2", "weights", "paper",
-            "the second fundamental weight of GL_4 is minuscule",
-            lambda _: _expect(is_minuscule(W((1, 1, 0, 0))), "not minuscule"),
-        )
-    )
-
-    cases.append(
-        CheckCase(
-            "weights.minuscule_fails_above", "weights", "derived",
-            "(2,0) is not minuscule: (1,1) lies strictly below",
-            lambda _: _expect(not is_minuscule(W((2, 0))), "claimed minuscule"),
-        )
-    )
-
-    cases.append(
-        CheckCase(
-            "weights.minuscule_zero", "weights", "trivial",
-            "the zero weight is minuscule",
-            lambda _: _expect(is_minuscule(W((0, 0, 0))), "not minuscule"),
-        )
-    )
-    return cases
-
-
-def _case_verification() -> list[CheckCase]:
-    cases = []
-
-    cases.append(
-        CheckCase(
-            "verification.embedded_point_identity", "verification_suite", "paper",
-            "(a0,a1)^2 meet (a0) = (a0^2, a0a1)",
-            lambda limits: _expect(embedded_point_check(limits), "identity failed"),
-        )
-    )
-
-    def symmetric_variant(limits):
-        linear = _ideal(_A2, ("a0", "a1"))
-        meet = ideal_intersection(
-            ideal_product(linear, linear), _ideal(_A2, ("a1",)), limits
-        )
-        want = _ideal(_A2, ("a1^2", "a0*a1"))
-        return _expect(ideal_equal(meet, want, limits=limits), "symmetric identity failed")
-
-    cases.append(
-        CheckCase(
-            "verification.embedded_point_symmetric", "verification_suite", "derived",
-            "(a0,a1)^2 meet (a1) = (a1^2, a0a1) by the same elimination", symmetric_variant,
-        )
-    )
-
-    def diagonal_variant(limits):
-        linear = _ideal(_A2, ("a0", "a1"))
-        meet = ideal_intersection(
-            ideal_product(linear, linear), _ideal(_A2, ("a0 + a1",)), limits
-        )
-        return _expect(
-            not ideal_equal(meet, _d2_ideal(), limits=limits),
-            "diagonal intersection unexpectedly matched",
-        )
-
-    cases.append(
-        CheckCase(
-            "verification.embedded_point_diagonal_differs", "verification_suite", "derived",
-            "(a0,a1)^2 meet (a0+a1) is a different ideal", diagonal_variant,
-        )
-    )
-
-    def closure_rank2(_):
-        report = closure_vs_grassmann_dimensions(DominantWeight((2, 0)))
-        if len(report.strata) != 2:
-            return f"{len(report.strata)} strata"
-        top, central = report.strata
-        ok = (
-            top.status == "no_paper_formula"
-            and "jet" in top.note
-            and central.status == "multiplicity"
-            and central.polynomial == "1"
-            and central.note == "central"
-        )
-        return _expect(ok, f"strata {[s.to_json_dict() for s in report.strata]}")
-
-    cases.append(
-        CheckCase(
-            "verification.closure_rank_2", "verification_suite", "derived",
-            "(2,0) strata: a jet case without a closed formula, then the central stratum",
-            closure_rank2,
-        )
-    )
-
-    def closure_minuscule(_):
-        report = closure_vs_grassmann_dimensions(fundamental_weight(4, 2))
-        if len(report.strata) != 1:
-            return f"{len(report.strata)} strata"
-        s = report.strata[0]
-        return _expect(
-            s.status == "multiplicity" and s.polynomial == str(gaussian_binomial(4, 2)),
-            f"stratum {s.to_json_dict()}",
-        )
-
-    cases.append(
-        CheckCase(
-            "verification.closure_minuscule", "verification_suite", "derived",
-            "the second fundamental weight of GL_4 has one stratum with the (4,2) binomial",
-            closure_minuscule,
-        )
-    )
-
-    def closure_zero(_):
-        report = closure_vs_grassmann_dimensions(DominantWeight((0, 0, 0)))
-        s = report.strata
-        return _expect(
-            len(s) == 1 and s[0].polynomial == "1", f"strata {[x.to_json_dict() for x in s]}"
-        )
-
-    cases.append(
-        CheckCase(
-            "verification.closure_zero_weight", "verification_suite", "trivial",
-            "the zero weight has a single stratum with multiplicity polynomial 1",
-            closure_zero,
-        )
-    )
-    return cases
+# ---------------------------------------------------------------------------
+# the one case that reads the catalogue seed
+
+
+def _structure_random_sweep(seed: int, limits: ReductionLimits) -> str | None:
+    rng = random.Random(seed)
+    for i in range(5):
+        m = random_zero_dimensional_map(rng, n_vars=rng.randint(1, 3), max_degree=4, limits=limits)
+        rep = verify_structure_theorem(m, limits)
+        if not rep.all_true():
+            bad = [k for k, v in rep.clauses.items() if not v]
+            return f"sample {i} failed clauses {bad}"
+    return None
 
 
 def catalogue(seed: int = 0) -> tuple[CheckCase, ...]:
-    """All cases, sorted by name.  `seed` feeds the randomized sweeps."""
-    cases = (
-        _case_poly()
-        + _case_groebner()
-        + _case_multiplicity(seed)
-        + _case_grassmann()
-        + _case_jets()
-        + _case_weights()
-        + _case_verification()
+    """All cases, sorted by name.  `seed` feeds the randomized sweep."""
+    sweep = _check_case(
+        _SEEDED_SWEEP, "derived",
+        "five seeded random finite quotients pass every structure clause",
+        partial(_structure_random_sweep, seed),
     )
-    names = [c.name for c in cases]
-    assert len(set(names)) == len(names), "duplicate case names"
-    return tuple(sorted(cases, key=lambda c: c.name))
+    return tuple(sorted((*_REGISTRY.values(), sweep), key=lambda c: c.name))
 
 
 EXPECTED_MODULES = (

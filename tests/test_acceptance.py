@@ -27,10 +27,14 @@ from multalg.groebner import (
     normal_form,
 )
 from multalg.jets import apply_substitution, jet_presentation
-from multalg.multiplicity import equivariant_multiplicity, hitchin_base_weights, verify_structure_theorem
+from multalg.multiplicity import (
+    equivariant_multiplicity,
+    hitchin_base_weights,
+    random_zero_dimensional_map,
+    verify_structure_theorem,
+)
 from multalg.poly import Polynomial, WeightedGrading, parse_polynomial
 from multalg.rings import PresentedRing
-from multalg.verification import random_zero_dimensional_map
 from multalg.weights import (
     DominantWeight,
     dominance_leq,

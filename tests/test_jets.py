@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from multalg import groebner
+from multalg.grassmann import grassmann_presentation
 from multalg.groebner import Ideal, ideal_equal
 from multalg.jets import (
     GRADING_ASSUMPTION,
@@ -245,6 +247,23 @@ def test_invariants_fall_back_to_induced_weights():
     assert not inv.finite and inv.dimension is None
     assert inv.krull_dimension == 1
     assert str(inv.hilbert) == "(1 + t^2 - t^3)/(1 - t)"
+
+
+def test_jet_invariants_builds_one_basis(monkeypatch):
+    # the Gr(1,3) jet ideal is not unit-homogeneous, so a basis under unit
+    # grevlex would be a second Buchberger run beside the series grading's
+    groebner.clear_cache()
+    calls = 0
+    buchberger = groebner.buchberger
+
+    def counting_buchberger(*args):
+        nonlocal calls
+        calls += 1
+        return buchberger(*args)
+
+    monkeypatch.setattr(groebner, "buchberger", counting_buchberger)
+    jet_invariants(jet_presentation(grassmann_presentation(3, 1), 2))
+    assert calls == 1
 
 
 def test_invariants_json_carries_grading_assumption():

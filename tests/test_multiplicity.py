@@ -18,6 +18,7 @@ from multalg.multiplicity import (
     jacobian_spans_socle,
     pairing_matrices,
     poincare_polynomial,
+    random_zero_dimensional_map,
     socle,
     verify_structure_theorem,
 )
@@ -30,7 +31,6 @@ from multalg.poly import (
     parse_polynomial,
 )
 from multalg.series import RationalSeries, UniPoly
-from multalg.verification import random_zero_dimensional_map
 
 
 def P(text, vs):

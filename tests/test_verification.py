@@ -1,12 +1,14 @@
+import hashlib
 import json
 
 import pytest
 
+from multalg import verification
+from multalg.grassmann import closure_vs_grassmann_dimensions
 from multalg.groebner import ReductionLimits
 from multalg.verification import (
     EXPECTED_MODULES,
     catalogue,
-    closure_vs_grassmann_dimensions,
     embedded_point_check,
     run_all,
 )
@@ -23,6 +25,33 @@ def test_catalogue_is_well_formed():
         assert c.anchor.strip()
         assert c.module in EXPECTED_MODULES
     assert sum(1 for c in cases if c.negative_control) == 1
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_catalogue_and_verify_json_are_pinned():
+    # the verify JSON omits tags and anchors, so the metadata is pinned apart
+    meta = [[c.name, c.module, c.tag, c.anchor, c.negative_control] for c in catalogue()]
+    assert _sha256(json.dumps(meta)) == (
+        "c0b69eb77ac7b6be432060546f77b87897458d30fba926727ba26da664c9b756"
+    )
+    assert _sha256(run_all().to_json()) == (
+        "03549e4260badc0b281692072f30fd53823e41b72af8131f81244e6c0190d03b"
+    )
+    assert _sha256(run_all(include_negative_controls=True).to_json()) == (
+        "7fbbb2966868523125699615a4240d10b18034be4135fcc46dc301ec8abd9fee"
+    )
+
+
+@pytest.mark.parametrize("name", ["poly.parse_zero", "multiplicity.structure_random_sweep"])
+def test_duplicate_case_name_is_rejected(name):
+    before = [(c.name, c.anchor) for c in catalogue()]
+    with pytest.raises(ValueError, match="duplicate"):
+        verification._case(name, "trivial", "a second case")(lambda limits: None)
+    assert [(c.name, c.anchor) for c in catalogue()] == before
+    assert len(before) == 111
 
 
 def test_default_run_is_all_green():
