@@ -1,0 +1,64 @@
+#!/usr/bin/env python3
+"""Collect the benchmark's metric lines for every workload into one JSON object.
+
+    python3 scripts/bench_record.py --seed 1 --seconds 10 > BENCH_<label>.json
+    python3 scripts/bench_record.py --checkout OTHER_TREE --seed 1 --seconds 10
+
+Runs the checkout's `perfbench/run.py` (default: this repository's) once
+per workload with `--trace 0` and once with `--trace 1`, one process at a
+time, and prints to stdout one JSON object holding the settings and, under
+`runs[workload]["trace0"|"trace1"]`, each run's final line (its metrics)
+with the source digest, Python and CPU from the line before it.
+Nothing is written to disk here or by `run.py`; redirect stdout to keep it.
+Exits 1 if a run exits nonzero.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("grassmann_analyze", "random_structure", "verify_catalogue")
+INFO_KEYS = ("source_sha256", "python", "cpu_model", "cpu_count", "fail_frac")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    argv = [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
+    ]
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"{' '.join(argv)} exited {done.returncode}: {done.stderr.strip()}")
+    *_, info_line, metrics_line = done.stdout.splitlines()
+    info = json.loads(info_line)["info"]
+    return {"info": {key: info.get(key) for key in INFO_KEYS}, **json.loads(metrics_line)}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--checkout", type=Path, default=ROOT)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    args = parser.parse_args(argv)
+
+    runs: dict[str, dict] = {}
+    try:
+        for workload in WORKLOADS:
+            runs[workload] = {
+                f"trace{trace}": run_once(args.checkout, workload, args.seed, args.seconds, trace)
+                for trace in (0, 1)
+            }
+    except RuntimeError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    print(json.dumps({"seed": args.seed, "seconds": args.seconds, "runs": runs}, indent=1, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -67,12 +67,19 @@ from .weights import (
     lower_set,
     weyl_orbit_size,
 )
-from .verification import (
-    CheckCase,
-    RunSummary,
-    catalogue,
-    embedded_point_check,
-    run_all,
-)
 
 __version__ = "0.1.0"
+
+# Importing `verification` builds the catalogue's case registry, which only
+# `multalg verify` runs, so its names are resolved on first use.
+_FROM_VERIFICATION = frozenset(
+    {"CheckCase", "RunSummary", "catalogue", "embedded_point_check", "run_all"}
+)
+
+
+def __getattr__(name: str):
+    if name in _FROM_VERIFICATION:
+        from . import verification
+
+        return getattr(verification, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

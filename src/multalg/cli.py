@@ -31,7 +31,6 @@ from .jets import jet_invariants, jet_presentation
 from .multiplicity import equivariant_multiplicity, hitchin_base_weights, verify_structure_theorem
 from .poly import PolynomialError, polynomial_to_text, weighted_degree
 from .rings import FixtureError, PresentedRing
-from .verification import run_all
 from .weights import DominantWeight, dominance_leq, weyl_orbit_size
 
 __all__ = ["main", "build_parser"]
@@ -334,6 +333,8 @@ def _run(args: argparse.Namespace, limits: ReductionLimits) -> int:
         return 0
 
     if args.command == "verify":
+        from .verification import run_all
+
         summary = run_all(
             filter_substring=args.filter,
             include_negative_controls=args.include_negative_controls,

@@ -1,22 +1,43 @@
-"""Exact dense linear algebra over Fraction: rref, rank, nullspace."""
+"""Exact dense linear algebra over the rationals: rref, rank, nullspace.
+
+Matrices come in and go out as lists of `Fraction` rows.  Inside `rref`
+the elimination runs on integer rows, fraction-free, so no `Fraction` is
+made until the pivots are divided out once at the end.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = ["rref", "rank", "nullspace"]
 
 Matrix = list[list[Fraction]]
 
 
+def _integer_row(row: list[Fraction]) -> list[int]:
+    """The row times the lcm of its denominators, divided by its content."""
+    scale = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (scale // x.denominator) for x in row]
+    content = gcd(*ints)
+    return [a // content for a in ints] if content > 1 else ints
+
+
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot column list.
 
-    Exact: the first nonzero entry of a column is its pivot, no pivoting by size.
+    Each row is scaled to a primitive integer row first.  Gauss-Jordan
+    elimination then replaces row i by (p*row_i - f*row_r)/g, where p is
+    the pivot of row r, f the entry of row i in the pivot column, and g the
+    gcd content of the result, so every row stays a primitive integer row.
+    Each pivot row is divided by its pivot once at the end.  Pivots are the
+    first nonzero entry of a column, with no pivoting by size; the RREF of
+    a matrix is unique, so the result is the one Fraction elimination gives.
+    Zero rows come last.
     """
-    m = [list(row) for row in rows]
-    if not m:
-        return m, []
+    if not rows:
+        return [], []
+    m = [_integer_row(row) for row in rows]
     ncols = len(m[0])
     pivots: list[int] = []
     r = 0
@@ -25,17 +46,23 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        top = m[r]
+        p = top[c]
         for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                new = [a * x - b * y for x, y in zip(m[i], top)]
+                content = gcd(*new)
+                m[i] = [x // content for x in new] if content > 1 else new
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m, pivots
+    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    out.extend([Fraction(0)] * ncols for _ in range(len(m) - r))
+    return out, pivots
 
 
 def rank(rows: Matrix) -> int:

@@ -44,6 +44,7 @@ from .poly import (
     PolynomialMap,
     WeightedGrading,
     jacobian_determinant,
+    mono_divides,
     mono_mul,
     monomial_to_text,
     monomials_of_weighted_degree,
@@ -75,16 +76,28 @@ NotFinite = NotZeroDimensional
 class FiniteGradedAlgebra:
     """Zero-dimensional graded quotient with its standard-monomial basis.
 
-    Multiplication is polynomial product followed by normal form; the
-    result is always supported on the basis again.  Normal forms of
-    monomials are cached, since every structure check below reduces the
-    same products repeatedly; so are the socle and the Jacobian's
-    coordinates, which several clauses of the structure report read.
+    The coordinates of a monomial m in the basis are built from those of
+    smaller monomials, as in the multiplication-table step of FGLM, so no
+    monomial is reduced from scratch:
+
+      - a standard monomial b_i is the unit vector e_i;
+      - a leading monomial lm(g) is -tail(g), since the basis is reduced
+        and monic, so the tail of g is already standard;
+      - any other m is x_v * m' with x_v dividing m / lm for the first
+        leading monomial lm dividing m, and NF(m) = sum_j c_j NF(x_v b_j)
+        where c = NF(m').
+
+    Every monomial on the right is smaller than m in the basis's order, so
+    this terminates under any monomial order; it is walked with an explicit
+    stack.  The vectors are cached sparse ({index: coefficient}) and made
+    dense only by `monomial_coordinates`, `product_coordinates` and
+    `variable_matrix`.  The socle and the Jacobian's coordinates, which
+    several clauses of the structure report read, are memoised as well.
     """
 
     __slots__ = (
         "gb", "grading", "variables", "basis", "degrees", "index", "source_map",
-        "_nf_cache", "_memo",
+        "_vectors", "_memo",
     )
 
     def __init__(
@@ -101,7 +114,7 @@ class FiniteGradedAlgebra:
         object.__setattr__(self, "degrees", tuple(grading.degree(b) for b in basis))
         object.__setattr__(self, "index", {b: i for i, b in enumerate(basis)})
         object.__setattr__(self, "source_map", source_map)
-        object.__setattr__(self, "_nf_cache", {})
+        object.__setattr__(self, "_vectors", {})
         object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
@@ -118,20 +131,58 @@ class FiniteGradedAlgebra:
     def basis_monomial(self, i: int) -> str:
         return monomial_to_text(self.basis[i], self.variables)
 
+    def _dense(self, vec: Mapping[int, Fraction]) -> list[Fraction]:
+        out = [Fraction(0)] * len(self.basis)
+        for i, c in vec.items():
+            out[i] = c
+        return out
+
     def coordinates(self, p: Polynomial) -> list[Fraction]:
         """Coordinates of the class of p in the standard-monomial basis."""
         nf = normal_form(p, self.gb)
-        vec = [Fraction(0)] * len(self.basis)
-        for exps, coeff in nf.terms.items():
-            vec[self.index[exps]] = coeff
-        return vec
+        return self._dense({self.index[e]: c for e, c in nf.terms.items()})
+
+    def _vector(self, target: Exponents) -> dict[int, Fraction]:
+        """Sparse coordinates of a monomial, from its neighbours' (see the class)."""
+        vectors = self._vectors
+        got = vectors.get(target)
+        if got is not None:
+            return got
+        index, basis, gb = self.index, self.basis, self.gb
+        stack = [target]
+        while stack:
+            m = stack[-1]
+            if m in vectors:  # pushed more than once
+                stack.pop()
+                continue
+            i = index.get(m)
+            if i is not None:
+                vectors[stack.pop()] = {i: Fraction(1)}
+                continue
+            lm, g = next((lm, g) for lm, g in zip(gb.leading, gb.basis) if mono_divides(lm, m))
+            if m == lm:
+                vectors[stack.pop()] = {index[e]: -c for e, c in g.terms.items() if e != lm}
+                continue
+            v = next(k for k, (a, b) in enumerate(zip(m, lm)) if a > b)
+            below = m[:v] + (m[v] - 1,) + m[v + 1 :]
+            smaller = vectors.get(below)
+            if smaller is None:
+                stack.append(below)
+                continue
+            steps = [basis[j][:v] + (basis[j][v] + 1,) + basis[j][v + 1 :] for j in smaller]
+            missing = [s for s in steps if s not in vectors]
+            if missing:
+                stack.extend(missing)
+                continue
+            out: dict[int, Fraction] = {}
+            for c, s in zip(smaller.values(), steps):
+                for i, d in vectors[s].items():
+                    out[i] = out.get(i, 0) + c * d
+            vectors[stack.pop()] = {i: c for i, c in out.items() if c}
+        return vectors[target]
 
     def monomial_coordinates(self, exps: Exponents) -> list[Fraction]:
-        got = self._nf_cache.get(exps)
-        if got is None:
-            got = self.coordinates(Polynomial(self.variables, {exps: Fraction(1)}))
-            self._nf_cache[exps] = got
-        return got
+        return self._dense(self._vector(exps))
 
     def product_coordinates(self, i: int, j: int) -> list[Fraction]:
         """Coordinates of basis[i] * basis[j]."""
@@ -218,19 +269,32 @@ def _graded_socle(q: FiniteGradedAlgebra) -> tuple[Polynomial, ...]:
         block: list[list[Fraction]] = []
         for v, w in enumerate(q.grading.weights):
             unit = tuple(1 if u == v else 0 for u in range(n))
-            images = [q.monomial_coordinates(mono_mul(q.basis[j], unit)) for j in cols]
+            images = [q._vector(mono_mul(q.basis[j], unit)) for j in cols]
             for j, image in zip(cols, images):
-                if any(c and q.degrees[i] != k + w for i, c in enumerate(image)):
+                if any(q.degrees[i] != k + w for i in image):
                     raise ValueError(
                         f"{q.variables[v]} * {q.basis_monomial(j)} leaves degree {k + w}: "
                         "the ideal is not homogeneous for the grading"
                     )
-            block.extend([image[i] for image in images] for i in by_degree.get(k + w, ()))
+            block.extend([image.get(i, 0) for image in images] for i in by_degree.get(k + w, ()))
         for vec in nullspace(block, len(cols)):
             terms = {q.basis[cols[c]]: x for c, x in enumerate(vec) if x}
             free = max(c for c, x in enumerate(vec) if x)  # pivots lie left of it
             found.append((cols[free], Polynomial(q.variables, terms)))
     return tuple(p for _, p in sorted(found, key=lambda item: item[0]))
+
+
+def _socle_generator(q: FiniteGradedAlgebra) -> list[Fraction]:
+    """Coordinates of the first socle vector, memoised on q.
+
+    The socle is solved in the basis, so its monomials are basis monomials
+    and the coordinates are read off through q.index, with no reduction.
+    """
+    got = q._memo.get("socle_generator")
+    if got is None:
+        terms = socle(q)[0].terms
+        got = q._memo["socle_generator"] = q._dense({q.index[e]: c for e, c in terms.items()})
+    return got
 
 
 def _jacobian_coordinates(q: FiniteGradedAlgebra) -> list[Fraction]:
@@ -252,8 +316,7 @@ def jacobian_spans_socle(q: FiniteGradedAlgebra) -> bool:
     jac = _jacobian_coordinates(q)
     if not any(jac):
         return False
-    gen = q.coordinates(soc[0])
-    return rank([jac, gen]) == 1
+    return rank([jac, _socle_generator(q)]) == 1
 
 
 @dataclass(frozen=True)
@@ -284,7 +347,7 @@ def pairing_matrices(q: FiniteGradedAlgebra) -> PairingReport:
     soc = socle(q)
     if len(soc) != 1:
         raise ValueError(f"socle is {len(soc)}-dimensional, pairing needs dimension 1")
-    gen_vec = q.coordinates(soc[0])
+    gen_vec = _socle_generator(q)
     support = [i for i, c in enumerate(gen_vec) if c]
     if len(support) != 1:
         # graded Gorenstein always lands here with a single top monomial,
@@ -299,8 +362,8 @@ def pairing_matrices(q: FiniteGradedAlgebra) -> PairingReport:
             scale = Fraction(1) / jac[slot]
             normalized = True
 
-    def ell(coords: list[Fraction]) -> Fraction:
-        return coords[slot] * scale
+    def ell(i: int, j: int) -> Fraction:
+        return q._vector(mono_mul(q.basis[i], q.basis[j])).get(slot, 0) * scale
 
     m = q.top_degree
     by_deg: list[DegreePairing] = []
@@ -309,7 +372,7 @@ def pairing_matrices(q: FiniteGradedAlgebra) -> PairingReport:
         rows_idx = [i for i, d in enumerate(q.degrees) if d == k]
         cols_idx = [j for j, d in enumerate(q.degrees) if d == m - k]
         matrix = tuple(
-            tuple(ell(q.product_coordinates(i, j)) for j in cols_idx) for i in rows_idx
+            tuple(ell(i, j) for j in cols_idx) for i in rows_idx
         )
         r = rank([list(row) for row in matrix]) if rows_idx and cols_idx else 0
         perfect = len(rows_idx) == len(cols_idx) and r == len(rows_idx)

@@ -42,9 +42,11 @@ def workloads():
 
 
 def test_random_structure_reports_match_pins(workloads):
-    queries = workloads.build("random_structure", 0)
-    assert len(queries) == len(workloads.SHAPES)
-    assert run_checked(queries) == {}
+    for seed in range(4):
+        assert seed in workloads.PINNED_SEEDS
+        queries = workloads.build("random_structure", seed)
+        assert len(queries) == len(workloads.SHAPES)
+        assert run_checked(queries) == {}, f"seed {seed}"
 
 
 def test_grassmann_reports_match_pins(workloads):

@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import multalg
 from multalg.cli import main
 from multalg.grassmann import grassmann_presentation
 from multalg.rings import PresentedRing
@@ -165,6 +170,26 @@ def test_verify_with_tiny_cap_skips(capsys):
     assert rc == 0
     data = json.loads(out)
     assert data["counts"]["skipped"] > 0
+
+
+def test_cli_import_leaves_the_catalogue_unloaded():
+    # a fresh interpreter, since this one has imported the catalogue already
+    code = (
+        "import sys, multalg.cli\n"
+        "print('multalg.verification' in sys.modules)\n"
+        "from multalg import run_all\n"
+        "print(run_all.__module__)"
+    )
+    src = str(Path(multalg.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout.split() == ["False", "multalg.verification"]
 
 
 # ------------------------------------------------------------ exit codes

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import multalg.groebner
 import multalg.linalg
 import multalg.multiplicity
 from multalg.grassmann import grassmann_presentation
@@ -27,6 +28,7 @@ from multalg.poly import (
     PolynomialMap,
     WeightedGrading,
     jacobian_determinant,
+    mono_mul,
     monomials_of_weighted_degree,
     parse_polynomial,
 )
@@ -72,6 +74,67 @@ def test_nullspace():
     ]
 
 
+def fraction_rref_reference(rows):
+    """Plain Gauss-Jordan over Fraction; a column's first nonzero entry is its pivot."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots, r = [], 0
+    for c in range(len(m[0]) if m else 0):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def random_rational_matrices(rng):
+    def entry(height):
+        if rng.random() < 0.3:
+            return Fraction(0)
+        return Fraction(rng.randint(-height, height), rng.randint(1, height))
+
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        height = rng.choice((3, 9, 10**6))
+        rows = [[entry(height) for _ in range(ncols)] for _ in range(nrows)]
+        kind = rng.randrange(4)
+        if kind == 1:  # rank at most k: a product of nrows x k and k x ncols
+            k = rng.randint(1, max(1, min(nrows, ncols) - 1))
+            left = [[entry(height) for _ in range(k)] for _ in range(nrows)]
+            right = [[entry(height) for _ in range(ncols)] for _ in range(k)]
+            rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+        elif kind == 2:  # zero rows in random places
+            for _ in range(rng.randint(1, 3)):
+                rows.insert(rng.randint(0, len(rows)), [Fraction(0)] * ncols)
+        elif kind == 3:  # one column
+            rows = [row[:1] for row in rows]
+        yield rows
+    yield []
+    yield [[], []]
+    yield [[Fraction(0)] * 3 for _ in range(2)]
+
+
+def test_integer_rref_matches_fraction_reference():
+    for rows in random_rational_matrices(random.Random(11)):
+        before = [list(row) for row in rows]
+        reduced, pivots = rref(rows)
+        assert (reduced, pivots) == fraction_rref_reference(rows)
+        assert all(type(x) is Fraction for row in reduced for x in row)
+        assert rows == before  # the input is not modified
+        assert rank(rows) == len(pivots)
+        ncols = len(rows[0]) if rows else 0
+        kernel = nullspace(rows, ncols)
+        assert len(kernel) == ncols - len(pivots)
+        for v in kernel:
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+
+
 # ---------------------------------------------------------------- quotient
 
 
@@ -93,19 +156,19 @@ def test_build_quotient_not_finite():
 
 
 def test_multiplication_matrices_match_normal_forms():
-    q = build_quotient(gr21_map())
-    gb = q.gb
-    vs = ("p1", "q1")
-    for v, name in enumerate(vs):
-        col_for_one = q.variable_matrix(v)
-        # multiply each basis monomial by the variable, reduce, re-express
-        for j, mono in enumerate(q.basis):
-            x = Polynomial.variable(vs, name)
-            basis_poly = Polynomial(vs, {mono: Fraction(1)})
-            image = normal_form(x * basis_poly, gb)
-            coords = q.coordinates(image)
-            for i in range(q.dimension):
-                assert col_for_one[i][j] == coords[i]
+    for q in reference_algebras():
+        n = len(q.variables)
+        # products first, on an empty cache, so the walk starts from the top
+        for i in range(q.dimension):
+            for j in range(i, q.dimension):
+                product = Polynomial(q.variables, {mono_mul(q.basis[i], q.basis[j]): Fraction(1)})
+                assert q.product_coordinates(i, j) == q.coordinates(product)
+        for v in range(n):
+            matrix = q.variable_matrix(v)
+            unit = tuple(int(u == v) for u in range(n))
+            for j, b in enumerate(q.basis):
+                image = q.coordinates(Polynomial(q.variables, {mono_mul(b, unit): Fraction(1)}))
+                assert [row[j] for row in matrix] == image
 
 
 def test_coordinates_reject_foreign_monomial():
@@ -165,7 +228,8 @@ def dense_socle_reference(q):
     return nullspace(stacked, q.dimension)
 
 
-def test_graded_socle_matches_dense_reference():
+def reference_algebras():
+    """Quotients whose socles, products and neighbours the oracles below check."""
     vs = ("x", "y")
     weighted = PolynomialMap.build(
         (P("x^4 + x^2*y + y^2", vs), P("x^2*y - 3*y^2", vs)), WeightedGrading((1, 2))
@@ -192,10 +256,27 @@ def test_graded_socle_matches_dense_reference():
         ideal = Ideal(vs3, tuple(gens), units)
         for order in (WeightedGrevlex.units(3), Lex()):
             algebras.append(FiniteGradedAlgebra(groebner_basis(ideal, order), units))
-    for q in algebras:
+    return algebras
+
+
+def test_graded_socle_matches_dense_reference():
+    for q in reference_algebras():
         got = [[s.terms.get(b, Fraction(0)) for b in q.basis] for s in socle(q)]
         assert got == dense_socle_reference(q)
     assert [str(s) for s in socle(fat_point())] == ["y", "x"]
+
+
+def test_deep_staircase_is_walked_without_recursion():
+    # x^3000 is 1500 steps above the leading monomial x^1500, more than
+    # Python's default recursion limit of 1000 frames
+    x = ("x",)
+    q = FiniteGradedAlgebra(
+        groebner_basis(Ideal(x, (P("x^1500", x),), WeightedGrading.units(1))),
+        WeightedGrading.units(1),
+    )
+    assert q.dimension == 1500
+    assert q.monomial_coordinates((3000,)) == [Fraction(0)] * 1500
+    assert q.monomial_coordinates((1499,)) == [Fraction(int(i == 1499)) for i in range(1500)]
 
 
 def test_socle_rejects_grading_the_ideal_does_not_respect():
@@ -207,8 +288,9 @@ def test_socle_rejects_grading_the_ideal_does_not_respect():
 
 
 def test_structure_report_computes_each_artefact_once(monkeypatch):
-    calls = {"jacobian": 0, "max_cells": 0}
+    calls = {"jacobian": 0, "max_cells": 0, "normal_form": 0}
     jacobian, rref_ = multalg.multiplicity.jacobian_determinant, multalg.linalg.rref
+    normal_form_ = multalg.groebner.normal_form
 
     def counting_jacobian(m):
         calls["jacobian"] += 1
@@ -219,7 +301,13 @@ def test_structure_report_computes_each_artefact_once(monkeypatch):
         calls["max_cells"] = max(calls["max_cells"], cells)
         return rref_(rows)
 
+    def counting_normal_form(p, gb):
+        calls["normal_form"] += 1
+        return normal_form_(p, gb)
+
     monkeypatch.setattr(multalg.multiplicity, "jacobian_determinant", counting_jacobian)
+    monkeypatch.setattr(multalg.multiplicity, "normal_form", counting_normal_form)
+    monkeypatch.setattr(multalg.groebner, "normal_form", counting_normal_form)
     monkeypatch.setattr(multalg.linalg, "rref", measuring_rref)
     vs = ("x", "y", "z", "w")
     components = ("x^3 + y*z*w", "y^3 - x*z^2", "z^3 + 2*x*y*w", "w^3 - x^2*y")
@@ -227,6 +315,7 @@ def test_structure_report_computes_each_artefact_once(monkeypatch):
     rep = verify_structure_theorem(m)
     assert rep.dimension == 81 and rep.all_true()
     assert calls["jacobian"] == 1
+    assert calls["normal_form"] == 1  # the Jacobian's; products come from neighbours
     # largest degree block: rows 4 * dim Q^4 = 76, columns dim Q^3 = 16
     assert 0 < calls["max_cells"] <= 76 * 16
 
