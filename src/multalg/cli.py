@@ -323,12 +323,10 @@ def _run(args: argparse.Namespace, limits: ReductionLimits) -> int:
                 head = "(" + ",".join(str(e) for e in stratum.weight) + ")"
                 if stratum.status == "multiplicity":
                     line = f"{head}: {stratum.polynomial} ({stratum.point_count} at t=1)"
-                    if stratum.note:
-                        line += f"  [{stratum.note}]"
                 else:
                     line = f"{head}: no closed formula"
-                    if stratum.note:
-                        line += f"  [{stratum.note}]"
+                if stratum.note:
+                    line += f"  [{stratum.note}]"
                 print(line)
         return 0
 

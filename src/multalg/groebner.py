@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import gcd
 from typing import Callable, Iterable, Sequence
 
+from .linalg import primitive
 from .orders import EliminationOrder, MonomialOrder, WeightedGrevlex
 from .poly import (
     Exponents,
@@ -222,16 +222,10 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
 
 def _content_normalize(p: Polynomial, order: MonomialOrder) -> Polynomial:
     """Primitive integer coefficients, leading coefficient positive."""
-    mult = 1
-    for c in p.terms.values():
-        mult = mult * c.denominator // gcd(mult, c.denominator)
-    num_gcd = 0
-    for c in p.terms.values():
-        num_gcd = gcd(num_gcd, abs(c.numerator * (mult // c.denominator)))
-    scale = Fraction(mult, num_gcd)
+    coeffs = primitive(list(p.terms.values()))
     if p.terms[leading_exponents(p, order)] < 0:
-        scale = -scale
-    return p.scale(scale)
+        coeffs = [-c for c in coeffs]
+    return Polynomial(p.variables, dict(zip(p.terms, coeffs)))
 
 
 def _nf_terms(
@@ -579,7 +573,7 @@ def _fresh_name(taken: Sequence[str]) -> str:
     return f"t{i}"
 
 
-def _lift(p: Polynomial, new_vars: tuple[str, ...], t_exp: int) -> dict[Exponents, Fraction]:
+def _lift(p: Polynomial, t_exp: int) -> dict[Exponents, Fraction]:
     return {(t_exp,) + e: c for e, c in p.terms.items()}
 
 
@@ -595,10 +589,10 @@ def ideal_intersection(left: Ideal, right: Ideal, limits: ReductionLimits = DEFA
     new_vars = (tag,) + variables
     gens: list[Polynomial] = []
     for f in left.generators:
-        gens.append(Polynomial(new_vars, _lift(f, new_vars, 1)))
+        gens.append(Polynomial(new_vars, _lift(f, 1)))
     for g in right.generators:
-        terms = _lift(g, new_vars, 0)
-        for e, c in _lift(g, new_vars, 1).items():
+        terms = _lift(g, 0)
+        for e, c in _lift(g, 1).items():
             terms[e] = terms.get(e, Fraction(0)) - c
             if not terms[e]:
                 del terms[e]

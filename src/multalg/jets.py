@@ -110,20 +110,21 @@ def jet_presentation(base: PresentedRing, d: int) -> JetPresentation:
     for group in groups:
         images.append([Polynomial.variable(jet_vars, name) for name in group])
 
+    # truncated powers of the images, shared by every relation
+    power_cache: dict[tuple[int, int], list[Polynomial]] = {}
+
+    def power(i: int, e: int) -> list[Polynomial]:
+        if e == 0:
+            return one
+        got = power_cache.get((i, e))
+        if got is None:
+            got = _truncated_product(power(i, e - 1), images[i], d, zero)
+            power_cache[(i, e)] = got
+        return got
+
     relations: list[Polynomial] = []
     for rel in base.relations:
         coeffs = [zero] * d
-        power_cache: dict[tuple[int, int], list[Polynomial]] = {}
-
-        def power(i: int, e: int) -> list[Polynomial]:
-            if e == 0:
-                return one
-            got = power_cache.get((i, e))
-            if got is None:
-                got = _truncated_product(power(i, e - 1), images[i], d, zero)
-                power_cache[(i, e)] = got
-            return got
-
         for exps, c in rel.terms.items():
             term = [Polynomial.constant(jet_vars, c)] + [zero] * (d - 1)
             for i, e in enumerate(exps):

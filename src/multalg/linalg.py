@@ -3,20 +3,29 @@
 Matrices come in and go out as lists of `Fraction` rows.  Inside `rref`
 the elimination runs on integer rows, fraction-free, so no `Fraction` is
 made until the pivots are divided out once at the end.
+
+`primitive` is the one place that picks the primitive integer
+representative of a rational vector; `rref`, the Groebner content
+normalization and the series gcd all go through it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Sequence
 
-__all__ = ["rref", "rank", "nullspace"]
+__all__ = ["primitive", "rref", "rank", "nullspace"]
 
 Matrix = list[list[Fraction]]
 
 
-def _integer_row(row: list[Fraction]) -> list[int]:
-    """The row times the lcm of its denominators, divided by its content."""
+def primitive(row: Sequence[Fraction | int]) -> list[int]:
+    """The row times the lcm of its denominators, divided by its content.
+
+    The result is the primitive integer vector that is a positive multiple
+    of the row; a zero row stays zero.
+    """
     scale = lcm(*(x.denominator for x in row))
     ints = [x.numerator * (scale // x.denominator) for x in row]
     content = gcd(*ints)
@@ -37,7 +46,7 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     """
     if not rows:
         return [], []
-    m = [_integer_row(row) for row in rows]
+    m = [primitive(row) for row in rows]
     ncols = len(m[0])
     pivots: list[int] = []
     r = 0

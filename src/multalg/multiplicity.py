@@ -348,12 +348,8 @@ def pairing_matrices(q: FiniteGradedAlgebra) -> PairingReport:
     if len(soc) != 1:
         raise ValueError(f"socle is {len(soc)}-dimensional, pairing needs dimension 1")
     gen_vec = _socle_generator(q)
-    support = [i for i, c in enumerate(gen_vec) if c]
-    if len(support) != 1:
-        # graded Gorenstein always lands here with a single top monomial,
-        # but fall back to the first supported coordinate otherwise
-        support = support[:1]
-    slot = support[0]
+    # the first supported coordinate; graded Gorenstein has only one
+    slot = next(i for i, c in enumerate(gen_vec) if c)
     scale = Fraction(1) / gen_vec[slot]
     normalized = False
     if q.source_map is not None:

@@ -14,13 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .poly import Exponents
-
 __all__ = ["MonomialOrder", "WeightedGrevlex", "Lex", "EliminationOrder"]
 
 
 class MonomialOrder:
-    def key(self, exps: Exponents):  # pragma: no cover - interface
+    def key(self, exps: tuple[int, ...]):  # pragma: no cover - interface
         raise NotImplementedError
 
 
@@ -37,7 +35,7 @@ class WeightedGrevlex(MonomialOrder):
     def units(cls, n: int) -> "WeightedGrevlex":
         return cls((1,) * n)
 
-    def key(self, exps: Exponents):
+    def key(self, exps: tuple[int, ...]):
         wdeg = sum(w * e for w, e in zip(self.weights, exps))
         return (wdeg, tuple(-e for e in reversed(exps)))
 
@@ -46,7 +44,7 @@ class WeightedGrevlex(MonomialOrder):
 class Lex(MonomialOrder):
     """Pure lexicographic order: earlier variables dominate."""
 
-    def key(self, exps: Exponents):
+    def key(self, exps: tuple[int, ...]):
         return exps
 
 
@@ -67,6 +65,6 @@ class EliminationOrder(MonomialOrder):
         if self.block <= 0:
             raise ValueError("elimination block must contain at least one variable")
 
-    def key(self, exps: Exponents):
+    def key(self, exps: tuple[int, ...]):
         head, tail = exps[: self.block], exps[self.block :]
         return (self.first.key(head), self.rest.key(tail))

@@ -27,6 +27,8 @@ from fractions import Fraction
 from operator import le
 from typing import Iterable, Mapping
 
+from .orders import WeightedGrevlex
+
 Exponents = tuple[int, ...]
 
 __all__ = [
@@ -44,7 +46,6 @@ __all__ = [
     "mono_divides",
     "mono_div",
     "mono_lcm",
-    "mono_degree",
     "monomials_of_weighted_degree",
     "monomial_to_text",
     "parse_polynomial",
@@ -116,12 +117,6 @@ def mono_div(a: Exponents, b: Exponents) -> Exponents:
 
 def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_degree(exps: Exponents, weights: tuple[int, ...] | None = None) -> int:
-    if weights is None:
-        return sum(exps)
-    return sum(w * e for w, e in zip(weights, exps))
 
 
 def monomials_of_weighted_degree(weights: tuple[int, ...], degree: int) -> list[Exponents]:
@@ -399,7 +394,7 @@ def weighted_degree(p: Polynomial, grading: WeightedGrading) -> int:
 # text form
 #
 #   expr   := ['+'|'-'] term (('+'|'-') term)*
-#   term   := coeff ('*' factor)* | factor ('*' factor)*
+#   term   := (coeff | factor) ('*' factor)*
 #   coeff  := integer ['/' positive-integer]
 #   factor := name ['^' positive-integer]
 #   name   := [A-Za-z][A-Za-z0-9_]*
@@ -465,25 +460,17 @@ class _Parser:
     def term(self) -> Polynomial:
         kind, val, pos = self.peek()
         if kind == "int":
-            coeff = self.coeff()
-            poly = Polynomial.constant(self.variables, coeff)
-            while True:
-                kind, val, pos = self.peek()
-                if kind == "op" and val == "*":
-                    self.next()
-                    poly = poly * self.factor()
-                else:
-                    return poly
-        if kind == "name":
+            poly = Polynomial.constant(self.variables, self.coeff())
+        elif kind == "name":
             poly = self.factor()
-            while True:
-                kind, val, pos = self.peek()
-                if kind == "op" and val == "*":
-                    self.next()
-                    poly = poly * self.factor()
-                else:
-                    return poly
-        raise ParseError(f"expected a term, found {val!r}" if kind else "expected a term", pos)
+        else:
+            raise ParseError(f"expected a term, found {val!r}" if kind else "expected a term", pos)
+        while True:
+            kind, val, pos = self.peek()
+            if kind != "op" or val != "*":
+                return poly
+            self.next()
+            poly = poly * self.factor()
 
     def coeff(self) -> Fraction:
         kind, val, pos = self.next()
@@ -534,11 +521,6 @@ def parse_polynomial(text: str, variables: Iterable[str]) -> Polynomial:
     return result
 
 
-def _term_sort_key(exps: Exponents, weights: tuple[int, ...]):
-    wdeg = sum(w * e for w, e in zip(weights, exps))
-    return (wdeg, tuple(-e for e in reversed(exps)))
-
-
 def polynomial_to_text(p: Polynomial, grading: WeightedGrading | None = None) -> str:
     """Deterministic text form, terms in descending graded-reverse-lex order.
 
@@ -548,9 +530,9 @@ def polynomial_to_text(p: Polynomial, grading: WeightedGrading | None = None) ->
     if p.is_zero():
         return "0"
     weights = grading.weights if grading is not None else (1,) * len(p.variables)
-    items = sorted(p.terms.items(), key=lambda kv: _term_sort_key(kv[0], weights), reverse=True)
     pieces: list[str] = []
-    for exps, coeff in items:
+    for exps in sorted(p.terms, key=WeightedGrevlex(weights).key, reverse=True):
+        coeff = p.terms[exps]
         mono = monomial_to_text(exps, p.variables)
         mag = abs(coeff)
         if mono == "1":

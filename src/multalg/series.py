@@ -6,13 +6,17 @@ fully reduced ratio of two integer polynomials, normalized so that the
 lowest-degree nonzero coefficient of the denominator is positive -- the
 power-series convention, under which products of (1 - t^w) stay printed
 as such instead of being flipped to (t^w - 1).
+
+Everything here stays in Z.  Exact division is integer long division,
+and the gcd that reduces a series is a primitive pseudo-remainder
+sequence; by Gauss's lemma the quotients by a primitive gcd are integral.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
 from typing import Iterable, Sequence
+
+from .linalg import primitive
 
 __all__ = ["UniPoly", "RationalSeries", "one_minus_power", "weight_denominator"]
 
@@ -120,22 +124,32 @@ class UniPoly:
         return acc
 
     def divide_exact(self, other: "UniPoly") -> "UniPoly":
-        """Quotient self/other, raising ValueError unless division is exact."""
-        q, r = _divmod_q(_to_frac(self.coeffs), _to_frac(other.coeffs))
-        if any(r):
-            raise ValueError("inexact polynomial division")
-        out = []
-        for c in q:
-            if c.denominator != 1:
-                raise ValueError("inexact polynomial division (non-integer quotient)")
-            out.append(c.numerator)
-        return UniPoly(out)
+        """Quotient self/other by integer long division.
 
-    def content(self) -> int:
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, abs(c))
-        return g
+        Raises ValueError unless other divides self with an integer
+        quotient; the message says whether other fails to divide over Q or
+        divides with a non-integer quotient.
+        """
+        a, b = list(self.coeffs), other.coeffs
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        n, lead = len(b), b[-1]
+        q = [0] * max(0, len(a) - n + 1)
+        for shift in range(len(a) - n, -1, -1):
+            c = a[shift + n - 1]
+            if not c:
+                continue
+            f, rem = divmod(c, lead)
+            if rem:
+                if any(_pseudo_remainder(self.coeffs, b)):
+                    raise ValueError("inexact polynomial division")
+                raise ValueError("inexact polynomial division (non-integer quotient)")
+            q[shift] = f
+            for i, x in enumerate(b):
+                a[shift + i] -= f * x
+        if any(a):
+            raise ValueError("inexact polynomial division")
+        return UniPoly(q)
 
     def is_palindromic(self) -> bool:
         """coefficients read the same in both directions (zero: vacuously)."""
@@ -185,50 +199,35 @@ def weight_denominator(weights: Iterable[int]) -> UniPoly:
     return out
 
 
-# -- exact rational-coefficient division helpers ----------------------------
+def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """Remainder of lc(b)^k * a by b over Z, for some k >= 0; b nonzero.
 
-
-def _to_frac(coeffs: Sequence[int]) -> list[Fraction]:
-    return [Fraction(c) for c in coeffs]
-
-
-def _divmod_q(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    while a and not a[-1]:
-        a.pop()
-    while b and not b[-1]:
-        b.pop()
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    It is zero exactly when b divides a over Q.
+    """
     r = list(a)
-    while len(r) >= len(b) and any(r):
-        while r and not r[-1]:
-            r.pop()
-        if len(r) < len(b):
-            break
-        shift = len(r) - len(b)
-        factor = r[-1] / b[-1]
-        q[shift] = factor
-        for i, c in enumerate(b):
-            r[shift + i] -= factor * c
-    while r and not r[-1]:
-        r.pop()
-    return q, r
+    n, lead = len(b), b[-1]
+    for shift in range(len(r) - n, -1, -1):
+        c = r[shift + n - 1]
+        if c:
+            r = [lead * x for x in r]
+            for i, x in enumerate(b):
+                r[shift + i] -= c * x
+    return _trim(r)
 
 
-def _gcd_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = list(a), list(b)
-    while any(b):
-        _, rem = _divmod_q(a, b)
-        a, b = b, rem
-    return a
+def _gcd(a: Sequence[int], b: Sequence[int]) -> UniPoly:
+    """Primitive gcd of two nonzero integer polynomials (sign not fixed)."""
+    a, b = primitive(a), primitive(b)
+    while b:
+        a, b = b, primitive(_pseudo_remainder(a, b))
+    return UniPoly(a)
 
 
 class RationalSeries:
     """Reduced ratio numerator/denominator of integer polynomials in t.
 
-    Canonical form: gcd(numerator, denominator) = 1 over Q, integer
-    contents jointly reduced, and the lowest-degree nonzero coefficient
+    Canonical form: gcd(numerator, denominator) = 1 over Q, joint
+    integer content 1, and the lowest-degree nonzero coefficient
     of the denominator positive.  Two equal series therefore compare
     equal componentwise.
     """
@@ -307,25 +306,10 @@ class RationalSeries:
 def _reduce(num: UniPoly, den: UniPoly) -> tuple[UniPoly, UniPoly]:
     if num.is_zero():
         return UniPoly(), UniPoly.one()
-    g = _gcd_q(_to_frac(num.coeffs), _to_frac(den.coeffs))
-    qn, rn = _divmod_q(_to_frac(num.coeffs), g)
-    qd, rd = _divmod_q(_to_frac(den.coeffs), g)
-    assert not any(rn) and not any(rd), "gcd does not divide its arguments"
-    # clear denominators jointly, then remove the joint integer content
-    mult = 1
-    for c in qn + qd:
-        mult = mult * c.denominator // gcd(mult, c.denominator)
-    ni = [int(c * mult) for c in qn]
-    di = [int(c * mult) for c in qd]
-    content = 0
-    for c in ni + di:
-        content = gcd(content, abs(c))
-    if content > 1:
-        ni = [c // content for c in ni]
-        di = [c // content for c in di]
+    g = _gcd(num.coeffs, den.coeffs)
+    n = num.divide_exact(g).coeffs
+    both = primitive(n + den.divide_exact(g).coeffs)
     # sign: make the lowest-degree nonzero denominator coefficient positive
-    low = next(c for c in di if c != 0)
-    if low < 0:
-        ni = [-c for c in ni]
-        di = [-c for c in di]
-    return UniPoly(ni), UniPoly(di)
+    if next(c for c in both[len(n):] if c) < 0:
+        both = [-c for c in both]
+    return UniPoly(both[: len(n)]), UniPoly(both[len(n):])

@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import sympy
 
+from multalg.grassmann import gaussian_binomial
 from multalg.series import (
     RationalSeries,
     UniPoly,
@@ -64,8 +67,38 @@ def test_divide_exact_inverts_product(a, b):
 
 
 def test_divide_exact_rejects_remainder():
-    with pytest.raises(ValueError):
+    with pytest.raises(ZeroDivisionError, match=r"^polynomial division by zero$"):
+        UniPoly([1, 2]).divide_exact(UniPoly())
+    with pytest.raises(ZeroDivisionError, match=r"^polynomial division by zero$"):
+        UniPoly().divide_exact(UniPoly())
+    with pytest.raises(ValueError, match=r"^inexact polynomial division$"):
         UniPoly([1, 1, 1]).divide_exact(UniPoly([1, 1]))
+    with pytest.raises(ValueError, match=r"^inexact polynomial division$"):
+        UniPoly([1]).divide_exact(UniPoly([1, 1]))
+    # the first step is not integral and 2t does not divide 1 + t^2 over Q
+    with pytest.raises(ValueError, match=r"^inexact polynomial division$"):
+        UniPoly([1, 0, 1]).divide_exact(UniPoly([0, 2]))
+    with pytest.raises(ValueError, match=r"^inexact polynomial division \(non-integer quotient\)$"):
+        UniPoly([1, 1]).divide_exact(UniPoly([2, 2]))
+    assert UniPoly().divide_exact(UniPoly([0, 3])) == UniPoly()
+
+
+@given(coeff_lists, coeff_lists, st.sampled_from([1, -1, 2, -3, 6]))
+@settings(max_examples=120)
+def test_divide_exact_matches_sympy_division(a, b, k):
+    pa, pb = UniPoly(a), UniPoly(b) * k
+    if pb.is_zero():
+        return
+    for dividend in (pa, pa * UniPoly(b)):
+        q, r = to_sympy(dividend).div(to_sympy(pb))
+        if not r.is_zero:
+            with pytest.raises(ValueError, match=r"^inexact polynomial division$"):
+                dividend.divide_exact(pb)
+        elif any(not c.is_integer for c in q.all_coeffs()):
+            with pytest.raises(ValueError, match=r"non-integer quotient"):
+                dividend.divide_exact(pb)
+        else:
+            assert to_sympy(dividend.divide_exact(pb)) == q
 
 
 def test_shape_predicates():
@@ -135,3 +168,59 @@ def test_from_weight_ratio():
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         RationalSeries(UniPoly([1]), UniPoly([]))
+
+
+def sympy_canonical(num: UniPoly, den: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """num/den cancelled by sympy, then scaled to joint content 1 with the
+    lowest nonzero denominator coefficient positive."""
+    expr = sympy.cancel(to_sympy(num).as_expr() / to_sympy(den).as_expr())
+    p, q = sympy.fraction(sympy.together(expr))
+    cp = sympy.Poly(p, t, domain="QQ").all_coeffs()[::-1]
+    cq = sympy.Poly(q, t, domain="QQ").all_coeffs()[::-1]
+    both = [sympy.Rational(c) for c in cp + cq]
+    scale = lcm(*(int(c.q) for c in both))
+    ints = [int(c * scale) for c in both]
+    content = gcd(*ints)
+    ints = [x // content for x in ints]
+    if next(x for x in ints[len(cp):] if x) < 0:
+        ints = [-x for x in ints]
+    return UniPoly(ints[: len(cp)]), UniPoly(ints[len(cp):])
+
+
+def test_canonical_form_matches_sympy_cancel():
+    rng = random.Random(20260)
+
+    def poly(max_degree: int) -> UniPoly:
+        while True:
+            p = UniPoly(rng.randint(-5, 5) for _ in range(rng.randint(1, max_degree + 1)))
+            if p:
+                return p
+
+    for case in range(150):
+        common = poly(3)
+        lead = rng.choice([2, 3, -2, -1, 4])
+        common = common + UniPoly.term(lead, common.degree + 1)  # non-monic, maybe negative
+        num = UniPoly() if case % 10 == 0 else poly(4)
+        den = poly(4)
+        s = RationalSeries(num * common, den * common)
+        assert (s.numerator, s.denominator) == sympy_canonical(num * common, den * common)
+        assert s == RationalSeries(num, den)
+
+
+def test_series_arithmetic_makes_no_fraction(monkeypatch):
+    made = 0
+    fraction_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return fraction_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    gaussian_binomial(12, 6)
+    RationalSeries.from_weight_ratio((1, 2, 3, 4), (1, 2, 1, 2))
+    common = UniPoly([-2, 0, 3])  # 3t^2 - 2: non-monic
+    RationalSeries(UniPoly([2, 2]) * common, UniPoly([1, -1, 0, 1]) * common)
+    assert made == 0
+    Fraction(1, 2)
+    assert made == 1  # the counter is live
