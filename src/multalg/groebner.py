@@ -1,5 +1,19 @@
 """Buchberger engine over Q with exact arithmetic, plus ideal queries.
 
+The kernel runs over the integers.  Inside `buchberger` every element is a
+primitive integer term dict with a positive leading coefficient, and the
+S-polynomial of f and g, with leading coefficients a and b, is
+(b/d)*x^alpha*f - (a/d)*x^beta*g for d = gcd(a, b).  Division is
+fraction-free: a term c*m meets its first divisor g, with leading
+coefficient a, by scaling the work and the remainder by a/gcd(a, c) and
+subtracting (c/gcd(a, c))*(m/lm)*g.  Every intermediate is then a positive
+multiple of the one that division over Q gives, so leading monomials,
+divisor choices and processed pairs are those of a `Fraction` kernel; each
+remainder is made primitive once (`linalg.primitive`).  `Fraction`s are
+made only at the API edge: when the reduced basis is made monic, and when
+`normal_form` divides its integer remainder by the product of its scale
+factors.
+
 The construction uses the two classical pair-discarding criteria (coprime
 leading monomials, and the chain criterion in its order-safe form: a pair
 (i, j) is dropped only when some k has lm_k dividing lcm(lm_i, lm_j) and
@@ -25,7 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from typing import Callable, Iterable, Sequence
+from math import gcd, lcm
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .linalg import primitive
 from .orders import EliminationOrder, MonomialOrder, WeightedGrevlex
@@ -43,6 +58,8 @@ from .poly import (
     weighted_degree,
 )
 from .series import RationalSeries, UniPoly, one_minus_power, weight_denominator
+
+IntTerms = dict[Exponents, int]
 
 __all__ = [
     "GroebnerError",
@@ -200,44 +217,60 @@ def leading_exponents(p: Polynomial, order: MonomialOrder) -> Exponents:
     return max(p.terms, key=order.key)
 
 
-def _shift_scale(p: Polynomial, shift: Exponents, scalar: Fraction) -> dict[Exponents, Fraction]:
-    return {mono_mul(e, shift): c * scalar for e, c in p.terms.items()}
+def _int_terms(terms: Mapping[Exponents, Fraction | int], lm: Exponents) -> IntTerms:
+    """The primitive integer multiple of `terms` whose coefficient at `lm` is positive."""
+    coeffs = primitive(list(terms.values()))
+    if terms[lm] < 0:
+        coeffs = [-c for c in coeffs]
+    return dict(zip(terms, coeffs))
+
+
+def _from_int(variables: tuple[str, ...], terms: IntTerms, denominator: int) -> Polynomial:
+    return Polynomial(variables, {e: Fraction(c, denominator) for e, c in terms.items()})
+
+
+def _s_terms(f: IntTerms, lmf: Exponents, g: IntTerms, lmg: Exponents) -> IntTerms:
+    """lcm(a, b) times the S-polynomial of f and g, a and b their leading coefficients."""
+    big = mono_lcm(lmf, lmg)
+    a, b = f[lmf], g[lmg]
+    d = gcd(a, b)
+    sf, sg = b // d, a // d
+    shift = mono_div(big, lmf)
+    out = {mono_mul(e, shift): c * sf for e, c in f.items()}
+    shift = mono_div(big, lmg)
+    for e, c in g.items():
+        e = mono_mul(e, shift)
+        s = out.get(e, 0) - c * sg
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     lmf = leading_exponents(f, order)
     lmg = leading_exponents(g, order)
-    big = mono_lcm(lmf, lmg)
-    left = _shift_scale(f, mono_div(big, lmf), 1 / f.terms[lmf])
-    right = _shift_scale(g, mono_div(big, lmg), 1 / g.terms[lmg])
-    out = dict(left)
-    for e, c in right.items():
-        s = out.get(e, Fraction(0)) - c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return Polynomial(f.variables, out)
-
-
-def _content_normalize(p: Polynomial, order: MonomialOrder) -> Polynomial:
-    """Primitive integer coefficients, leading coefficient positive."""
-    coeffs = primitive(list(p.terms.values()))
-    if p.terms[leading_exponents(p, order)] < 0:
-        coeffs = [-c for c in coeffs]
-    return Polynomial(p.variables, dict(zip(p.terms, coeffs)))
+    fi, gi = _int_terms(f.terms, lmf), _int_terms(g.terms, lmg)
+    return _from_int(f.variables, _s_terms(fi, lmf, gi, lmg), lcm(fi[lmf], gi[lmg]))
 
 
 def _nf_terms(
-    terms: dict[Exponents, Fraction],
+    work: IntTerms,
     lms: Sequence[Exponents],
-    polys: Sequence[Polynomial],
+    polys: Sequence[IntTerms],
     keyfn: Callable,
-    variables: tuple[str, ...],
-) -> Polynomial:
-    """Full remainder of division by (lms, polys); divisor = first match."""
-    work = dict(terms)
-    rem: dict[Exponents, Fraction] = {}
+) -> tuple[IntTerms, int]:
+    """Fraction-free full remainder of division by (lms, polys); divisor = first match.
+
+    Every divisor has a positive leading coefficient.  `work` is consumed.
+    Returns (rem, scale): rem is scale times the remainder that division
+    over Q gives, and scale > 0 is the product of the step factors.  The
+    terms of rem come in descending order, so its first key is its leading
+    monomial.
+    """
+    rem: IntTerms = {}
+    scale = 1
     keycache: dict[Exponents, object] = {}
 
     def key_of(e: Exponents):
@@ -251,12 +284,21 @@ def _nf_terms(
         c = work.pop(m)
         for lm, g in zip(lms, polys):
             if mono_divides(lm, m):
-                factor = c / g.terms[lm]
-                for e2, c2 in g.terms.items():
+                # a*work - c*(m/lm)*g over Q becomes (a/d)*work - (c/d)*(m/lm)*g
+                a = g[lm]
+                d = gcd(a, c)
+                if d != a:
+                    step = a // d
+                    scale *= step
+                    work = {e: v * step for e, v in work.items()}
+                    rem = {e: v * step for e, v in rem.items()}
+                t = c // d
+                shift = mono_div(m, lm)
+                for e2, c2 in g.items():
                     if e2 == lm:
                         continue
-                    tgt = mono_mul(e2, mono_div(m, lm))
-                    s = work.get(tgt, Fraction(0)) - factor * c2
+                    tgt = mono_mul(e2, shift)
+                    s = work.get(tgt, 0) - t * c2
                     if s:
                         work[tgt] = s
                     else:
@@ -264,7 +306,21 @@ def _nf_terms(
                 break
         else:
             rem[m] = c
-    return Polynomial(variables, rem)
+    return rem, scale
+
+
+def _int_basis(gb: GroebnerBasis) -> list[IntTerms]:
+    return [_int_terms(g.terms, lm) for g, lm in zip(gb.basis, gb.leading)]
+
+
+def _reduce(
+    p: Polynomial, lms: Sequence[Exponents], polys: Sequence[IntTerms], keyfn: Callable
+) -> Polynomial:
+    """The exact remainder over Q of p by integer divisors."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    work = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+    rem, scale = _nf_terms(work, lms, polys, keyfn)
+    return _from_int(p.variables, rem, den * scale)
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
@@ -273,7 +329,7 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
         raise PolynomialError("polynomial and basis live over different variables")
     if p.is_zero() or not gb.basis:
         return p
-    return _nf_terms(p.terms, gb.leading, gb.basis, gb.order.key, gb.variables)
+    return _reduce(p, gb.leading, _int_basis(gb), gb.order.key)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +346,8 @@ def buchberger(
     variables = ideal.variables
     key = order.key
 
-    work = [_content_normalize(g, order) for g in ideal.generators]
-    lms = [leading_exponents(g, order) for g in work]
+    lms = [leading_exponents(g, order) for g in ideal.generators]
+    work = [_int_terms(g.terms, lm) for g, lm in zip(ideal.generators, lms)]
 
     pending = {(i, j) for j in range(len(work)) for i in range(j)}
     queue = [(key(mono_lcm(lms[i], lms[j])), i, j) for i, j in pending]
@@ -323,45 +379,46 @@ def buchberger(
         processed += 1
         if processed > limits.max_pair_reductions:
             raise ResourceLimitExceeded(limits.max_pair_reductions)
-        s = s_polynomial(work[i], work[j], order)
-        if s.is_zero():
+        s = _s_terms(work[i], lms[i], work[j], lms[j])
+        if not s:
             continue
-        r = _nf_terms(s.terms, lms, work, key, variables)
-        if r.is_zero():
+        r, _ = _nf_terms(s, lms, work, key)
+        if not r:
             continue
-        r = _content_normalize(r, order)
+        lm = next(iter(r))
         t = len(work)
-        work.append(r)
-        lms.append(leading_exponents(r, order))
+        work.append(_int_terms(r, lm))
+        lms.append(lm)
         for i2 in range(t):
             pending.add((i2, t))
             heappush(queue, (key(mono_lcm(lms[i2], lms[t])), i2, t))
 
-    reduced = _reduce_basis(work, order)
+    reduced = _reduce_basis(work, lms, order, variables)
     return GroebnerBasis(variables, order, reduced, source=ideal.generators)
 
 
-def _reduce_basis(work: list[Polynomial], order: MonomialOrder) -> tuple[Polynomial, ...]:
+def _reduce_basis(
+    work: list[IntTerms], lms: list[Exponents], order: MonomialOrder, variables: tuple[str, ...]
+) -> tuple[Polynomial, ...]:
+    """Minimal, tail-reduced and monic, sorted by leading monomial."""
     key = order.key
-    indexed = sorted(range(len(work)), key=lambda i: key(leading_exponents(work[i], order)))
-    kept: list[Polynomial] = []
+    kept: list[IntTerms] = []
     kept_lms: list[Exponents] = []
-    for i in indexed:
-        lm = leading_exponents(work[i], order)
+    for i in sorted(range(len(work)), key=lambda i: key(lms[i])):
+        lm = lms[i]
         if any(mono_divides(k, lm) for k in kept_lms):
             continue
         kept.append(work[i])
         kept_lms.append(lm)
-    # tail-reduce each element against the others, then make monic
+    # tail-reduce each element against the others, then make it monic;
+    # a kept leading monomial divides no other, so it stays leading
     out: list[Polynomial] = []
-    for i, g in enumerate(kept):
+    for i, lm in enumerate(kept_lms):
         others = kept[:i] + kept[i + 1 :]
         other_lms = kept_lms[:i] + kept_lms[i + 1 :]
-        r = _nf_terms(g.terms, other_lms, others, key, g.variables)
-        lc = r.terms[leading_exponents(r, order)]
-        out.append(r.scale(1 / lc))
-        kept[i] = out[-1]
-    out.sort(key=lambda g: key(leading_exponents(g, order)))
+        r, _ = _nf_terms(dict(kept[i]), other_lms, others, key)
+        out.append(_from_int(variables, r, r[lm]))
+        kept[i] = _int_terms(r, lm)
     return tuple(out)
 
 
@@ -393,23 +450,25 @@ def certify(gb: GroebnerBasis, limits: ReductionLimits = DEFAULT_LIMITS) -> bool
     """
     n = len(gb.basis)
     budget = limits.max_pair_reductions
+    lms, polys, key = gb.leading, _int_basis(gb), gb.order.key
     count = 0
     for j in range(n):
         for i in range(j):
             count += 1
             if count > budget:
                 raise ResourceLimitExceeded(budget, context="certify")
-            s = s_polynomial(gb.basis[i], gb.basis[j], gb.order)
-            if s.is_zero():
+            s = _s_terms(polys[i], lms[i], polys[j], lms[j])
+            if not s:
                 continue
-            r = normal_form(s, gb)
-            if not r.is_zero():
+            r, scale = _nf_terms(s, lms, polys, key)
+            if r:
+                scale *= lcm(polys[i][lms[i]], polys[j][lms[j]])
                 raise CertificationError(
                     f"S-polynomial of basis elements {i} and {j} does not reduce to zero",
-                    witness=r,
+                    witness=_from_int(gb.variables, r, scale),
                 )
     for g in gb.source or ():
-        r = normal_form(g, gb)
+        r = _reduce(g, lms, polys, key)
         if not r.is_zero():
             raise CertificationError(
                 "an original generator does not reduce to zero", witness=r

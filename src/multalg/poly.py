@@ -10,7 +10,8 @@ when their variable tuples agree exactly; anything else raises
 VariableMismatch rather than silently unifying rings.
 
 Coefficients are `fractions.Fraction` throughout -- there is no floating
-point anywhere in this package.  The zero polynomial is the one with no
+point anywhere in this package, and the constructor rejects any coefficient
+that is not an `int` or a `Fraction`.  The zero polynomial is the one with no
 terms; it has no degree.
 
 Gradings assign a positive integer weight to each variable.  A polynomial
@@ -24,6 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import le
 from typing import Iterable, Mapping
 
@@ -166,7 +168,12 @@ class Polynomial:
                 raise PolynomialError(f"exponent tuple {exps} has wrong length for {vs}")
             if any(e < 0 for e in exps):
                 raise PolynomialError(f"negative exponent in {exps}")
-            c = Fraction(coeff)
+            if isinstance(coeff, Fraction):
+                c = coeff
+            elif isinstance(coeff, int):
+                c = Fraction(coeff)
+            else:
+                raise PolynomialError(f"coefficient {coeff!r} is not an int or a Fraction")
             if c:
                 clean[exps] = c
         object.__setattr__(self, "variables", vs)
@@ -182,7 +189,7 @@ class Polynomial:
     @classmethod
     def constant(cls, variables: Iterable[str], value: Fraction | int) -> "Polynomial":
         vs = tuple(variables)
-        return cls(vs, {(0,) * len(vs): Fraction(value)})
+        return cls(vs, {(0,) * len(vs): value})
 
     @classmethod
     def variable(cls, variables: Iterable[str], name: str) -> "Polynomial":
@@ -250,7 +257,6 @@ class Polynomial:
         return NotImplemented
 
     def scale(self, c: Fraction | int) -> "Polynomial":
-        c = Fraction(c)
         if not c:
             return Polynomial.zero(self.variables)
         return Polynomial(self.variables, {e: c * v for e, v in self.terms.items()})
@@ -602,17 +608,29 @@ def jacobian_determinant(m: PolynomialMap) -> Polynomial:
     Expansion by rows over column subsets (exact, no pivoting); for a
     quasi-homogeneous map the result is quasi-homogeneous of degree
     sum(component degrees) - sum(variable weights) whenever nonzero.
+    The expansion runs on integer rows: row r is the Jacobian row of
+    component r times the lcm L_r of that component's denominators, and
+    the result is divided by the product of the L_r once at the end.
     """
-    rows = jacobian_matrix(m)
-    n = len(rows)
     variables = m.variables
+    n = len(variables)
+    rows: list[list[dict[Exponents, int]]] = []
+    denominator = 1
+    for comp in m.components:
+        scale = lcm(*(c.denominator for c in comp.terms.values()))
+        denominator *= scale
+        row: list[dict[Exponents, int]] = [{} for _ in range(n)]
+        for exps, coeff in comp.terms.items():
+            coeff = coeff.numerator * (scale // coeff.denominator)
+            for i, e in enumerate(exps):
+                if e:
+                    row[i][exps[:i] + (e - 1,) + exps[i + 1 :]] = coeff * e
+        rows.append(row)
     # minors[S] = determinant of rows 0..r-1 against column set S
-    minors: dict[frozenset[int], Polynomial] = {frozenset(): Polynomial.constant(variables, 1)}
+    minors: dict[frozenset[int], dict[Exponents, int]] = {frozenset(): {(0,) * n: 1}}
     for r in range(n):
-        nxt: dict[frozenset[int], Polynomial] = {}
+        nxt: dict[frozenset[int], dict[Exponents, int]] = {}
         for cols, minor in minors.items():
-            if minor.is_zero():
-                continue
             # expanding along row r: cofactor sign is (-1)^(r + column position)
             sign = 1 if r % 2 == 0 else -1
             for c in range(n):
@@ -620,15 +638,20 @@ def jacobian_determinant(m: PolynomialMap) -> Polynomial:
                     sign = -sign
                     continue
                 entry = rows[r][c]
-                if entry.is_zero():
+                if not entry:
                     continue
-                key = cols | {c}
-                piece = minor * entry
-                if sign < 0:
-                    piece = -piece
-                acc = nxt.get(key)
-                nxt[key] = piece if acc is None else acc + piece
-        minors = nxt
+                acc = nxt.setdefault(cols | {c}, {})
+                for e1, c1 in minor.items():
+                    c1 *= sign
+                    for e2, c2 in entry.items():
+                        e = mono_mul(e1, e2)
+                        acc[e] = acc.get(e, 0) + c1 * c2
+        minors = {}
+        for cols, acc in nxt.items():
+            acc = {e: c for e, c in acc.items() if c}
+            if acc:
+                minors[cols] = acc
         if not minors:
             return Polynomial.zero(variables)
-    return minors.get(frozenset(range(n)), Polynomial.zero(variables))
+    (det,) = minors.values()  # the one column set left is all n columns
+    return Polynomial(variables, {e: Fraction(c, denominator) for e, c in det.items()})

@@ -1,9 +1,11 @@
 """Groebner engine tests.
 
 The reduced-basis computation is cross-checked against sympy's
-independent implementation on randomized unit-weight ideals, and the
-normal-form operator is pinned by its two defining invariants
-(idempotence and linearity).  Everything runs over exact rationals.
+independent implementation on randomized unit-weight ideals, with integer
+and with rational coefficients.  The normal-form operator is pinned by its
+two defining invariants (idempotence and linearity) and compared with a
+plain `Fraction` division kept here, since the engine itself reduces over
+the integers.  Everything runs over exact rationals.
 """
 
 import random
@@ -56,14 +58,6 @@ def I(vs, *texts):
 
 
 # ----------------------------------------------------------- worked bases
-
-
-def test_reduced_basis_examples():
-    gb = groebner_basis(I(("p1", "q1"), "p1 + q1", "p1*q1"))
-    assert [str(b) for b in gb.basis] == ["p1 + q1", "q1^2"]
-
-    gb = groebner_basis(I(("a0",), "a0"))
-    assert [str(b) for b in gb.basis] == ["a0"]
 
 
 def test_lex_basis_contains_cube():
@@ -142,6 +136,57 @@ def test_reduced_basis_matches_sympy(seed):
     assert ours_exprs == theirs_exprs
 
 
+def _rational_coefficients(rng, ideal):
+    """The ideal with every coefficient divided by a random +-2, 3 or 7."""
+    dens = (2, -2, 3, -3, 7, -7)
+    gens = tuple(
+        Polynomial(ideal.variables, {e: c / rng.choice(dens) for e, c in g.terms.items()})
+        for g in ideal.generators
+    )
+    return Ideal(ideal.variables, gens, ideal.grading)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_rational_basis_matches_sympy(seed):
+    # the engine reduces integer multiples of the generators; the basis over Q must not see that
+    rng = random.Random(200 + seed)
+    vs = XY if seed % 2 == 0 else XYZ
+    ideal = _rational_coefficients(rng, _random_ideal(rng, vs, max_terms=4, count=3))
+    order, sympy_order = (Lex(), "lex") if seed % 4 >= 2 else (ideal.default_order(), "grevlex")
+    syms = sympy.symbols(" ".join(vs))
+    ours = buchberger(ideal, order)
+    theirs = sympy.groebner(
+        [_to_sympy(g, syms) for g in ideal.generators], *syms, order=sympy_order, domain="QQ"
+    )
+    ours_exprs = {sympy.expand(_to_sympy(b, syms)) for b in ours.basis}
+    theirs_exprs = {sympy.expand(e) for e in theirs.exprs}
+    assert ours_exprs == theirs_exprs
+
+
+def test_zero_and_unit_ideals():
+    assert buchberger(Ideal(XY, ())).basis == ()
+    one = (Polynomial.constant(XY, 1),)
+    for order in (WeightedGrevlex.units(2), Lex(), EliminationOrder(block=1)):
+        assert buchberger(I(XY, "2*x + 1", "x"), order).basis == one
+        assert buchberger(I(XY, "-1/3"), order).basis == one
+
+
+def test_buchberger_makes_fractions_only_for_the_basis(monkeypatch):
+    # the kernel runs over int; Fractions appear when the kept elements are made monic
+    ideal = _map_ideal(grassmann_presentation(8, 4))
+    made = 0
+    fraction_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return fraction_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    gb = buchberger(ideal, ideal.default_order(), DEFAULT_LIMITS)
+    assert 0 < made <= 2 * sum(len(g.terms) for g in gb.basis)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_lex_basis_matches_sympy(seed):
     rng = random.Random(100 + seed)
@@ -192,6 +237,49 @@ def test_normal_form_kills_members(p, i):
     gb = _fixed_gb()
     member = p * gb.basis[i % len(gb.basis)]
     assert normal_form(member, gb).is_zero()
+
+
+def _fraction_division(p, basis):
+    """Reference: the remainder of first-match division over Q, on Fractions."""
+    key = basis.order.key
+    work = dict(p.terms)
+    rem = {}
+    while work:
+        m = max(work, key=key)
+        c = work.pop(m)
+        for lm, g in zip(basis.leading, basis.basis):
+            if all(a <= b for a, b in zip(lm, m)):
+                factor = c / g.terms[lm]
+                shift = tuple(a - b for a, b in zip(m, lm))
+                for e, cg in g.terms.items():
+                    if e != lm:
+                        target = tuple(a + b for a, b in zip(e, shift))
+                        work[target] = work.get(target, 0) - factor * cg
+                        if not work[target]:
+                            del work[target]
+                break
+        else:
+            rem[m] = c
+    return Polynomial(p.variables, rem)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_normal_form_matches_fraction_division(seed):
+    rng = random.Random(300 + seed)
+    order = (
+        WeightedGrevlex((1, 2, 3)),
+        Lex(),
+        EliminationOrder(block=1, first=WeightedGrevlex((1,)), rest=WeightedGrevlex((2, 1))),
+    )[seed % 3]
+    ideal = _rational_coefficients(rng, _random_ideal(rng, XYZ, max_terms=4, count=3))
+    reduced = buchberger(ideal, order)
+    # the raw generators as divisors: not monic, leading coefficients of either sign
+    raw = GroebnerBasis(XYZ, order, ideal.generators)
+    for _ in range(6):
+        single = _random_ideal(rng, XYZ, max_terms=5, max_deg=3, count=1)
+        (p,) = _rational_coefficients(rng, single).generators
+        for basis in (reduced, raw):
+            assert normal_form(p, basis) == _fraction_division(p, basis)
 
 
 def test_normal_form_examples():

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,6 +101,21 @@ def test_polynomials_are_immutable_and_hashable():
     with pytest.raises(AttributeError):
         p.terms = {}
     assert hash(p) == hash(parse_polynomial("y + x", XY))
+
+
+@pytest.mark.parametrize("coeff", [0.1, 1.0, "1/3", "2", None])
+def test_polynomial_rejects_non_rational_coefficients(coeff):
+    with pytest.raises(PolynomialError):
+        Polynomial(("x",), {(1,): coeff})
+    with pytest.raises(PolynomialError):
+        Polynomial.constant(("x",), coeff)
+
+
+def test_polynomial_keeps_fraction_coefficients():
+    third = Fraction(1, 3)
+    p = Polynomial(XY, {(1, 0): third, (0, 1): 2})
+    assert p.terms[(1, 0)] is third
+    assert type(p.terms[(0, 1)]) is Fraction and p.terms[(0, 1)] == 2
 
 
 names = st.sampled_from([("x", "y"), ("x", "y", "z")])
@@ -256,6 +273,47 @@ def test_jacobian_determinant_examples():
         (parse_polynomial("x^2", ("x",)),), WeightedGrading((1,))
     )
     assert jacobian_determinant(one) == parse_polynomial("2*x", ("x",))
+
+
+def _leibniz_determinant(m):
+    """Reference: the permutation sum over the Fraction Jacobian matrix."""
+    rows = jacobian_matrix(m)
+    n = len(rows)
+    total = Polynomial.zero(m.variables)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Polynomial.constant(m.variables, (-1) ** inversions)
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
+
+
+def _random_rational_map(rng, n):
+    variables = ("x", "y", "z", "w")[:n]
+    weights = (1,) + tuple(rng.choice((1, 2)) for _ in range(n - 1))
+    comps = []
+    for _ in range(n):
+        monos = monomials_of_weighted_degree(weights, rng.randint(1, 4))
+        terms = {
+            e: Fraction(rng.choice((-9, -4, -1, 1, 2, 5)), rng.choice((1, 2, 3, 7)))
+            for e in rng.sample(monos, min(3, len(monos)))
+        }
+        comps.append(Polynomial(variables, terms))
+    return PolynomialMap.build(comps, WeightedGrading(weights))
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_jacobian_determinant_matches_leibniz(seed):
+    m = _random_rational_map(random.Random(seed), 2 + seed % 3)
+    assert jacobian_determinant(m) == _leibniz_determinant(m)
+
+
+def test_jacobian_determinant_of_dependent_map_is_zero():
+    for texts in (("x + y", "2*x + 2*y"), ("1/2*x + 1/3*y", "3/5*x + 2/5*y")):
+        m = PolynomialMap.build([parse_polynomial(t, XY) for t in texts], WeightedGrading.units(2))
+        assert _leibniz_determinant(m).is_zero()
+        assert jacobian_determinant(m).is_zero()
 
 
 @given(st.lists(polys(vs=XY), min_size=2, max_size=2))
