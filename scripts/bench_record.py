@@ -5,8 +5,9 @@
     python3 scripts/bench_record.py --checkout OTHER_TREE --seed 1 --seconds 10
 
 Runs the checkout's `perfbench/run.py` (default: this repository's) once
-per workload with `--trace 0` and once with `--trace 1`, one process at a
-time, and prints to stdout one JSON object holding the settings and, under
+per workload listed in the checkout's `BENCHMARK.json` with `--trace 0`
+and once with `--trace 1`, one process at a time, and prints to stdout one
+JSON object holding the settings and, under
 `runs[workload]["trace0"|"trace1"]`, each run's final line (its metrics)
 with the source digest, Python and CPU from the line before it.
 Nothing is written to disk here or by `run.py`; redirect stdout to keep it.
@@ -22,7 +23,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("grassmann_analyze", "random_structure", "verify_catalogue")
 INFO_KEYS = ("source_sha256", "python", "cpu_model", "cpu_count", "fail_frac")
 
 
@@ -46,9 +46,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, required=True)
     args = parser.parse_args(argv)
 
+    benchmark = json.loads((args.checkout / "BENCHMARK.json").read_text())
     runs: dict[str, dict] = {}
     try:
-        for workload in WORKLOADS:
+        for workload in (w["name"] for w in benchmark["workloads"]):
             runs[workload] = {
                 f"trace{trace}": run_once(args.checkout, workload, args.seed, args.seconds, trace)
                 for trace in (0, 1)

@@ -19,7 +19,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -31,21 +30,12 @@ from multalg.jets import jet_invariants, jet_presentation
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "data" / "jet_regression.json"
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    max_n: int = 4
-    max_order: int = 3
-    max_pair_reductions: int = 200_000
-    out: Path = DEFAULT_OUT
-
-
-def sweep_rows(config: SweepConfig) -> list[dict]:
-    limits = ReductionLimits(max_pair_reductions=config.max_pair_reductions)
+def sweep_rows(max_n: int, max_order: int, limits: ReductionLimits) -> list[dict]:
     rows = []
-    for n in range(2, config.max_n + 1):
+    for n in range(2, max_n + 1):
         for k in range(1, n):
             base = grassmann_presentation(n, k)
-            for order in range(1, config.max_order + 1):
+            for order in range(1, max_order + 1):
                 jet = jet_presentation(base, order)
                 row = {
                     "n": n,
@@ -89,16 +79,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
     args = parser.parse_args(argv)
 
-    config = SweepConfig(
-        max_n=args.max_n,
-        max_order=args.max_order,
-        max_pair_reductions=args.max_reductions,
-        out=args.out,
+    rows = sweep_rows(
+        args.max_n, args.max_order, ReductionLimits(max_pair_reductions=args.max_reductions)
     )
-    rows = sweep_rows(config)
     archive = {
         "generated_by": "scripts/jet_regression.py",
-        "max_pair_reductions": config.max_pair_reductions,
+        "max_pair_reductions": args.max_reductions,
         "grading_note": (
             "series_weights records the grading each Hilbert series was "
             "computed under: unit weights when the jet ideal is homogeneous "
@@ -106,10 +92,10 @@ def main(argv: list[str] | None = None) -> int:
         ),
         "rows": rows,
     }
-    config.out.parent.mkdir(parents=True, exist_ok=True)
-    config.out.write_text(json.dumps(archive, indent=2, sort_keys=True) + "\n")
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    args.out.write_text(json.dumps(archive, indent=2, sort_keys=True) + "\n")
     skipped = sum(1 for r in rows if r["status"] == "skipped")
-    print(f"wrote {len(rows)} rows ({skipped} skipped) to {config.out}", file=sys.stderr)
+    print(f"wrote {len(rows)} rows ({skipped} skipped) to {args.out}", file=sys.stderr)
     return 0
 
 

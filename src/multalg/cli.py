@@ -29,8 +29,8 @@ from .grassmann import (
 from .groebner import DEFAULT_LIMITS, ReductionLimits, ResourceLimitExceeded
 from .jets import jet_invariants, jet_presentation
 from .multiplicity import equivariant_multiplicity, hitchin_base_weights, verify_structure_theorem
-from .poly import PolynomialError, polynomial_to_text, weighted_degree
-from .rings import FixtureError, PresentedRing
+from .poly import polynomial_to_text, weighted_degree
+from .rings import PresentedRing
 from .weights import DominantWeight, dominance_leq, weyl_orbit_size
 
 __all__ = ["main", "build_parser"]
@@ -357,10 +357,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (FixtureError, PolynomialError, ValueError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ValueError, OSError) as e:  # fixture, parse and JSON errors are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return 2
 

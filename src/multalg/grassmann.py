@@ -62,26 +62,20 @@ def grassmann_presentation(n: int, k: int) -> PresentedRing:
         f"q{j}" for j in range(1, n - k + 1)
     )
     weights = tuple(range(1, k + 1)) + tuple(range(1, n - k + 1))
-
-    def coeff_poly(names_value: dict[int, str], degree_of_x: int, total: int) -> Polynomial:
-        # coefficient of x^degree_of_x in a monic polynomial of degree `total`
-        if degree_of_x == total:
-            return Polynomial.constant(variables, 1)
-        name = names_value[total - degree_of_x]
-        return Polynomial.variable(variables, name)
-
-    p_names = {i: f"p{i}" for i in range(1, k + 1)}
-    q_names = {j: f"q{j}" for j in range(1, n - k + 1)}
-    # relation of weighted degree n - s = coefficient of x^s in P(x)Q(x) - x^n
+    # relation of weighted degree n - s = coefficient of x^s in P(x)Q(x) - x^n,
+    # the sum of p_(k-a) * q_(n-k-b) over a + b = s, with p_0 = q_0 = 1
     relations = []
     for s in range(n - 1, -1, -1):
-        acc = Polynomial.zero(variables)
-        for a in range(0, k + 1):
+        terms = {}
+        for a in range(max(0, s - (n - k)), min(k, s) + 1):  # 0 <= a <= k, 0 <= s - a <= n - k
             b = s - a
-            if not 0 <= b <= n - k:
-                continue
-            acc = acc + coeff_poly(p_names, a, k) * coeff_poly(q_names, b, n - k)
-        relations.append(acc)
+            exps = [0] * n
+            if a < k:
+                exps[k - a - 1] = 1  # p_(k-a)
+            if b < n - k:
+                exps[n - b - 1] = 1  # q_(n-k-b)
+            terms[tuple(exps)] = 1
+        relations.append(Polynomial(variables, terms))
     return PresentedRing(variables, weights, tuple(relations), provenance=f"grassmann({n},{k})")
 
 

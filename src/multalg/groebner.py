@@ -157,12 +157,6 @@ class Ideal:
         if self.grading is not None and len(self.grading.weights) != len(self.variables):
             raise PolynomialError("grading length does not match the variable count")
 
-    @classmethod
-    def of(cls, generators: Sequence[Polynomial], grading: WeightedGrading | None = None) -> "Ideal":
-        if not generators:
-            raise PolynomialError("use Ideal(variables, ()) for the zero ideal")
-        return cls(generators[0].variables, tuple(generators), grading)
-
     def is_zero(self) -> bool:
         return not self.generators
 

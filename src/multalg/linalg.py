@@ -83,11 +83,6 @@ def nullspace(rows: Matrix, ncols: int) -> list[list[Fraction]]:
 
     Deterministic: vectors are listed in increasing free-column order.
     """
-    if not rows:
-        return [
-            [Fraction(1) if i == j else Fraction(0) for i in range(ncols)]
-            for j in range(ncols)
-        ]
     reduced, pivots = rref(rows)
     pivot_set = set(pivots)
     basis = []

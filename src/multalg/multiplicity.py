@@ -213,8 +213,6 @@ def build_quotient(
 
 def poincare_polynomial(q: FiniteGradedAlgebra) -> UniPoly:
     """Coefficient of t^k = number of standard monomials of weighted degree k."""
-    if not q.basis:
-        return UniPoly()
     counts = [0] * (q.top_degree + 1)
     for d in q.degrees:
         counts[d] += 1

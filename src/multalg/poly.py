@@ -408,123 +408,85 @@ def weighted_degree(p: Polynomial, grading: WeightedGrading) -> int:
 # Whitespace is insignificant.  '*' is mandatory between factors.
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))"
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()])|(?P<bad>\S))"
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            # skip trailing whitespace cleanly
-            rest = text[pos:]
-            if rest.strip() == "":
-                break
-            bad = pos + len(rest) - len(rest.lstrip())
-            raise ParseError(f"unexpected character {text[bad]!r}", bad)
+    for m in _TOKEN.finditer(text):
         kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", m.start(kind))
         tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str, variables: tuple[str, ...]):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.text = text
-        self.variables = variables
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expr(self) -> Polynomial:
-        sign = Fraction(1)
-        kind, val, pos = self.peek()
-        if kind == "op" and val in "+-":
-            self.next()
-            if val == "-":
-                sign = -sign
-        result = self.term().scale(sign)
-        while True:
-            kind, val, pos = self.peek()
-            if kind is None:
-                return result
-            if kind != "op" or val not in "+-":
-                raise ParseError(f"expected '+' or '-', found {val!r}", pos)
-            self.next()
-            sign = Fraction(1) if val == "+" else Fraction(-1)
-            result = result + self.term().scale(sign)
-
-    def term(self) -> Polynomial:
-        kind, val, pos = self.peek()
-        if kind == "int":
-            poly = Polynomial.constant(self.variables, self.coeff())
-        elif kind == "name":
-            poly = self.factor()
-        else:
-            raise ParseError(f"expected a term, found {val!r}" if kind else "expected a term", pos)
-        while True:
-            kind, val, pos = self.peek()
-            if kind != "op" or val != "*":
-                return poly
-            self.next()
-            poly = poly * self.factor()
-
-    def coeff(self) -> Fraction:
-        kind, val, pos = self.next()
-        num = int(val)
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "/":
-            self.next()
-            kind, val, pos = self.next()
-            if kind != "int":
-                raise ParseError("expected an integer denominator", pos)
-            den = int(val)
-            if den == 0:
-                raise ParseError("zero denominator", pos)
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def factor(self) -> Polynomial:
-        kind, val, pos = self.next()
-        if kind != "name":
-            raise ParseError(f"expected a variable name, found {val!r}", pos)
-        if val not in self.variables:
-            raise UnknownVariable(val, pos)
-        idx = self.variables.index(val)
-        exp = 1
-        kind2, val2, pos2 = self.peek()
-        if kind2 == "op" and val2 == "^":
-            self.next()
-            kind3, val3, pos3 = self.next()
-            if kind3 != "int":
-                raise ParseError("expected an integer exponent", pos3)
-            exp = int(val3)
-            if exp <= 0:
-                raise ParseError("exponent must be positive", pos3)
-        exps = tuple(exp if i == idx else 0 for i in range(len(self.variables)))
-        return Polynomial(self.variables, {exps: Fraction(1)})
-
-
 def parse_polynomial(text: str, variables: Iterable[str]) -> Polynomial:
-    """Parse the textual form above into a Polynomial over `variables`."""
+    """Parse the textual form above into a Polynomial over `variables`.
+
+    One pass over the tokens: each coefficient or factor goes into the
+    current term's coefficient and exponent vector, each finished term is
+    added into one term dict, and a single Polynomial is built at the end.
+    """
     vs = tuple(variables)
-    parser = _Parser(text, vs)
-    if not parser.tokens:
+    tokens = _tokenize(text)
+    if not tokens:
         raise ParseError("empty polynomial text", 0)
-    result = parser.expr()
-    kind, val, pos = parser.peek()
-    if kind is not None:
-        raise ParseError(f"trailing input {val!r}", pos)
-    return result
+    tokens.append((None, None, len(text)))  # end of input
+    terms: dict[Exponents, Fraction] = {}
+    # num/den and exps hold the current term; `start` marks its first item,
+    # the one place a coefficient may stand
+    kind, val, _ = tokens[0]
+    i = int(kind == "op" and val in "+-")
+    num, den, exps, start = -1 if i and val == "-" else 1, 1, [0] * len(vs), True
+    while True:
+        kind, val, pos = tokens[i]
+        if kind == "name":
+            if val not in vs:
+                raise UnknownVariable(val, pos)
+            exp = 1
+            if tokens[i + 1][:2] == ("op", "^"):
+                i += 2
+                kind, digits, pos = tokens[i]
+                if kind != "int":
+                    raise ParseError("expected an integer exponent", pos)
+                exp = int(digits)
+                if exp <= 0:
+                    raise ParseError("exponent must be positive", pos)
+            exps[vs.index(val)] += exp
+        elif kind == "int" and start:
+            num *= int(val)
+            if tokens[i + 1][:2] == ("op", "/"):
+                i += 2
+                kind, digits, pos = tokens[i]
+                if kind != "int":
+                    raise ParseError("expected an integer denominator", pos)
+                den = int(digits)
+                if den == 0:
+                    raise ParseError("zero denominator", pos)
+        elif start:
+            raise ParseError(f"expected a term, found {val!r}" if kind else "expected a term", pos)
+        else:
+            raise ParseError(f"expected a variable name, found {val!r}", pos)
+        kind, val, pos = tokens[i + 1]
+        i += 2
+        if (kind, val) == ("op", "*"):
+            start = False
+            continue
+        # the term is complete; a sum that cancels leaves the dict, so the
+        # terms keep the order a sum of Polynomials would give them
+        key = tuple(exps)
+        total = terms.get(key, 0) + Fraction(num, den)
+        if total:
+            terms[key] = total
+        else:
+            terms.pop(key, None)
+        if kind is None:
+            return Polynomial(vs, terms)
+        if kind != "op" or val not in "+-":
+            raise ParseError(f"expected '+' or '-', found {val!r}", pos)
+        num, den, exps, start = -1 if val == "-" else 1, 1, [0] * len(vs), True
 
 
 def polynomial_to_text(p: Polynomial, grading: WeightedGrading | None = None) -> str:

@@ -187,6 +187,13 @@ def test_poincare_examples():
     assert poincare_polynomial(build_quotient(x2_map())) == UniPoly([1, 1])
 
 
+def test_poincare_of_unit_ideal_is_zero():
+    vs = ("x", "y")
+    q = FiniteGradedAlgebra(groebner_basis(Ideal(vs, (P("1", vs),))), WeightedGrading.units(2))
+    assert q.dimension == 0
+    assert poincare_polynomial(q) == UniPoly()
+
+
 def test_poincare_equals_hilbert_numerator():
     m = gr21_map()
     q = build_quotient(m)

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import sympy
 
@@ -70,6 +70,70 @@ def test_parse_rejects_trailing_garbage():
         parse_polynomial("x^0", XY)  # exponents are positive integers
     with pytest.raises(ParseError):
         parse_polynomial("x/0", XY)
+
+
+# (text, exception class, message, position) over ("x", "y")
+MALFORMED = [
+    ("", ParseError, "empty polynomial text", 0),
+    ("  ", ParseError, "empty polynomial text", 0),
+    ("-", ParseError, "expected a term", 1),
+    ("x +", ParseError, "expected a term", 3),
+    ("x + + y", ParseError, "expected a term, found '+'", 4),
+    ("+-x", ParseError, "expected a term, found '-'", 1),
+    ("(x)", ParseError, "expected a term, found '('", 0),
+    ("x 3", ParseError, "expected '+' or '-', found '3'", 2),
+    ("x/0", ParseError, "expected '+' or '-', found '/'", 1),
+    ("x^2^3", ParseError, "expected '+' or '-', found '^'", 3),
+    ("x*2", ParseError, "expected a variable name, found '2'", 2),
+    ("2*3", ParseError, "expected a variable name, found '3'", 2),
+    ("x*", ParseError, "expected a variable name, found None", 2),
+    ("x^", ParseError, "expected an integer exponent", 2),
+    ("x^y", ParseError, "expected an integer exponent", 2),
+    ("x^0", ParseError, "exponent must be positive", 2),
+    ("1/", ParseError, "expected an integer denominator", 2),
+    ("1/-2", ParseError, "expected an integer denominator", 2),
+    ("1/0", ParseError, "zero denominator", 2),
+    ("x # y", ParseError, "unexpected character '#'", 2),
+    ("x + z", UnknownVariable, "unknown variable 'z'", 4),
+]
+
+
+@pytest.mark.parametrize("text, cls, message, position", MALFORMED)
+def test_parse_error_class_message_and_position(text, cls, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(text, XY)
+    assert type(err.value) is cls
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("x*x", {(2, 0): 1}),
+        ("2*x^2*x", {(3, 0): 2}),
+        ("x*y - y*x", {}),
+        ("-1/2*x + 1/2*x + 3", {(0, 0): 3}),
+    ],
+)
+def test_parse_folds_repeated_factors_and_terms(text, want):
+    assert parse_polynomial(text, XY).terms == want
+
+
+def test_parse_builds_one_polynomial(monkeypatch):
+    built = []
+    init = Polynomial.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "__init__", counting_init)
+    long_sum = " + ".join(f"{i}*x^{i}*y" for i in range(1, 101))
+    for text in ("x^2 + 3*x*y - 1/2*y + 4", long_sum):
+        built.clear()
+        parse_polynomial(text, XY)
+        assert len(built) == 1, text
 
 
 def test_text_round_trip_examples():
@@ -316,19 +380,31 @@ def test_jacobian_determinant_of_dependent_map_is_zero():
         assert jacobian_determinant(m).is_zero()
 
 
-@given(st.lists(polys(vs=XY), min_size=2, max_size=2))
-@settings(max_examples=40)
-def test_jacobian_determinant_matches_sympy(comps):
-    # dodge the quasi-homogeneity requirement: compute through the raw matrix
-    sx, sy = sympy.symbols("x y")
-    rows = [[c.partial(v) for v in XY] for c in comps]
-    det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    sdet = sympy.expand(
-        sympy.Matrix(
-            [[_to_sympy(e, (sx, sy)) for e in row] for row in rows]
-        ).det()
-    )
-    assert sympy.simplify(_to_sympy(det, (sx, sy)) - sdet) == 0
+@st.composite
+def quasi_homogeneous_maps(draw):
+    """Square maps in 2-3 variables with random rational coefficients on
+    every monomial of each component's weighted degree."""
+    variables = ("x", "y", "z")[: draw(st.integers(2, 3))]
+    weights = (1,) + tuple(draw(st.sampled_from((1, 2))) for _ in variables[1:])
+    comps = []
+    for _ in variables:
+        monos = monomials_of_weighted_degree(weights, draw(st.integers(1, 3)))
+        coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+        terms = draw(st.lists(coeffs, min_size=len(monos), max_size=len(monos)))
+        comp = Polynomial(variables, dict(zip(monos, terms)))
+        assume(comp)
+        comps.append(comp)
+    return PolynomialMap.build(comps, WeightedGrading(weights))
+
+
+@given(quasi_homogeneous_maps())
+@settings(max_examples=40, deadline=None)
+def test_jacobian_determinant_matches_sympy(m):
+    syms = sympy.symbols(m.variables)
+    comps = [_to_sympy(c, syms) for c in m.components]
+    want = sympy.Matrix([[sympy.diff(f, s) for s in syms] for f in comps]).det()
+    got = _to_sympy(jacobian_determinant(m), syms)
+    assert sympy.expand(got - want) == 0
 
 
 def test_jacobian_degree_formula():

@@ -16,7 +16,7 @@ ARCHIVE = ROOT / "data" / "jet_regression.json"
 def load_script(name):
     spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # dataclasses resolve postponed annotations here
+    sys.modules[name] = module  # registered as an import would register it
     spec.loader.exec_module(module)
     return module
 
@@ -108,3 +108,19 @@ def test_structure_sweep_script_passes(capsys):
     assert rc == 0
     assert "0 failures" in out
     assert "FAIL" not in out
+
+
+def test_bench_record_takes_workloads_from_benchmark_json(tmp_path, monkeypatch, capsys):
+    script = load_script("bench_record")
+    benchmark = {"workloads": [{"name": "first"}, {"name": "second"}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    calls = []
+
+    def fake_run_once(checkout, workload, seed, seconds, trace):
+        calls.append((checkout, workload, trace))
+        return {"trace": trace}
+
+    monkeypatch.setattr(script, "run_once", fake_run_once)
+    assert script.main(["--checkout", str(tmp_path), "--seed", "1", "--seconds", "1"]) == 0
+    assert calls == [(tmp_path, w, t) for w in ("first", "second") for t in (0, 1)]
+    assert sorted(json.loads(capsys.readouterr().out)["runs"]) == ["first", "second"]
