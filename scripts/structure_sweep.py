@@ -30,8 +30,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-n", type=int, default=6)
     parser.add_argument("--random", type=int, default=10, metavar="COUNT")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-vars", type=int, default=4)
-    parser.add_argument("--max-degree", type=int, default=5)
     parser.add_argument("--max-reductions", type=int, default=200_000)
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)
@@ -43,9 +41,7 @@ def main(argv: list[str] | None = None) -> int:
             jobs.append((f"Gr({k},{n})", grassmann_presentation(n, k).as_map()))
     rng = random.Random(args.seed)
     for i in range(args.random):
-        m = random_zero_dimensional_map(
-            rng, n_vars=rng.randint(1, args.max_vars), max_degree=args.max_degree, limits=limits
-        )
+        m = random_zero_dimensional_map(rng, n_vars=rng.randint(1, 4), limits=limits)
         label = f"random[{i}] degrees={m.degrees} weights={m.grading.weights}"
         jobs.append((label, m))
 

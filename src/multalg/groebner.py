@@ -321,8 +321,6 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Unique remainder of p modulo the (reduced) basis."""
     if p.variables != gb.variables:
         raise PolynomialError("polynomial and basis live over different variables")
-    if p.is_zero() or not gb.basis:
-        return p
     return _reduce(p, gb.leading, _int_basis(gb), gb.order.key)
 
 
@@ -480,7 +478,7 @@ def is_zero_dimensional(gb: GroebnerBasis) -> bool:
     n = len(gb.variables)
     for i in range(n):
         if not any(
-            lm[i] >= 0 and all(e == 0 for j, e in enumerate(lm) if j != i) for lm in gb.leading
+            all(e == 0 for j, e in enumerate(lm) if j != i) for lm in gb.leading
         ):
             return False
     return True
@@ -524,13 +522,9 @@ def _minimalize(gens: Iterable[Exponents]) -> tuple[Exponents, ...]:
 def _monomial_numerator(gens: tuple[Exponents, ...], weights: tuple[int, ...]) -> UniPoly:
     """Numerator N with Hilb(R/(gens)) = N / prod(1 - t^w), by pivot recursion."""
     gens = _minimalize(gens)
-    if not gens:
-        return UniPoly.one()
     n = len(weights)
     if any(not any(g) for g in gens):
         return UniPoly()  # unit ideal
-    if len(gens) == 1:
-        return one_minus_power(sum(w * e for w, e in zip(weights, gens[0])))
     counts = [0] * n
     for g in gens:
         for i, e in enumerate(g):
@@ -538,7 +532,8 @@ def _monomial_numerator(gens: tuple[Exponents, ...], weights: tuple[int, ...]) -
                 counts[i] += 1
     pivot_var = max(range(n), key=lambda i: counts[i])
     if counts[pivot_var] < 2:
-        # pairwise disjoint supports: the quotient is a tensor product
+        # pairwise disjoint supports (no generator or one included): the
+        # quotient is a tensor product
         out = UniPoly.one()
         for g in gens:
             out = out * one_minus_power(sum(w * e for w, e in zip(weights, g)))
@@ -570,8 +565,6 @@ def hilbert_series(
         if witness is not None:
             raise NotQuasiHomogeneous(*witness)
     denom = weight_denominator(grading.weights)
-    if ideal.is_zero():
-        return RationalSeries(UniPoly.one(), denom)
     gb = groebner_basis(ideal, WeightedGrevlex(grading.weights), limits)
     numerator = _monomial_numerator(gb.leading, grading.weights)
     return RationalSeries(numerator, denom)
@@ -582,8 +575,6 @@ def krull_dimension(ideal_or_gb: Ideal | GroebnerBasis, limits: ReductionLimits 
     monomial is supported entirely inside S.  (Unit ideal: returns 0, the
     convention chosen here for the empty scheme.)"""
     if isinstance(ideal_or_gb, Ideal):
-        if ideal_or_gb.is_zero():
-            return len(ideal_or_gb.variables)
         gb = groebner_basis(ideal_or_gb, limits=limits)
     else:
         gb = ideal_or_gb

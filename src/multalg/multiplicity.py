@@ -89,10 +89,10 @@ class FiniteGradedAlgebra:
 
     Every monomial on the right is smaller than m in the basis's order, so
     this terminates under any monomial order; it is walked with an explicit
-    stack.  The vectors are cached sparse ({index: coefficient}) and made
-    dense only by `monomial_coordinates`, `product_coordinates` and
-    `variable_matrix`.  The socle and the Jacobian's coordinates, which
-    several clauses of the structure report read, are memoised as well.
+    stack.  `vector` returns these coordinates as a cached sparse
+    {index: coefficient} dict, the algebra's only coordinate form.  The
+    socle and the Jacobian's coordinates, which several clauses of the
+    structure report read, are memoised as well.
     """
 
     __slots__ = (
@@ -131,19 +131,11 @@ class FiniteGradedAlgebra:
     def basis_monomial(self, i: int) -> str:
         return monomial_to_text(self.basis[i], self.variables)
 
-    def _dense(self, vec: Mapping[int, Fraction]) -> list[Fraction]:
-        out = [Fraction(0)] * len(self.basis)
-        for i, c in vec.items():
-            out[i] = c
-        return out
+    def vector(self, target: Exponents) -> dict[int, Fraction]:
+        """Sparse coordinates of a monomial, from its neighbours' (see the class).
 
-    def coordinates(self, p: Polynomial) -> list[Fraction]:
-        """Coordinates of the class of p in the standard-monomial basis."""
-        nf = normal_form(p, self.gb)
-        return self._dense({self.index[e]: c for e, c in nf.terms.items()})
-
-    def _vector(self, target: Exponents) -> dict[int, Fraction]:
-        """Sparse coordinates of a monomial, from its neighbours' (see the class)."""
+        The dict returned is the cached one; callers must not modify it.
+        """
         vectors = self._vectors
         got = vectors.get(target)
         if got is not None:
@@ -180,21 +172,6 @@ class FiniteGradedAlgebra:
                     out[i] = out.get(i, 0) + c * d
             vectors[stack.pop()] = {i: c for i, c in out.items() if c}
         return vectors[target]
-
-    def monomial_coordinates(self, exps: Exponents) -> list[Fraction]:
-        return self._dense(self._vector(exps))
-
-    def product_coordinates(self, i: int, j: int) -> list[Fraction]:
-        """Coordinates of basis[i] * basis[j]."""
-        return self.monomial_coordinates(mono_mul(self.basis[i], self.basis[j]))
-
-    def variable_matrix(self, var_index: int) -> list[list[Fraction]]:
-        """Matrix of multiplication by x_v; column j = coords of x_v * b_j."""
-        n = len(self.variables)
-        unit = tuple(1 if k == var_index else 0 for k in range(n))
-        cols = [self.monomial_coordinates(mono_mul(b, unit)) for b in self.basis]
-        dim = len(self.basis)
-        return [[cols[j][i] for j in range(dim)] for i in range(dim)]
 
 
 def build_quotient(
@@ -267,7 +244,7 @@ def _graded_socle(q: FiniteGradedAlgebra) -> tuple[Polynomial, ...]:
         block: list[list[Fraction]] = []
         for v, w in enumerate(q.grading.weights):
             unit = tuple(1 if u == v else 0 for u in range(n))
-            images = [q._vector(mono_mul(q.basis[j], unit)) for j in cols]
+            images = [q.vector(mono_mul(q.basis[j], unit)) for j in cols]
             for j, image in zip(cols, images):
                 if any(q.degrees[i] != k + w for i in image):
                     raise ValueError(
@@ -282,39 +259,31 @@ def _graded_socle(q: FiniteGradedAlgebra) -> tuple[Polynomial, ...]:
     return tuple(p for _, p in sorted(found, key=lambda item: item[0]))
 
 
-def _socle_generator(q: FiniteGradedAlgebra) -> list[Fraction]:
-    """Coordinates of the first socle vector, memoised on q.
-
-    The socle is solved in the basis, so its monomials are basis monomials
-    and the coordinates are read off through q.index, with no reduction.
-    """
-    got = q._memo.get("socle_generator")
-    if got is None:
-        terms = socle(q)[0].terms
-        got = q._memo["socle_generator"] = q._dense({q.index[e]: c for e, c in terms.items()})
-    return got
-
-
-def _jacobian_coordinates(q: FiniteGradedAlgebra) -> list[Fraction]:
+def _jacobian_vector(q: FiniteGradedAlgebra) -> dict[int, Fraction]:
     """Coordinates of the source map's Jacobian determinant, memoised on q."""
     got = q._memo.get("jacobian")
     if got is None:
-        got = q._memo["jacobian"] = q.coordinates(jacobian_determinant(q.source_map))
+        nf = normal_form(jacobian_determinant(q.source_map), q.gb)
+        got = q._memo["jacobian"] = {q.index[e]: c for e, c in nf.terms.items()}
     return got
 
 
 def jacobian_spans_socle(q: FiniteGradedAlgebra) -> bool:
     """True iff NF of the Jacobian determinant is nonzero and proportional
-    to the (one-dimensional) socle."""
+    to the (one-dimensional) socle.
+
+    Every top-degree element lies in the socle, since multiplying it by a
+    variable gives 0.  So a one-dimensional socle is the top-degree piece,
+    its generator is a multiple of a single basis monomial, and the Jacobian
+    is a nonzero multiple of it exactly when both have the same support.
+    """
     if q.source_map is None:
         raise ValueError("algebra does not remember its source map")
     soc = socle(q)
     if len(soc) != 1:
         return False
-    jac = _jacobian_coordinates(q)
-    if not any(jac):
-        return False
-    return rank([jac, _socle_generator(q)]) == 1
+    # the socle is solved in the basis: its monomials are basis monomials
+    return _jacobian_vector(q).keys() == {q.index[e] for e in soc[0].terms}
 
 
 @dataclass(frozen=True)
@@ -345,19 +314,20 @@ def pairing_matrices(q: FiniteGradedAlgebra) -> PairingReport:
     soc = socle(q)
     if len(soc) != 1:
         raise ValueError(f"socle is {len(soc)}-dimensional, pairing needs dimension 1")
-    gen_vec = _socle_generator(q)
-    # the first supported coordinate; graded Gorenstein has only one
-    slot = next(i for i, c in enumerate(gen_vec) if c)
-    scale = Fraction(1) / gen_vec[slot]
+    # a one-dimensional socle is one top-degree basis monomial (see
+    # jacobian_spans_socle), so the generator has exactly one term
+    ((e, c),) = soc[0].terms.items()
+    slot = q.index[e]
+    scale = Fraction(1) / c
     normalized = False
     if q.source_map is not None:
-        jac = _jacobian_coordinates(q)
-        if jac[slot]:
-            scale = Fraction(1) / jac[slot]
+        jac = _jacobian_vector(q).get(slot)
+        if jac:
+            scale = Fraction(1) / jac
             normalized = True
 
     def ell(i: int, j: int) -> Fraction:
-        return q._vector(mono_mul(q.basis[i], q.basis[j])).get(slot, 0) * scale
+        return q.vector(mono_mul(q.basis[i], q.basis[j])).get(slot, 0) * scale
 
     m = q.top_degree
     by_deg: list[DegreePairing] = []
@@ -368,7 +338,7 @@ def pairing_matrices(q: FiniteGradedAlgebra) -> PairingReport:
         matrix = tuple(
             tuple(ell(i, j) for j in cols_idx) for i in rows_idx
         )
-        r = rank([list(row) for row in matrix]) if rows_idx and cols_idx else 0
+        r = rank([list(row) for row in matrix])
         perfect = len(rows_idx) == len(cols_idx) and r == len(rows_idx)
         by_deg.append(DegreePairing(k, m - k, matrix, r, perfect))
         all_perfect = all_perfect and perfect

@@ -405,10 +405,11 @@ def weighted_degree(p: Polynomial, grading: WeightedGrading) -> int:
 #   factor := name ['^' positive-integer]
 #   name   := [A-Za-z][A-Za-z0-9_]*
 #
-# Whitespace is insignificant.  '*' is mandatory between factors.
+# Integers are ASCII digits [0-9]+.  Whitespace is insignificant.  '*' is
+# mandatory between factors.
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()])|(?P<bad>\S))"
+    r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()])|(?P<bad>\S))"
 )
 
 

@@ -289,6 +289,11 @@ def test_normal_form_examples():
 
     one = Polynomial.constant(A3, 1)
     assert normal_form(one, _fixed_gb()) == one
+    assert normal_form(Polynomial.zero(A3), _fixed_gb()).is_zero()
+
+    # the zero ideal's basis is empty and leaves every polynomial as it is
+    p = P("a0^2 - 1/2*a1*a2 + 3", A3)
+    assert normal_form(p, groebner_basis(Ideal(A3, ()))) == p
 
 
 # -------------------------------------------------------------- staircase

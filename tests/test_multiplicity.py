@@ -155,28 +155,33 @@ def test_build_quotient_not_finite():
     assert len(err.value.basis.basis) >= 1  # the offending basis travels along
 
 
+def sparse_normal_form(q, m):
+    """{index: coefficient} of the normal form of the monomial m, reduced from scratch."""
+    nf = normal_form(Polynomial(q.variables, {m: Fraction(1)}), q.gb)
+    return {q.index[e]: c for e, c in nf.terms.items()}
+
+
 def test_multiplication_matrices_match_normal_forms():
     for q in reference_algebras():
         n = len(q.variables)
         # products first, on an empty cache, so the walk starts from the top
         for i in range(q.dimension):
             for j in range(i, q.dimension):
-                product = Polynomial(q.variables, {mono_mul(q.basis[i], q.basis[j]): Fraction(1)})
-                assert q.product_coordinates(i, j) == q.coordinates(product)
+                product = mono_mul(q.basis[i], q.basis[j])
+                assert q.vector(product) == sparse_normal_form(q, product)
         for v in range(n):
-            matrix = q.variable_matrix(v)
             unit = tuple(int(u == v) for u in range(n))
-            for j, b in enumerate(q.basis):
-                image = q.coordinates(Polynomial(q.variables, {mono_mul(b, unit): Fraction(1)}))
-                assert [row[j] for row in matrix] == image
+            for b in q.basis:
+                image = mono_mul(b, unit)
+                assert q.vector(image) == sparse_normal_form(q, image)
 
 
 def test_coordinates_reject_foreign_monomial():
+    # a leading monomial's vector is minus its tail: p1 + q1 is in the
+    # ideal, so p1 = -q1 and q1 is basis[1]
     q = build_quotient(gr21_map())
-    # p1 reduces to -q1; its raw coordinates only exist after reduction
-    vs = ("p1", "q1")
-    reduced = normal_form(P("p1", vs), q.gb)
-    assert q.coordinates(reduced) == [Fraction(0), Fraction(-1)]
+    assert q.basis[1] == (0, 1)
+    assert q.vector((1, 0)) == {1: Fraction(-1)}
 
 
 # ---------------------------------------------------------------- poincare
@@ -231,7 +236,13 @@ def fat_point():
 
 def dense_socle_reference(q):
     """The socle as one stacked nullspace over all multiplication matrices."""
-    stacked = [row for v in range(len(q.variables)) for row in q.variable_matrix(v)]
+    n = len(q.variables)
+    stacked = []
+    for v in range(n):
+        unit = tuple(int(u == v) for u in range(n))
+        images = [q.vector(mono_mul(b, unit)) for b in q.basis]
+        # row i of the matrix of x_v: coordinate i of every x_v * b_j
+        stacked.extend([image.get(i, Fraction(0)) for image in images] for i in range(q.dimension))
     return nullspace(stacked, q.dimension)
 
 
@@ -282,8 +293,8 @@ def test_deep_staircase_is_walked_without_recursion():
         WeightedGrading.units(1),
     )
     assert q.dimension == 1500
-    assert q.monomial_coordinates((3000,)) == [Fraction(0)] * 1500
-    assert q.monomial_coordinates((1499,)) == [Fraction(int(i == 1499)) for i in range(1500)]
+    assert q.vector((3000,)) == {}
+    assert q.vector((1499,)) == {1499: Fraction(1)}
 
 
 def test_socle_rejects_grading_the_ideal_does_not_respect():
@@ -330,6 +341,34 @@ def test_structure_report_computes_each_artefact_once(monkeypatch):
 def test_jacobian_spans_socle():
     assert jacobian_spans_socle(build_quotient(gr21_map()))
     assert jacobian_spans_socle(build_quotient(x2_map()))
+
+
+def dense_jacobian_spans_socle(q):
+    """The Jacobian clause as a rank test on dense coordinate rows."""
+    soc = socle(q)
+    if len(soc) != 1:
+        return False
+    nf = normal_form(jacobian_determinant(q.source_map), q.gb)
+    jac = [nf.terms.get(b, Fraction(0)) for b in q.basis]
+    gen = [soc[0].terms.get(b, Fraction(0)) for b in q.basis]
+    return any(jac) and rank([jac, gen]) == 1
+
+
+def test_jacobian_spans_socle_matches_dense_rank_reference():
+    for q in reference_algebras():
+        if q.source_map is not None:
+            assert jacobian_spans_socle(q) == dense_jacobian_spans_socle(q)
+    # the basis of (x^3) paired by hand with other maps: 2x has the wrong
+    # support, 3x^2 spans the socle, 4x^3 reduces to 0
+    x, grading = ("x",), WeightedGrading.units(1)
+    gb = groebner_basis(Ideal(x, (P("x^3", x),), grading))
+    got = []
+    for power in (2, 3, 4):
+        source = PolynomialMap.build((P(f"x^{power}", x),), grading)
+        q = FiniteGradedAlgebra(gb, grading, source_map=source)
+        assert jacobian_spans_socle(q) == dense_jacobian_spans_socle(q)
+        got.append(jacobian_spans_socle(q))
+    assert got == [False, True, False]
 
 
 def test_jacobian_reduces_to_socle_generator():
