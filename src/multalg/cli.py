@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .grassmann import (
@@ -37,15 +38,14 @@ __all__ = ["main", "build_parser"]
 
 
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
-    """Accept '1,2,3', '(1, 2, 3)', or '1 2 3'."""
+    """Accept '1,2,3', '(1, 2, 3)', or '1 2 3'; integers are ASCII [+-]?[0-9]+."""
     cleaned = text.strip().strip("()[]").replace(",", " ")
     parts = cleaned.split()
     if not parts:
         raise ValueError(f"{flag}: expected a list of integers, got {text!r}")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"{flag}: expected integers, got {text!r}") from None
+    if not all(re.fullmatch(r"[+-]?[0-9]+", p) for p in parts):
+        raise ValueError(f"{flag}: expected integers, got {text!r}")
+    return tuple(int(p) for p in parts)
 
 
 def _load_ring(path: str) -> PresentedRing:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
 from .groebner import Ideal
 from .poly import (
@@ -133,7 +133,7 @@ def _parse_fixture_core(
         raise FixtureError("duplicate variable names")
     weights_raw = data.get("weights", [1] * len(variables))
     if not isinstance(weights_raw, list) or not all(
-        isinstance(w, int) and w > 0 for w in weights_raw
+        type(w) is int and w > 0 for w in weights_raw
     ):
         raise FixtureError("'weights' must be a list of positive integers")
     weights = tuple(weights_raw)

@@ -204,6 +204,10 @@ def test_unknown_subcommand_exits_2(capsys):
 def test_malformed_int_list_exits_2(capsys):
     rc, _, err = run(capsys, "multiplicity", "-n", "2", "-m", "1,zebra")
     assert rc == 2 and "error:" in err
+    # integers are ASCII [+-]?[0-9]+: no digit separators, no non-ASCII digits
+    for domain, codomain in (("1_0", "10"), ("10", "١٠"), ("1,2", "1,٢")):
+        rc, _, err = run(capsys, "equivariant", "--domain", domain, "--codomain", codomain)
+        assert rc == 2 and "error:" in err, (domain, codomain)
 
 
 def test_bad_weight_vector_exits_2(capsys):

@@ -100,6 +100,7 @@ def test_fixture_errors():
         '{"variables": [], "generators": []}',
         '{"variables": ["x", "x"], "generators": []}',
         '{"variables": ["x"], "weights": [0], "generators": []}',
+        '{"variables": ["x"], "weights": [true], "generators": []}',
         '{"variables": ["x"], "weights": [1, 2], "generators": []}',
         '{"variables": ["x"], "generators": "x^2"}',
         '{"variables": ["x"], "generators": ["x +"]}',
