@@ -73,7 +73,7 @@ def sweep_rows(max_n: int, max_order: int, limits: ReductionLimits) -> list[dict
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--max-n", type=int, default=4)
+    parser.add_argument("--max-n", type=int, default=5)
     parser.add_argument("--max-order", type=int, default=3)
     parser.add_argument("--max-reductions", type=int, default=200_000)
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT)

@@ -1,6 +1,55 @@
 """Buchberger engine over Q with exact arithmetic, plus ideal queries.
 
-The kernel runs over the integers.  Inside `buchberger` every element is a
+Monomials are packed integers.  Inside the kernel (`buchberger`,
+`normal_form`, `certify`, `s_polynomial` and the staircase enumeration of
+`standard_monomials`) an exponent vector is one Python `int`, laid out so
+that `int` comparison is the monomial order, multiplication is `+` and
+division is `-`.  Exponent tuples are made only at the edge: a
+`Polynomial` is packed on the way in, and result polynomials,
+`GroebnerBasis.leading` and standard monomials are unpacked on the way out.
+
+Layout.  An order is cut into blocks of consecutive variables:
+`WeightedGrevlex` is one graded block, `Lex` one lex block, and an
+`EliminationOrder` the blocks of its `first` order followed by those of
+its `rest`, the first block most significant.  Every field is `bits` wide
+and its top bit is a guard bit, so a field holds values below
+2^(bits-1).
+- A lex block has one field per variable, first variable most
+  significant, holding e_i.
+- A graded block with weights w packs w_i*e_i into field i, last variable
+  most significant (its `rest`, S bits), and its weighted degree into a
+  field above those; the block is (wdeg << S) - rest.  Higher degree
+  wins, and at equal degree the smaller last exponent wins: reverse
+  lexicographic order.
+Packing is linear, so a lone `WeightedGrevlex` is the int (wdeg << S) - rest
+and pack(a) + pack(b) == pack(a*b) for every order.
+
+Divisibility works on the image u = (m + V) ^ V of a monomial, V being the
+value bits of the graded blocks' exponent fields.  In the image every field
+is nonnegative and grows with the exponents (w_i*e_i, e_i or a block
+degree), so lm divides m iff u(m) - u(lm) borrows in no field, that is iff
+(u(m) - u(lm)) & guards == 0: the short exponent vectors of Bachmann and
+Schoenemann (ISSAC 1998) on the packed monomials of Monagan and Pearce
+(CASC 2007).  The field-wise minimum of two images comes from the same
+guard-bit subtraction, and lcm(a, b) is u(a) + u(b) - gcd, the degree
+field of each graded block in gcd summed by one multiplication.
+
+Width and overflow.  The field width is derived from the input: the
+smallest with 2^(bits-1) above twice the largest field value of any input
+monomial, and at least 8 bits.  Every path detects a field that outgrows
+it.  Under a lone `WeightedGrevlex` no term of an S-polynomial or of its
+reduction has a higher weighted degree than the pair's lcm (in
+`normal_form`, than a term of the input), and no field exceeds the degree,
+so the degree field is checked once, when a pair's lcm is made.  Under
+`Lex` and elimination orders reduction can raise exponents, so products
+are checked: each divisor keeps its `reach`, the field-wise maximum of its
+terms' images less the image of its leading monomial, and the products a
+reduction step on the term m makes have images at most u(m) + reach
+(u(lcm) + reach for an S-polynomial), which must leave every guard bit
+clear.  On overflow the call runs again at double width, so results are
+those of unbounded exponents.
+
+The coefficients are integers.  Inside `buchberger` every element is a
 primitive integer term dict with a positive leading coefficient, and the
 S-polynomial of f and g, with leading coefficients a and b, is
 (b/d)*x^alpha*f - (a/d)*x^beta*g for d = gcd(a, b).  Division is
@@ -19,10 +68,10 @@ leading monomials, and the chain criterion in its order-safe form: a pair
 (i, j) is dropped only when some k has lm_k dividing lcm(lm_i, lm_j) and
 *both* pairs (i, k) and (j, k) have already left the queue).  Pair
 selection is the normal strategy: smallest lcm in the monomial order.
-Pairs wait on a heap keyed by (key(lcm), i, j), so each pair is keyed once
-and pops in the same order a `min` over the pending pairs by that key would
-give; a set of the pending (i, j) answers the chain criterion's membership
-tests, and a pair leaves both when it is popped.
+Pairs wait on a heap of (packed lcm, i, j), which pops in the order a
+`min` over the pending pairs by that key would give; a set of the pending
+(i, j) answers the chain criterion's membership tests, and a pair leaves
+both when it is popped.
 
 Every run is bounded by an explicit cap on processed S-pair reductions;
 exceeding it raises ResourceLimitExceeded rather than returning anything.
@@ -40,26 +89,24 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .linalg import primitive
-from .orders import EliminationOrder, MonomialOrder, WeightedGrevlex
+from .orders import EliminationOrder, Lex, MonomialOrder, WeightedGrevlex
 from .poly import (
     Exponents,
     NotQuasiHomogeneous,
     Polynomial,
     PolynomialError,
     WeightedGrading,
-    mono_div,
     mono_divides,
-    mono_lcm,
-    mono_mul,
     quasi_homogeneity_witness,
     weighted_degree,
 )
 from .series import RationalSeries, UniPoly, one_minus_power, weight_denominator
 
-IntTerms = dict[Exponents, int]
+IntTerms = dict[int, int]
 
 __all__ = [
     "GroebnerError",
@@ -127,6 +174,149 @@ DEFAULT_LIMITS = ReductionLimits()
 
 
 # ---------------------------------------------------------------------------
+# packed monomials
+
+
+class _Overflow(Exception):
+    """A field outgrew the packing of `bits`; the caller runs again at double width."""
+
+    def __init__(self, bits: int):
+        self.bits = bits
+
+
+def _blocks(order: MonomialOrder, start: int, stop: int):
+    """(weights, or None for lex, start, stop) of each block, most significant first."""
+    if isinstance(order, WeightedGrevlex):
+        if len(order.weights) != stop - start:
+            raise PolynomialError(f"{order} does not weight {stop - start} variables")
+        if stop > start:
+            yield order.weights, start, stop
+    elif isinstance(order, Lex):
+        if stop > start:
+            yield None, start, stop
+    elif isinstance(order, EliminationOrder):
+        cut = min(start + order.block, stop)
+        yield from _blocks(order.first, start, cut)
+        yield from _blocks(order.rest, cut, stop)
+    else:
+        raise TypeError(f"no packed form for the monomial order {order!r}")
+
+
+@lru_cache(maxsize=64)
+def _layout(order: MonomialOrder, n: int) -> tuple:
+    return tuple(_blocks(order, 0, n))
+
+
+def _width(order: MonomialOrder, n: int, monomials: Iterable[Exponents]) -> int:
+    """The field width these exponent tuples start at (see the module docstring)."""
+    blocks = _layout(order, n)
+    need = 0
+    for e in monomials:
+        for weights, start, stop in blocks:
+            part = e[start:stop]
+            v = sum(map(mul, part, weights)) if weights else max(part)
+            if v > need:
+                need = v
+    return max(8, (2 * need).bit_length() + 1)
+
+
+class _Packing:
+    """One order's packed monomials on n variables at one field width."""
+
+    def __init__(self, blocks: tuple, n: int, bits: int):
+        half = 1 << (bits - 1)
+        self.bits = bits
+        self.graded = len(blocks) == 1 and blocks[0][0] is not None
+        self.units = [0] * n  # packed x_i
+        self.cells: list[tuple[int, int]] = [(0, 1)] * n  # (bit position, weight) of x_i
+        self.offset = 0  # V: value bits of the graded exponent fields
+        self.guards = 0
+        self.mask = (1 << bits) - 1
+        self.degrees: list[tuple[int, int, int, int]] = []
+        at = 0
+        for weights, start, stop in reversed(blocks):
+            size = stop - start
+            if weights is None:
+                for j in range(size):
+                    pos = at + bits * (size - 1 - j)
+                    self.units[start + j] = 1 << pos
+                    self.cells[start + j] = (pos, 1)
+                    self.guards |= half << pos
+            else:
+                top = at + bits * size
+                for j, w in enumerate(weights):
+                    pos = at + bits * j
+                    self.units[start + j] = (w << top) - (w << pos)
+                    self.cells[start + j] = (pos, w)
+                    self.offset |= (half - 1) << pos
+                    self.guards |= half << pos
+                self.guards |= half << top
+                ones = sum(1 << (bits * j) for j in range(size))
+                # (exponent-field mask, its row of ones, shift to the sum, degree field)
+                self.degrees.append(((1 << top) - (1 << at), ones, top - bits, top))
+                size += 1
+            at += bits * size
+
+    def pack(self, e: Exponents) -> int:
+        return sum(map(mul, e, self.units))
+
+    def image(self, m: int) -> int:
+        """Every field nonnegative and growing with the exponents (see the module docstring)."""
+        return (m + self.offset) ^ self.offset
+
+    def unpack(self, m: int) -> Exponents:
+        u = self.image(m)
+        mask = self.mask
+        return tuple([((u >> pos) & mask) // w for pos, w in self.cells])
+
+    def fieldmin(self, x: int, y: int) -> int:
+        """Field-wise minimum of two images."""
+        guards = self.guards
+        ge = ((x | guards) - y) & guards  # guard bits of the fields where x >= y
+        mask = ge - (ge >> (self.bits - 1))
+        return (y & mask) | (x & ~mask)
+
+    def lcm(self, x: int, y: int) -> int:
+        """Packed lcm of the monomials with images x and y; checks its degree fields."""
+        g = self.fieldmin(x, y)
+        mask = self.mask
+        for fields, ones, shift, top in self.degrees:
+            total = ((g & fields) * ones >> shift) & mask
+            g = (g & ~(mask << top)) | (total << top)
+        u = x + y - g
+        if u & self.guards:
+            raise _Overflow(self.bits)
+        return (u ^ self.offset) - self.offset
+
+    def reach(self, terms: Iterable[int], lm_image: int) -> int:
+        """Field-wise maximum of the terms' images, less the leading one's.
+
+        Graded orders check degrees at lcm time instead and keep 0.
+        """
+        if self.graded:
+            return 0
+        top = 0
+        for e in terms:
+            u = self.image(e)
+            top += u - self.fieldmin(top, u)
+        return top - lm_image
+
+
+@lru_cache(maxsize=64)
+def _packing(order: MonomialOrder, n: int, bits: int) -> _Packing:
+    return _Packing(_layout(order, n), n, bits)
+
+
+def _widening(bits: int, attempt: Callable[[int], object]):
+    """attempt(bits), run again at twice the width it used after each overflow."""
+    while True:
+        try:
+            return attempt(bits)
+        except _Overflow as full:
+            bits = 2 * full.bits
+
+
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -167,9 +357,14 @@ class Ideal:
 
 
 class GroebnerBasis:
-    """Reduced basis: monic, mutually irreducible, sorted by leading monomial."""
+    """Reduced basis: monic, mutually irreducible, sorted by leading monomial.
 
-    __slots__ = ("variables", "order", "basis", "leading", "source")
+    The packed divisors (`_packed`: packing, leading monomials, their
+    images, primitive integer elements, reaches) are made once, on first
+    use or by `buchberger`, and take no part in equality or hashing.
+    """
+
+    __slots__ = ("variables", "order", "basis", "leading", "source", "_packed")
 
     def __init__(
         self,
@@ -178,11 +373,14 @@ class GroebnerBasis:
         basis: tuple[Polynomial, ...],
         source: tuple[Polynomial, ...] | None = None,
     ):
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "leading", tuple(leading_exponents(g, order) for g in basis))
-        object.__setattr__(self, "source", source)
+        leading = tuple(leading_exponents(g, order) for g in basis)
+        self._set(variables, order, basis, leading, source, None)
+
+    def _set(self, variables, order, basis, leading, source, packed) -> None:
+        for name, value in zip(
+            self.__slots__, (variables, order, basis, leading, source, packed)
+        ):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("GroebnerBasis is immutable")
@@ -211,7 +409,7 @@ def leading_exponents(p: Polynomial, order: MonomialOrder) -> Exponents:
     return max(p.terms, key=order.key)
 
 
-def _int_terms(terms: Mapping[Exponents, Fraction | int], lm: Exponents) -> IntTerms:
+def _int_terms(terms: Mapping[int, Fraction | int], lm: int) -> IntTerms:
     """The primitive integer multiple of `terms` whose coefficient at `lm` is positive."""
     coeffs = primitive(list(terms.values()))
     if terms[lm] < 0:
@@ -219,21 +417,60 @@ def _int_terms(terms: Mapping[Exponents, Fraction | int], lm: Exponents) -> IntT
     return dict(zip(terms, coeffs))
 
 
-def _from_int(variables: tuple[str, ...], terms: IntTerms, denominator: int) -> Polynomial:
-    return Polynomial(variables, {e: Fraction(c, denominator) for e, c in terms.items()})
+def _pack_terms(pk: _Packing, p: Polynomial) -> dict[int, Fraction]:
+    pack = pk.pack
+    return {pack(e): c for e, c in p.terms.items()}
 
 
-def _s_terms(f: IntTerms, lmf: Exponents, g: IntTerms, lmg: Exponents) -> IntTerms:
-    """lcm(a, b) times the S-polynomial of f and g, a and b their leading coefficients."""
-    big = mono_lcm(lmf, lmg)
+def _from_int(
+    pk: _Packing, variables: tuple[str, ...], terms: IntTerms, denominator: int
+) -> Polynomial:
+    unpack = pk.unpack
+    return Polynomial(variables, {unpack(e): Fraction(c, denominator) for e, c in terms.items()})
+
+
+def _elements(pk: _Packing, polys: Iterable[Polynomial]) -> tuple[list, list, list, list]:
+    """Leading monomials, their images, primitive integer elements and reaches."""
+    lms, images, elements, reach = [], [], [], []
+    for p in polys:
+        terms = _pack_terms(pk, p)
+        lm = max(terms)
+        u = pk.image(lm)
+        lms.append(lm)
+        images.append(u)
+        elements.append(_int_terms(terms, lm))
+        reach.append(pk.reach(terms, u))
+    return lms, images, elements, reach
+
+
+def _divisors(gb: GroebnerBasis, bits: int) -> tuple:
+    """The basis packed at `bits` or wider: (packing, lms, images, elements, reaches)."""
+    got = gb._packed
+    if got is None or got[0].bits < bits:
+        n = len(gb.variables)
+        bits = max(bits, _width(gb.order, n, (e for g in gb.basis for e in g.terms)))
+        pk = _packing(gb.order, n, bits)
+        got = (pk, *_elements(pk, gb.basis))
+        object.__setattr__(gb, "_packed", got)
+    return got
+
+
+def _s_terms(
+    pk: _Packing, f: IntTerms, lmf: int, reachf: int, g: IntTerms, lmg: int, reachg: int, big: int
+) -> IntTerms:
+    """lcm(a, b) times the S-polynomial of f and g, a and b their leading
+    coefficients; `big` is the packed lcm of their leading monomials."""
+    u = pk.image(big)
+    if not pk.graded and ((reachf + u) | (reachg + u)) & pk.guards:
+        raise _Overflow(pk.bits)
     a, b = f[lmf], g[lmg]
     d = gcd(a, b)
     sf, sg = b // d, a // d
-    shift = mono_div(big, lmf)
-    out = {mono_mul(e, shift): c * sf for e, c in f.items()}
-    shift = mono_div(big, lmg)
+    shift = big - lmf
+    out = {e + shift: c * sf for e, c in f.items()}
+    shift = big - lmg
     for e, c in g.items():
-        e = mono_mul(e, shift)
+        e += shift
         s = out.get(e, 0) - c * sg
         if s:
             out[e] = s
@@ -243,19 +480,33 @@ def _s_terms(f: IntTerms, lmf: Exponents, g: IntTerms, lmg: Exponents) -> IntTer
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    lmf = leading_exponents(f, order)
-    lmg = leading_exponents(g, order)
-    fi, gi = _int_terms(f.terms, lmf), _int_terms(g.terms, lmg)
-    return _from_int(f.variables, _s_terms(fi, lmf, gi, lmg), lcm(fi[lmf], gi[lmg]))
+    if f.is_zero() or g.is_zero():
+        raise PolynomialError("the zero polynomial has no leading monomial")
+    n = len(f.variables)
+
+    def attempt(bits: int) -> Polynomial:
+        pk = _packing(order, n, bits)
+        fi, gi = _pack_terms(pk, f), _pack_terms(pk, g)
+        lmf, lmg = max(fi), max(gi)
+        uf, ug = pk.image(lmf), pk.image(lmg)
+        fi, gi = _int_terms(fi, lmf), _int_terms(gi, lmg)
+        s = _s_terms(
+            pk, fi, lmf, pk.reach(fi, uf), gi, lmg, pk.reach(gi, ug), pk.lcm(uf, ug)
+        )
+        return _from_int(pk, f.variables, s, lcm(fi[lmf], gi[lmg]))
+
+    return _widening(_width(order, n, [*f.terms, *g.terms]), attempt)
 
 
 def _nf_terms(
     work: IntTerms,
-    lms: Sequence[Exponents],
+    lms: Sequence[int],
+    images: Sequence[int],
     polys: Sequence[IntTerms],
-    keyfn: Callable,
+    reach: Sequence[int],
+    pk: _Packing,
 ) -> tuple[IntTerms, int]:
-    """Fraction-free full remainder of division by (lms, polys); divisor = first match.
+    """Fraction-free full remainder of division by packed divisors; divisor = first match.
 
     Every divisor has a positive leading coefficient.  `work` is consumed.
     Returns (rem, scale): rem is scale times the remainder that division
@@ -265,63 +516,58 @@ def _nf_terms(
     """
     rem: IntTerms = {}
     scale = 1
-    keycache: dict[Exponents, object] = {}
-
-    def key_of(e: Exponents):
-        v = keycache.get(e)
-        if v is None:
-            v = keycache[e] = keyfn(e)
-        return v
-
+    offset, guards = pk.offset, pk.guards
+    check = 0 if pk.graded else guards
     while work:
-        m = max(work, key=key_of)
+        m = max(work)
         c = work.pop(m)
-        for lm, g in zip(lms, polys):
-            if mono_divides(lm, m):
-                # a*work - c*(m/lm)*g over Q becomes (a/d)*work - (c/d)*(m/lm)*g
-                a = g[lm]
-                d = gcd(a, c)
-                if d != a:
-                    step = a // d
-                    scale *= step
-                    work = {e: v * step for e, v in work.items()}
-                    rem = {e: v * step for e, v in rem.items()}
-                t = c // d
-                shift = mono_div(m, lm)
-                for e2, c2 in g.items():
-                    if e2 == lm:
-                        continue
-                    tgt = mono_mul(e2, shift)
-                    s = work.get(tgt, 0) - t * c2
-                    if s:
-                        work[tgt] = s
-                    else:
-                        work.pop(tgt, None)
+        t = (m + offset) ^ offset
+        for u in images:
+            if not (t - u) & guards:
                 break
         else:
             rem[m] = c
+            continue
+        k = images.index(u)  # the first divisor with this image divides m
+        if (reach[k] + t) & check:
+            raise _Overflow(pk.bits)
+        g, lm = polys[k], lms[k]
+        # a*work - c*(m/lm)*g over Q becomes (a/d)*work - (c/d)*(m/lm)*g
+        a = g[lm]
+        d = gcd(a, c)
+        if d != a:
+            step = a // d
+            scale *= step
+            work = {e: v * step for e, v in work.items()}
+            rem = {e: v * step for e, v in rem.items()}
+        q = c // d
+        shift = m - lm
+        for e, cg in g.items():
+            if e == lm:
+                continue
+            e += shift
+            s = work.get(e, 0) - q * cg
+            if s:
+                work[e] = s
+            else:
+                work.pop(e, None)
     return rem, scale
 
 
-def _int_basis(gb: GroebnerBasis) -> list[IntTerms]:
-    return [_int_terms(g.terms, lm) for g, lm in zip(gb.basis, gb.leading)]
-
-
-def _reduce(
-    p: Polynomial, lms: Sequence[Exponents], polys: Sequence[IntTerms], keyfn: Callable
-) -> Polynomial:
-    """The exact remainder over Q of p by integer divisors."""
+def _reduce(p: Polynomial, pk: _Packing, lms, images, polys, reach) -> Polynomial:
+    """The exact remainder over Q of p by packed integer divisors."""
     den = lcm(*(c.denominator for c in p.terms.values()))
-    work = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
-    rem, scale = _nf_terms(work, lms, polys, keyfn)
-    return _from_int(p.variables, rem, den * scale)
+    work = {e: c.numerator * (den // c.denominator) for e, c in _pack_terms(pk, p).items()}
+    rem, scale = _nf_terms(work, lms, images, polys, reach, pk)
+    return _from_int(pk, p.variables, rem, den * scale)
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Unique remainder of p modulo the (reduced) basis."""
     if p.variables != gb.variables:
         raise PolynomialError("polynomial and basis live over different variables")
-    return _reduce(p, gb.leading, _int_basis(gb), gb.order.key)
+    width = _width(gb.order, len(p.variables), p.terms)
+    return _widening(width, lambda bits: _reduce(p, *_divisors(gb, bits)))
 
 
 # ---------------------------------------------------------------------------
@@ -335,30 +581,35 @@ def buchberger(
     """Reduced Groebner basis of the ideal under the given order."""
     if order is None:
         order = ideal.default_order()
-    variables = ideal.variables
-    key = order.key
+    n = len(ideal.variables)
+    width = _width(order, n, (e for g in ideal.generators for e in g.terms))
+    return _widening(
+        width, lambda bits: _buchberger(ideal, _packing(order, n, bits), order, limits)
+    )
 
-    lms = [leading_exponents(g, order) for g in ideal.generators]
-    work = [_int_terms(g.terms, lm) for g, lm in zip(ideal.generators, lms)]
+
+def _buchberger(
+    ideal: Ideal, pk: _Packing, order: MonomialOrder, limits: ReductionLimits
+) -> GroebnerBasis:
+    offset, guards = pk.offset, pk.guards
+    lms, images, work, reach = _elements(pk, ideal.generators)
 
     pending = {(i, j) for j in range(len(work)) for i in range(j)}
-    queue = [(key(mono_lcm(lms[i], lms[j])), i, j) for i, j in pending]
+    queue = [(pk.lcm(images[i], images[j]), i, j) for i, j in pending]
     heapify(queue)
 
     processed = 0
     while queue:
-        _, i, j = heappop(queue)
+        big, i, j = heappop(queue)
         pending.remove((i, j))
-        big = mono_lcm(lms[i], lms[j])
         # coprime criterion
-        if big == mono_mul(lms[i], lms[j]):
+        if big == lms[i] + lms[j]:
             continue
         # chain criterion (order-safe form)
+        ub = (big + offset) ^ offset
         skip = False
-        for k in range(len(work)):
-            if k in (i, j):
-                continue
-            if not mono_divides(lms[k], big):
+        for k, u in enumerate(images):
+            if (ub - u) & guards or k == i or k == j:
                 continue
             if (min(i, k), max(i, k)) in pending:
                 continue
@@ -371,47 +622,60 @@ def buchberger(
         processed += 1
         if processed > limits.max_pair_reductions:
             raise ResourceLimitExceeded(limits.max_pair_reductions)
-        s = _s_terms(work[i], lms[i], work[j], lms[j])
+        s = _s_terms(pk, work[i], lms[i], reach[i], work[j], lms[j], reach[j], big)
         if not s:
             continue
-        r, _ = _nf_terms(s, lms, work, key)
+        r, _ = _nf_terms(s, lms, images, work, reach, pk)
         if not r:
             continue
         lm = next(iter(r))
+        u = pk.image(lm)
         t = len(work)
         work.append(_int_terms(r, lm))
         lms.append(lm)
+        images.append(u)
+        reach.append(pk.reach(r, u))
         for i2 in range(t):
             pending.add((i2, t))
-            heappush(queue, (key(mono_lcm(lms[i2], lms[t])), i2, t))
+            heappush(queue, (pk.lcm(images[i2], u), i2, t))
 
-    reduced = _reduce_basis(work, lms, order, variables)
-    return GroebnerBasis(variables, order, reduced, source=ideal.generators)
+    return _reduce_basis(work, lms, images, reach, pk, ideal, order)
 
 
 def _reduce_basis(
-    work: list[IntTerms], lms: list[Exponents], order: MonomialOrder, variables: tuple[str, ...]
-) -> tuple[Polynomial, ...]:
+    work: list[IntTerms],
+    lms: list[int],
+    images: list[int],
+    reach: list[int],
+    pk: _Packing,
+    ideal: Ideal,
+    order: MonomialOrder,
+) -> GroebnerBasis:
     """Minimal, tail-reduced and monic, sorted by leading monomial."""
-    key = order.key
-    kept: list[IntTerms] = []
-    kept_lms: list[Exponents] = []
-    for i in sorted(range(len(work)), key=lambda i: key(lms[i])):
-        lm = lms[i]
-        if any(mono_divides(k, lm) for k in kept_lms):
+    guards = pk.guards
+    kept: list[int] = []
+    for i in sorted(range(len(work)), key=lms.__getitem__):
+        if any(not (images[i] - images[k]) & guards for k in kept):
             continue
-        kept.append(work[i])
-        kept_lms.append(lm)
+        kept.append(i)
+    lms = [lms[i] for i in kept]
+    images = [images[i] for i in kept]
+    polys = [work[i] for i in kept]
+    reach = [reach[i] for i in kept]
     # tail-reduce each element against the others, then make it monic;
     # a kept leading monomial divides no other, so it stays leading
     out: list[Polynomial] = []
-    for i, lm in enumerate(kept_lms):
-        others = kept[:i] + kept[i + 1 :]
-        other_lms = kept_lms[:i] + kept_lms[i + 1 :]
-        r, _ = _nf_terms(dict(kept[i]), other_lms, others, key)
-        out.append(_from_int(variables, r, r[lm]))
-        kept[i] = _int_terms(r, lm)
-    return tuple(out)
+    for i, lm in enumerate(lms):
+        others = [seq[:i] + seq[i + 1 :] for seq in (lms, images, polys, reach)]
+        r, _ = _nf_terms(dict(polys[i]), *others, pk)
+        out.append(_from_int(pk, ideal.variables, r, r[lm]))
+        polys[i] = _int_terms(r, lm)
+        reach[i] = pk.reach(r, images[i])
+    gb = GroebnerBasis.__new__(GroebnerBasis)
+    leading = tuple(pk.unpack(lm) for lm in lms)
+    packed = (pk, lms, images, polys, reach)
+    gb._set(ideal.variables, order, tuple(out), leading, ideal.generators, packed)
+    return gb
 
 
 @lru_cache(maxsize=256)
@@ -440,27 +704,33 @@ def certify(gb: GroebnerBasis, limits: ReductionLimits = DEFAULT_LIMITS) -> bool
     Also re-reduces the source generators when the basis remembers them.
     Returns True or raises CertificationError with the nonzero witness.
     """
-    n = len(gb.basis)
+    sources = gb.source or ()
+    n = len(gb.variables)
+    width = _width(gb.order, n, (e for g in sources for e in g.terms))
+    return _widening(width, lambda bits: _certify(gb, sources, limits, *_divisors(gb, bits)))
+
+
+def _certify(gb, sources, limits, pk, lms, images, polys, reach) -> bool:
     budget = limits.max_pair_reductions
-    lms, polys, key = gb.leading, _int_basis(gb), gb.order.key
     count = 0
-    for j in range(n):
+    for j in range(len(polys)):
         for i in range(j):
             count += 1
             if count > budget:
                 raise ResourceLimitExceeded(budget, context="certify")
-            s = _s_terms(polys[i], lms[i], polys[j], lms[j])
+            big = pk.lcm(images[i], images[j])
+            s = _s_terms(pk, polys[i], lms[i], reach[i], polys[j], lms[j], reach[j], big)
             if not s:
                 continue
-            r, scale = _nf_terms(s, lms, polys, key)
+            r, scale = _nf_terms(s, lms, images, polys, reach, pk)
             if r:
                 scale *= lcm(polys[i][lms[i]], polys[j][lms[j]])
                 raise CertificationError(
                     f"S-polynomial of basis elements {i} and {j} does not reduce to zero",
-                    witness=_from_int(gb.variables, r, scale),
+                    witness=_from_int(pk, gb.variables, r, scale),
                 )
-    for g in gb.source or ():
-        r = _reduce(g, lms, polys, key)
+    for g in sources:
+        r = _reduce(g, pk, lms, images, polys, reach)
         if not r.is_zero():
             raise CertificationError(
                 "an original generator does not reduce to zero", witness=r
@@ -485,29 +755,33 @@ def is_zero_dimensional(gb: GroebnerBasis) -> bool:
 
 
 def standard_monomials(gb: GroebnerBasis) -> list[Exponents]:
-    """All monomials outside the leading-term ideal, sorted by order key.
+    """All monomials outside the leading-term ideal, sorted by the order.
 
     Raises NotZeroDimensional when the staircase is infinite.
     """
     if not is_zero_dimensional(gb):
         raise NotZeroDimensional(gb)
-    n = len(gb.variables)
-    start = (0,) * n
-    seen = {start}
-    queue = [start]
-    found: list[Exponents] = []
+    # every monomial visited lies below the field-wise max of the leading
+    # monomials, which includes a pure power of each variable
+    corner = [tuple(map(max, zip(*gb.leading)))]
+    pk, _, images, _, _ = _divisors(gb, _width(gb.order, len(gb.variables), corner))
+    guards = pk.guards
+    seen = {0}
+    queue = [0]
+    found: list[int] = []
     while queue:
         m = queue.pop()
-        if any(mono_divides(lm, m) for lm in gb.leading):
+        t = pk.image(m)
+        if any(not (t - u) & guards for u in images):
             continue
         found.append(m)
-        for i in range(n):
-            nxt = m[:i] + (m[i] + 1,) + m[i + 1 :]
+        for unit in pk.units:
+            nxt = m + unit
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    found.sort(key=gb.order.key)
-    return found
+    found.sort()
+    return [pk.unpack(m) for m in found]
 
 
 def _minimalize(gens: Iterable[Exponents]) -> tuple[Exponents, ...]:

@@ -46,8 +46,6 @@ __all__ = [
     "PolynomialMap",
     "mono_mul",
     "mono_divides",
-    "mono_div",
-    "mono_lcm",
     "monomials_of_weighted_degree",
     "monomial_to_text",
     "parse_polynomial",
@@ -110,15 +108,6 @@ def mono_mul(a: Exponents, b: Exponents) -> Exponents:
 def mono_divides(a: Exponents, b: Exponents) -> bool:
     """True when the monomial with exponents `a` divides the one with `b`."""
     return all(map(le, a, b))
-
-
-def mono_div(a: Exponents, b: Exponents) -> Exponents:
-    """Exponents of a/b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def monomials_of_weighted_degree(weights: tuple[int, ...], degree: int) -> list[Exponents]:

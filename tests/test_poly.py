@@ -19,7 +19,6 @@ from multalg.poly import (
     jacobian_determinant,
     jacobian_matrix,
     mono_divides,
-    mono_lcm,
     monomials_of_weighted_degree,
     parse_polynomial,
     polynomial_to_text,
@@ -359,4 +358,3 @@ def test_jacobian_determinant_matches_sympy(m):
 def test_mono_helpers():
     assert mono_divides((1, 0), (2, 1))
     assert not mono_divides((1, 2), (2, 1))
-    assert mono_lcm((1, 2), (2, 1)) == (2, 2)

@@ -28,7 +28,7 @@ def archive():
 
 def test_archive_schema(archive):
     rows = archive["rows"]
-    assert len(rows) == 18  # n in 2..4, k in 1..n-1, order in 1..3
+    assert len(rows) == 30  # n in 2..5, k in 1..n-1, order in 1..3
     seen = set()
     for row in rows:
         key = (row["n"], row["k"], row["order"])
@@ -85,7 +85,7 @@ def test_archive_matches_recomputation(archive):
 def test_regression_script_reproduces_archive_rows(tmp_path, capsys):
     script = load_script("jet_regression")
     out = tmp_path / "archive.json"
-    rc = script.main(["--max-n", "4", "--out", str(out)])
+    rc = script.main(["--max-n", "5", "--out", str(out)])
     assert rc == 0
     fresh = {
         (r["n"], r["k"], r["order"]): r for r in json.loads(out.read_text())["rows"]
