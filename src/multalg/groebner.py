@@ -804,8 +804,8 @@ def _monomial_numerator(gens: tuple[Exponents, ...], weights: tuple[int, ...]) -
         for i, e in enumerate(g):
             if e:
                 counts[i] += 1
-    pivot_var = max(range(n), key=lambda i: counts[i])
-    if counts[pivot_var] < 2:
+    top = max(counts, default=0)
+    if top < 2:
         # pairwise disjoint supports (no generator or one included): the
         # quotient is a tensor product
         out = UniPoly.one()
@@ -813,6 +813,7 @@ def _monomial_numerator(gens: tuple[Exponents, ...], weights: tuple[int, ...]) -
             out = out * one_minus_power(sum(w * e for w, e in zip(weights, g)))
         return out
     # split along the pivot variable x_v:  N(I) = N(I + (x_v)) + t^w N(I : x_v)
+    pivot_var = counts.index(top)
     pivot = tuple(1 if i == pivot_var else 0 for i in range(n))
     plus = tuple(g for g in gens if g[pivot_var] == 0) + (pivot,)
     colon = tuple(
@@ -845,36 +846,17 @@ def hilbert_series(
 
 
 def krull_dimension(ideal_or_gb: Ideal | GroebnerBasis, limits: ReductionLimits = DEFAULT_LIMITS) -> int:
-    """Dimension of R/I: the largest variable subset S such that no leading
-    monomial is supported entirely inside S.  (Unit ideal: returns 0, the
-    convention chosen here for the empty scheme.)"""
+    """Dimension of R/I: the pole order at t = 1 of the Hilbert series of
+    R/in(I), which has the dimension of R/I under any monomial order
+    (Hilbert-Serre).  The unit ideal has the zero series and returns 0,
+    the convention chosen here for the empty scheme."""
     if isinstance(ideal_or_gb, Ideal):
         gb = groebner_basis(ideal_or_gb, limits=limits)
     else:
         gb = ideal_or_gb
-    supports = {frozenset(i for i, e in enumerate(lm) if e) for lm in _minimalize(gb.leading)}
-    if frozenset() in supports:
-        return 0
-    n = len(gb.variables)
-    memo: dict[frozenset[int], int] = {}
-
-    def best(avail: frozenset[int]) -> int:
-        got = memo.get(avail)
-        if got is not None:
-            return got
-        violated = None
-        for s in supports:
-            if s <= avail:
-                violated = s
-                break
-        if violated is None:
-            result = len(avail)
-        else:
-            result = max(best(avail - {v}) for v in violated)
-        memo[avail] = result
-        return result
-
-    return best(frozenset(range(n)))
+    units = (1,) * len(gb.variables)
+    series = RationalSeries(_monomial_numerator(gb.leading, units), weight_denominator(units))
+    return series.pole_order()
 
 
 # ---------------------------------------------------------------------------
@@ -891,10 +873,6 @@ def _fresh_name(taken: Sequence[str]) -> str:
     return f"t{i}"
 
 
-def _lift(p: Polynomial, t_exp: int) -> dict[Exponents, Fraction]:
-    return {(t_exp,) + e: c for e, c in p.terms.items()}
-
-
 def ideal_intersection(left: Ideal, right: Ideal, limits: ReductionLimits = DEFAULT_LIMITS) -> Ideal:
     """I ∩ J via the tag-variable trick: eliminate t from t·I + (1-t)·J."""
     if left.variables != right.variables:
@@ -905,16 +883,13 @@ def ideal_intersection(left: Ideal, right: Ideal, limits: ReductionLimits = DEFA
         return Ideal(variables, (), grading)
     tag = _fresh_name(variables)
     new_vars = (tag,) + variables
-    gens: list[Polynomial] = []
-    for f in left.generators:
-        gens.append(Polynomial(new_vars, _lift(f, 1)))
-    for g in right.generators:
-        terms = _lift(g, 0)
-        for e, c in _lift(g, 1).items():
-            terms[e] = terms.get(e, Fraction(0)) - c
-            if not terms[e]:
-                del terms[e]
-        gens.append(Polynomial(new_vars, terms))
+    t = Polynomial.variable(new_vars, tag)
+
+    def lift(p: Polynomial) -> Polynomial:
+        return Polynomial(new_vars, {(0,) + e: c for e, c in p.terms.items()})
+
+    gens = [t * lift(f) for f in left.generators]
+    gens += [lift(g) - t * lift(g) for g in right.generators]
     inner_weights = grading.weights if grading is not None else (1,) * len(variables)
     order = EliminationOrder(
         block=1, first=WeightedGrevlex((1,)), rest=WeightedGrevlex(inner_weights)

@@ -22,19 +22,9 @@ reports carry the assumption text.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import ClassVar, Mapping
 
-from .groebner import (
-    DEFAULT_LIMITS,
-    Ideal,
-    ReductionLimits,
-    groebner_basis,
-    hilbert_series,
-    is_zero_dimensional,
-    krull_dimension,
-    standard_monomials,
-)
-from .orders import WeightedGrevlex
+from .groebner import DEFAULT_LIMITS, Ideal, ReductionLimits, hilbert_series
 from .poly import (
     Polynomial,
     PolynomialError,
@@ -174,12 +164,25 @@ def apply_substitution(ideal: Ideal, assignment: Mapping[str, Polynomial]) -> Id
 
 @dataclass(frozen=True)
 class JetInvariants:
-    krull_dimension: int
+    """A jet ring's Hilbert series; the other invariants are read off it:
+    Krull dimension is its pole order at t = 1 (Hilbert-Serre), and the
+    ring is finite exactly when it is a polynomial, of dimension N(1)."""
+
     hilbert: RationalSeries
     series_weights: tuple[int, ...]
-    finite: bool
-    dimension: int | None
-    grading_assumption: str = GRADING_ASSUMPTION
+    grading_assumption: ClassVar[str] = GRADING_ASSUMPTION
+
+    @property
+    def krull_dimension(self) -> int:
+        return self.hilbert.pole_order()
+
+    @property
+    def finite(self) -> bool:
+        return self.hilbert.is_polynomial()
+
+    @property
+    def dimension(self) -> int | None:
+        return self.hilbert.numerator(1) if self.finite else None
 
     def to_json_dict(self) -> dict:
         return {
@@ -195,7 +198,7 @@ class JetInvariants:
 def jet_invariants(
     jet: JetPresentation, limits: ReductionLimits = DEFAULT_LIMITS
 ) -> JetInvariants:
-    """Krull dimension, Hilbert series, and finiteness of the jet ideal.
+    """Hilbert series of the jet ideal, with the invariants it determines.
 
     The series counts plain vector-space dimensions (unit weights)
     whenever the jet relations are homogeneous in the ordinary sense --
@@ -206,8 +209,8 @@ def jet_invariants(
 
     One Groebner basis answers everything: the one under weighted grevlex
     for the series grading, which the Hilbert numerator needs.  Krull
-    dimension, finiteness, and vector-space dimension are read from the
-    same basis, since they do not depend on the monomial order.
+    dimension, finiteness and vector-space dimension are read off the
+    series (see `JetInvariants`), not from further passes over the basis.
     """
     ideal = jet.ring.ideal()
     units = WeightedGrading.units(len(jet.ring.variables))
@@ -215,12 +218,6 @@ def jet_invariants(
         quasi_homogeneity_witness(g, units) is None for g in ideal.generators
     )
     series_grading = units if unit_graded else jet.ring.grading()
-    gb = groebner_basis(ideal, WeightedGrevlex(series_grading.weights), limits)
-    finite = is_zero_dimensional(gb)
     return JetInvariants(
-        krull_dimension=krull_dimension(gb),
-        hilbert=hilbert_series(ideal, series_grading, limits),
-        series_weights=series_grading.weights,
-        finite=finite,
-        dimension=len(standard_monomials(gb)) if finite else None,
+        hilbert_series(ideal, series_grading, limits), series_grading.weights
     )

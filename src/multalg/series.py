@@ -258,6 +258,14 @@ class RationalSeries:
     def is_polynomial(self) -> bool:
         return self.denominator == UniPoly.one()
 
+    def pole_order(self) -> int:
+        """How many times (1 - t) divides the reduced denominator (zero
+        series: 0); on Hilb(R/I) it is the Krull dimension of R/I."""
+        den, k = self.denominator, 0
+        while den(1) == 0:
+            den, k = den.divide_exact(one_minus_power(1)), k + 1
+        return k
+
     def as_polynomial(self) -> UniPoly:
         if not self.is_polynomial():
             raise ValueError(f"series {self} is not a polynomial")

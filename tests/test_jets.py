@@ -3,7 +3,13 @@ import sympy
 
 from multalg import groebner
 from multalg.grassmann import grassmann_presentation
-from multalg.groebner import Ideal, ideal_equal
+from multalg.groebner import (
+    Ideal,
+    groebner_basis,
+    ideal_equal,
+    is_zero_dimensional,
+    standard_monomials,
+)
 from multalg.jets import (
     GRADING_ASSUMPTION,
     apply_substitution,
@@ -218,6 +224,24 @@ def test_invariants_fall_back_to_induced_weights():
     assert not inv.finite and inv.dimension is None
     assert inv.krull_dimension == 1
     assert str(inv.hilbert) == "(1 + t^2 - t^3)/(1 - t)"
+
+
+@pytest.mark.parametrize(
+    "base, d",
+    [(square_ring(), d) for d in (1, 2, 3)]
+    + [(grassmann_presentation(4, k), d) for k in (1, 2, 3) for d in (1, 2)],
+)
+def test_invariants_read_off_the_series_match_the_staircase(base, d):
+    # oracle: the staircase of a basis built directly, under the ring's
+    # own order, which is the path the series replaced
+    jet = jet_presentation(base, d)
+    inv = jet_invariants(jet)
+    gb = groebner_basis(jet.ring.ideal())
+    assert inv.finite == is_zero_dimensional(gb)
+    if inv.finite:
+        assert inv.dimension == len(standard_monomials(gb))
+    else:
+        assert inv.dimension is None
 
 
 def test_jet_invariants_builds_one_basis(monkeypatch):

@@ -165,6 +165,20 @@ def test_from_weight_ratio():
     assert s.is_polynomial() and s.as_polynomial() == UniPoly([1, 1])
 
 
+@pytest.mark.parametrize(
+    "numerator, denominator, order",
+    [
+        (UniPoly([1, 2, 1]), UniPoly.one(), 0),  # a polynomial
+        (UniPoly.one(), one_minus_power(1) ** 3, 3),
+        (UniPoly([1, 1]), one_minus_power(2), 1),  # reduces to 1/(1 - t)
+        (UniPoly.one(), weight_denominator((2, 3)), 2),
+        (UniPoly(), weight_denominator((1, 1)), 0),  # the zero series
+    ],
+)
+def test_pole_order(numerator, denominator, order):
+    assert RationalSeries(numerator, denominator).pole_order() == order
+
+
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         RationalSeries(UniPoly([1]), UniPoly([]))
