@@ -19,7 +19,6 @@ GL_n weight and attaches these multiplicity polynomials to its strata.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .groebner import DEFAULT_LIMITS, ReductionLimits, hilbert_series
 from .poly import Polynomial
@@ -121,14 +120,6 @@ def product_hilbert(
     out = RationalSeries.from_polynomial(UniPoly.one())
     for ring in rings:
         out = out * hilbert_series(ring.ideal(), ring.grading(), limits)
-    return out
-
-
-def expected_point_count(d: DivisorData) -> int:
-    """prod_i C(n,i)^(m_i) -- the t=1 value of grassmann_multiplicity."""
-    out = 1
-    for i, mult in enumerate(d.m, start=1):
-        out *= comb(d.n, i) ** mult
     return out
 
 

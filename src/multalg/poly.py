@@ -195,9 +195,6 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
-
     # arithmetic ---------------------------------------------------------
 
     def _check(self, other: "Polynomial") -> None:

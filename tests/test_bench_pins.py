@@ -57,3 +57,10 @@ def test_grassmann_reports_match_pins(workloads):
     ]
     assert len(queries) == sum(n - 1 for n in range(2, 7))
     assert run_checked(queries) == {}
+
+
+def test_verify_catalogue_matches_pins(workloads):
+    # every case's {"name", "witness"} bytes, the negative control's witness included
+    queries = workloads.build("verify_catalogue", 0)
+    assert len(queries) == 111
+    assert run_checked(queries) == {}

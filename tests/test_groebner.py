@@ -161,6 +161,26 @@ def test_rational_basis_matches_sympy(seed):
     assert ours_exprs == theirs_exprs
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_scaling_a_generator_leaves_the_reduced_basis_unchanged(seed):
+    # metamorphic: c*f spans the ideal f spans for any nonzero rational c,
+    # and the reduced basis is unique under every order
+    rng = random.Random(600 + seed)
+    ideal = _random_ideal(rng, XYZ, max_terms=4, count=2)
+    i = rng.randrange(len(ideal.generators))
+    c = Fraction(rng.choice((-5, -2, 1, 4)), rng.choice((3, 7)))
+    gens = list(ideal.generators)
+    gens[i] = Polynomial(XYZ, {e: c * v for e, v in gens[i].terms.items()})
+    scaled = Ideal(XYZ, tuple(gens), ideal.grading)
+    orders = (
+        ideal.default_order(),
+        Lex(),
+        EliminationOrder(block=1, first=WeightedGrevlex((1,)), rest=WeightedGrevlex((2, 1))),
+    )
+    for order in orders:
+        assert buchberger(scaled, order).basis == buchberger(ideal, order).basis, order
+
+
 def test_zero_and_unit_ideals():
     assert buchberger(Ideal(XY, ())).basis == ()
     one = (Polynomial.constant(XY, 1),)

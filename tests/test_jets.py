@@ -1,3 +1,5 @@
+import random
+
 import pytest
 import sympy
 
@@ -6,8 +8,10 @@ from multalg.grassmann import grassmann_presentation
 from multalg.groebner import (
     Ideal,
     groebner_basis,
+    hilbert_series,
     ideal_equal,
     is_zero_dimensional,
+    krull_dimension,
     standard_monomials,
 )
 from multalg.jets import (
@@ -242,6 +246,25 @@ def test_invariants_read_off_the_series_match_the_staircase(base, d):
         assert inv.dimension == len(standard_monomials(gb))
     else:
         assert inv.dimension is None
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_permuting_variables_keeps_hilbert_series_and_dimension(k):
+    # metamorphic: renaming variables (their weights moving with them) is a
+    # graded isomorphism, though grevlex then gives a different basis
+    ideal = jet_presentation(grassmann_presentation(4, k), 2).ring.ideal()
+    perm = list(range(len(ideal.variables)))
+    random.Random(700 + k).shuffle(perm)
+    assert perm != sorted(perm)
+    variables = tuple(ideal.variables[i] for i in perm)
+    gens = tuple(
+        Polynomial(variables, {tuple(e[i] for i in perm): c for e, c in g.terms.items()})
+        for g in ideal.generators
+    )
+    weights = WeightedGrading(tuple(ideal.grading.weights[i] for i in perm))
+    permuted = Ideal(variables, gens, weights)
+    assert hilbert_series(permuted) == hilbert_series(ideal)
+    assert krull_dimension(permuted) == krull_dimension(ideal)
 
 
 def test_jet_invariants_builds_one_basis(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 from multalg import verification
 from multalg.grassmann import closure_vs_grassmann_dimensions
-from multalg.groebner import ReductionLimits
+from multalg.groebner import DEFAULT_LIMITS, ReductionLimits, ResourceLimitExceeded
 from multalg.verification import (
     catalogue,
     embedded_point_check,
@@ -43,13 +43,52 @@ def test_catalogue_and_verify_json_are_pinned():
     )
 
 
+def _row(name, compute, expected):
+    return verification._Row(name, "trivial", "a test row", compute, expected)
+
+
 @pytest.mark.parametrize("name", ["poly.parse_zero", "multiplicity.structure_random_sweep"])
-def test_duplicate_case_name_is_rejected(name):
+def test_duplicate_case_name_is_rejected(name, monkeypatch):
     before = [(c.name, c.anchor) for c in catalogue()]
-    with pytest.raises(ValueError, match="duplicate"):
-        verification._case(name, "trivial", "a second case")(lambda limits: None)
+    duplicate = _row(name, lambda limits: 0, 0)
+    with monkeypatch.context() as patch:
+        patch.setattr(verification, "_ROWS", verification._ROWS + (duplicate,))
+        with pytest.raises(ValueError, match="duplicate"):
+            catalogue()
     assert [(c.name, c.anchor) for c in catalogue()] == before
     assert len(before) == 111
+
+
+def _run_extra_row(monkeypatch, compute, expected):
+    extra = _row("zz.extra_row", compute, expected)
+    monkeypatch.setattr(verification, "_ROWS", verification._ROWS + (extra,))
+    return run_all(filter_substring="zz.extra_row")
+
+
+def test_row_with_wrong_expected_value_fails_with_both_values(monkeypatch):
+    summary = _run_extra_row(monkeypatch, lambda limits: ["p1 + q1", "q1^2"], ["p1 + q1"])
+    assert summary.failed == (
+        ("zz.extra_row", "got ['p1 + q1', 'q1^2'], expected ['p1 + q1']"),
+    )
+    assert summary.modules["zz"] == {"total": 1, "run": 1, "passed": 0}
+
+
+def test_raising_compute_is_a_failure_with_its_message(monkeypatch):
+    def compute(limits):
+        raise ZeroDivisionError("series denominator is zero")
+
+    summary = _run_extra_row(monkeypatch, compute, 0)
+    assert summary.failed == (("zz.extra_row", "ZeroDivisionError: series denominator is zero"),)
+
+
+def test_resource_cap_in_compute_is_a_skip(monkeypatch):
+    def compute(limits):
+        raise ResourceLimitExceeded(limits.max_pair_reductions)
+
+    summary = _run_extra_row(monkeypatch, compute, 0)
+    assert summary.failed == ()
+    cap = DEFAULT_LIMITS.max_pair_reductions
+    assert summary.skipped == (("zz.extra_row", f"resource cap of {cap} pair reductions hit"),)
 
 
 def test_default_run_is_all_green():
