@@ -52,11 +52,8 @@ def sweep_rows(max_n: int, max_order: int, limits: ReductionLimits) -> list[dict
                     row["reason"] = f"resource cap of {e.cap} pair reductions hit"
                 else:
                     row["status"] = "ok"
-                    row["krull_dimension"] = inv.krull_dimension
-                    row["finite"] = inv.finite
-                    row["dimension"] = inv.dimension
-                    row["hilbert_series"] = str(inv.hilbert)
-                    row["series_weights"] = list(inv.series_weights)
+                    row.update(inv.to_json_dict())
+                    del row["grading_assumption"]  # the same on every row
                 row["seconds"] = round(time.monotonic() - started, 3)
                 rows.append(row)
                 print(

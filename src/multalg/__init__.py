@@ -70,8 +70,8 @@ from .weights import (
 
 __version__ = "0.1.0"
 
-# Importing `verification` builds the catalogue's case registry, which only
-# `multalg verify` runs, so its names are resolved on first use.
+# Only `multalg verify` needs the catalogue module, so its names are resolved
+# on first use and `import multalg` does not load it.
 _FROM_VERIFICATION = frozenset(
     {"CheckCase", "RunSummary", "catalogue", "embedded_point_check", "run_all"}
 )

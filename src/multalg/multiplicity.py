@@ -434,8 +434,7 @@ def verify_structure_theorem(
         "palindromic": poincare.is_palindromic(),
         "monic": poincare.is_monic_top(),
         "nonnegative": poincare.nonnegative(),
-        "poincare_equals_equivariant_multiplicity": equivariant
-        == RationalSeries.from_polynomial(poincare),
+        "poincare_equals_equivariant_multiplicity": equivariant == poincare,
     }
     return StructureReport(
         finite_dimensional=True,

@@ -62,10 +62,12 @@ class UniPoly:
     def coefficient(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
-    def __eq__(self, other) -> bool:
+    def __eq__(self, other):
         if isinstance(other, int):
             other = UniPoly([other])
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
+        if not isinstance(other, UniPoly):
+            return NotImplemented  # a RationalSeries answers the reflected comparison
+        return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
@@ -273,7 +275,7 @@ class RationalSeries:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, UniPoly):
-            other = RationalSeries.from_polynomial(other)
+            return self.is_polynomial() and self.numerator == other
         return (
             isinstance(other, RationalSeries)
             and self.numerator == other.numerator
@@ -281,6 +283,9 @@ class RationalSeries:
         )
 
     def __hash__(self) -> int:
+        # a polynomial series equals, so hashes as, its numerator
+        if self.is_polynomial():
+            return hash(self.numerator)
         return hash((self.numerator, self.denominator))
 
     def __mul__(self, other):

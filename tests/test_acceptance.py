@@ -2,10 +2,11 @@
 
 Every check prints a single [PASS]/[FAIL] line (visible under `pytest -s`
 and in failure reports), runs in exact rational arithmetic, and carries
-an explicit wall-clock budget.
+an explicit wall-clock budget.  The numbers missing here (1, 2 and 5: the
+jet ladder, the embedded point, the equivariant closed form) are catalogue
+cases of `multalg verify`, which the suite runs whole.
 """
 
-import itertools
 import json
 import random
 import sys
@@ -21,7 +22,6 @@ from multalg.groebner import (
     certify,
     groebner_basis,
     hilbert_series,
-    ideal_equal,
     ideal_intersection,
     ideal_product,
     normal_form,
@@ -101,43 +101,6 @@ def grassmann_sweep():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_01_jet_ladder():
-    with criterion(1, "order-1/2/3 jet ideals of the square-zero point", 1.0):
-        base = square_point_ring()
-
-        j1 = jet_presentation(base, 1).ring.ideal()
-        v1 = j1.variables
-        assert v1 == ("a0",)
-        assert ideal_equal(j1, Ideal(v1, (P("a0^2", v1),), None))
-
-        j2 = jet_presentation(base, 2).ring.ideal()
-        v2 = j2.variables
-        assert v2 == A2
-        assert ideal_equal(j2, Ideal(A2, (P("a0^2", A2), P("a0*a1", A2)), None))
-
-        j3 = jet_presentation(base, 3).ring.ideal()
-        assert j3.variables == A3
-        reference = d3_reference_ideal()
-        # the explicit rescaling a2 -> 2*a2 carries the reference onto the
-        # jet ideal; the inverse carries the jet ideal back (both directions
-        # checked, reduced Groebner bases decide equality)
-        doubled = apply_substitution(reference, {"a2": P("2*a2", A3)})
-        assert ideal_equal(doubled, j3)
-        halved = apply_substitution(
-            j3, {"a2": Polynomial(A3, {(0, 0, 1): Fraction(1, 2)})}
-        )
-        assert ideal_equal(halved, reference)
-        assert not ideal_equal(j3, reference)  # the rescaling is doing work
-
-
-def test_criterion_02_embedded_point():
-    with criterion(2, "(a0,a1)^2 meet (a0) is the embedded-point ideal", 1.0):
-        linear, axis, target = embedded_point_ideals()
-        squared = ideal_product(linear, linear)
-        meet = ideal_intersection(squared, axis)
-        assert ideal_equal(meet, target)
-
-
 def test_criterion_03_hilbert_vs_gaussian_sweep():
     with criterion(3, "Hilbert series of k-plane rings match Gaussian binomials, n <= 6", 60.0):
         for n, k in grassmann_sweep():
@@ -168,7 +131,6 @@ def test_criterion_06_weyl_orbit_sizes():
                 for d in range(0, 6):
                     mu = fundamental_weight(n, k, scale=d + 1)
                     assert weyl_orbit_size(mu) == comb(n, k), (n, k, d)
-        assert weyl_orbit_size(fundamental_weight(2, 1, scale=4)) == 2
 
 
 def test_criterion_07_dominance_suite():

@@ -62,5 +62,5 @@ def test_grassmann_reports_match_pins(workloads):
 def test_verify_catalogue_matches_pins(workloads):
     # every case's {"name", "witness"} bytes, the negative control's witness included
     queries = workloads.build("verify_catalogue", 0)
-    assert len(queries) == 111
+    assert len(queries) == 108
     assert run_checked(queries) == {}

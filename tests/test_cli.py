@@ -165,7 +165,7 @@ def test_verify_negative_control_drives_exit_code(capsys):
 
 def test_verify_with_tiny_cap_skips(capsys):
     rc, out, _ = run(
-        capsys, "--max-reductions", "1", "verify", "--filter", "grassmann.hilbert"
+        capsys, "--max-reductions", "1", "verify", "--filter", "grassmann.product_hilbert"
     )
     assert rc == 0
     data = json.loads(out)

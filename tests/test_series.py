@@ -238,3 +238,31 @@ def test_series_arithmetic_makes_no_fraction(monkeypatch):
     assert made == 0
     Fraction(1, 2)
     assert made == 1  # the counter is live
+
+
+def test_series_and_polynomial_compare_both_ways(monkeypatch):
+    poly = UniPoly([1, 1])
+    polynomial = RationalSeries(one_minus_power(2), one_minus_power(1))  # 1 + t
+    proper = RationalSeries(UniPoly([1, 1, -1]), UniPoly([1, -1]))
+    zero = RationalSeries(UniPoly(), one_minus_power(1))
+    made = 0
+    series_init = RationalSeries.__init__
+
+    def counting_init(self, *args):
+        nonlocal made
+        made += 1
+        series_init(self, *args)
+
+    monkeypatch.setattr(RationalSeries, "__init__", counting_init)
+    for series, other, equal in [
+        (polynomial, poly, True),
+        (polynomial, UniPoly([1, 2]), False),
+        (proper, UniPoly([1, 1, -1]), False),  # the numerator alone
+        (zero, UniPoly(), True),
+        (zero, poly, False),
+    ]:
+        assert (series == other) is (other == series) is equal
+        assert (series != other) is (other != series) is (not equal)
+    assert made == 0
+    assert hash(polynomial) == hash(poly) and hash(zero) == hash(UniPoly())
+    assert len({polynomial, poly, proper}) == 2

@@ -6,11 +6,7 @@ import pytest
 from multalg import verification
 from multalg.grassmann import closure_vs_grassmann_dimensions
 from multalg.groebner import DEFAULT_LIMITS, ReductionLimits, ResourceLimitExceeded
-from multalg.verification import (
-    catalogue,
-    embedded_point_check,
-    run_all,
-)
+from multalg.verification import catalogue, run_all
 from multalg.weights import DominantWeight
 
 
@@ -23,6 +19,24 @@ def test_catalogue_is_well_formed():
         assert c.tag in {"paper", "trivial", "derived"}
         assert c.anchor.strip()
     assert sum(1 for c in cases if c.negative_control) == 1
+    # one home per pinned fact: no two rows state one value of one computation
+    rows = verification._ROWS
+    shared = [
+        (r.name, s.name)
+        for i, r in enumerate(rows)
+        for s in rows[i + 1:]
+        if _same_compute(r.compute, s.compute) and r.expected == s.expected
+    ]
+    assert shared == []
+
+
+def _same_compute(f, g):
+    # two lambdas with the same code compute the same value; a named
+    # function only shares its computation with itself
+    if f.__name__ == g.__name__ == "<lambda>":
+        a, b = f.__code__, g.__code__
+        return (a.co_code, a.co_consts, a.co_names) == (b.co_code, b.co_consts, b.co_names)
+    return f is g
 
 
 def _sha256(text):
@@ -33,13 +47,13 @@ def test_catalogue_and_verify_json_are_pinned():
     # the verify JSON omits tags and anchors, so the metadata is pinned apart
     meta = [[c.name, c.module, c.tag, c.anchor, c.negative_control] for c in catalogue()]
     assert _sha256(json.dumps(meta)) == (
-        "c0b69eb77ac7b6be432060546f77b87897458d30fba926727ba26da664c9b756"
+        "950ac40f29887a75df2063211fee769763cf4bfdbbaf6d451cda7908a57fed51"
     )
     assert _sha256(run_all().to_json()) == (
-        "03549e4260badc0b281692072f30fd53823e41b72af8131f81244e6c0190d03b"
+        "25db4c11e4a5047b11944b01b92c33fa3d0f1a2b03289775e8872a0cc5d34985"
     )
     assert _sha256(run_all(include_negative_controls=True).to_json()) == (
-        "7fbbb2966868523125699615a4240d10b18034be4135fcc46dc301ec8abd9fee"
+        "684ff1acfd2b17e033d4d348e6407856d08735e7760543d0b049bb74565fd3c3"
     )
 
 
@@ -56,7 +70,7 @@ def test_duplicate_case_name_is_rejected(name, monkeypatch):
         with pytest.raises(ValueError, match="duplicate"):
             catalogue()
     assert [(c.name, c.anchor) for c in catalogue()] == before
-    assert len(before) == 111
+    assert len(before) == 108
 
 
 def _run_extra_row(monkeypatch, compute, expected):
@@ -167,10 +181,6 @@ def test_seed_changes_random_cases_not_the_contract():
 
 
 # ------------------------------------------------------- report helpers
-
-
-def test_embedded_point_check_holds():
-    assert embedded_point_check() is True
 
 
 def test_closure_report_shapes():
