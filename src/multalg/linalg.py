@@ -1,8 +1,10 @@
 """Exact dense linear algebra over the rationals: rref, rank, nullspace.
 
-Matrices come in and go out as lists of `Fraction` rows.  Inside `rref`
-the elimination runs on integer rows, fraction-free, so no `Fraction` is
-made until the pivots are divided out once at the end.
+Matrices come in as lists of rows whose entries may be `int` or
+`Fraction`, and go out as lists of `Fraction` rows.  The elimination runs
+on integer rows, fraction-free, in one routine: `rref` clears every other
+row and divides the pivots out once at the end, while `rank` runs only
+the forward half and reduces nothing.
 
 `primitive` is the one place that picks the primitive integer
 representative of a rational vector; `rref`, the Groebner content
@@ -17,7 +19,7 @@ from typing import Sequence
 
 __all__ = ["primitive", "rref", "rank", "nullspace"]
 
-Matrix = list[list[Fraction]]
+Matrix = list[list[Fraction | int]]
 
 
 def primitive(row: Sequence[Fraction | int]) -> list[int]:
@@ -32,6 +34,35 @@ def primitive(row: Sequence[Fraction | int]) -> list[int]:
     return [a // content for a in ints] if content > 1 else ints
 
 
+def _echelon(rows: Matrix, full: bool) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free elimination on primitive integer rows (see `rref`); without
+    `full` only the rows below each pivot are cleared, which leaves the same pivots."""
+    m = [primitive(row) for row in rows]
+    ncols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        top = m[r]
+        p = top[c]
+        for i in range(0 if full else r + 1, len(m)):
+            f = m[i][c]
+            if i != r and f:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                new = [a * x - b * y for x, y in zip(m[i], top)]
+                content = gcd(*new)
+                m[i] = [x // content for x in new] if content > 1 else new
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot column list.
 
@@ -44,38 +75,14 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     a matrix is unique, so the result is the one Fraction elimination gives.
     Zero rows come last.
     """
-    if not rows:
-        return [], []
-    m = [primitive(row) for row in rows]
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        top = m[r]
-        p = top[c]
-        for i in range(len(m)):
-            f = m[i][c]
-            if i != r and f:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                new = [a * x - b * y for x, y in zip(m[i], top)]
-                content = gcd(*new)
-                m[i] = [x // content for x in new] if content > 1 else new
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
+    m, pivots = _echelon(rows, True)
     out = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
-    out.extend([Fraction(0)] * ncols for _ in range(len(m) - r))
+    out.extend([Fraction(0)] * len(row) for row in m[len(pivots) :])
     return out, pivots
 
 
 def rank(rows: Matrix) -> int:
-    return len(rref(rows)[1])
+    return len(_echelon(rows, False)[1])
 
 
 def nullspace(rows: Matrix, ncols: int) -> list[list[Fraction]]:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .groebner import (
@@ -32,6 +33,8 @@ from .groebner import (
     Ideal,
     NotZeroDimensional,
     ReductionLimits,
+    _divisors,
+    _width,
     groebner_basis,
     normal_form,
     standard_monomials,
@@ -44,8 +47,6 @@ from .poly import (
     PolynomialMap,
     WeightedGrading,
     jacobian_determinant,
-    mono_divides,
-    mono_mul,
     monomial_to_text,
     monomials_of_weighted_degree,
 )
@@ -89,15 +90,24 @@ class FiniteGradedAlgebra:
 
     Every monomial on the right is smaller than m in the basis's order, so
     this terminates under any monomial order; it is walked with an explicit
-    stack.  `vector` returns these coordinates as a cached sparse
-    {index: coefficient} dict, the algebra's only coordinate form.  The
-    socle and the Jacobian's coordinates, which several clauses of the
-    structure report read, are memoised as well.
+    stack.  Coordinates are integer numerators over one denominator:
+    `_coords` returns ({index: numerator}, den) with den > 0 and no factor
+    common to den and every numerator, each new vector combined over the
+    lcm of its parts' denominators and reduced by one gcd.  They are cached
+    per algebra, keyed by the monomial packed on the basis's own `_Packing`
+    (see `groebner`): `+` multiplies, `-` divides, guard bits test
+    divisibility, and x_v is the lowest nonzero field of u(m) - u(lm).
+    The packing and the tails of the leading monomials are set up on first
+    use; `standard_monomials` packed the basis wide enough for a product of
+    two standard monomials, and `vector` widens it for a monomial beyond
+    that.  `vector` returns `Fraction` coordinates as a sparse
+    {index: coefficient} dict.  The socle and the Jacobian's coordinates,
+    which several clauses of the structure report read, are memoised too.
     """
 
     __slots__ = (
         "gb", "grading", "variables", "basis", "degrees", "index", "source_map",
-        "_vectors", "_memo",
+        "_walk", "_memo",
     )
 
     def __init__(
@@ -114,7 +124,7 @@ class FiniteGradedAlgebra:
         object.__setattr__(self, "degrees", tuple(grading.degree(b) for b in basis))
         object.__setattr__(self, "index", {b: i for i, b in enumerate(basis)})
         object.__setattr__(self, "source_map", source_map)
-        object.__setattr__(self, "_vectors", {})
+        object.__setattr__(self, "_walk", None)
         object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
@@ -132,46 +142,64 @@ class FiniteGradedAlgebra:
         return monomial_to_text(self.basis[i], self.variables)
 
     def vector(self, target: Exponents) -> dict[int, Fraction]:
-        """Sparse coordinates of a monomial, from its neighbours' (see the class).
+        """Sparse `Fraction` coordinates of a monomial (see the class)."""
+        pk = self._walker(_width(self.gb.order, len(self.variables), [target]))[0]
+        num, den = self._coords(pk.pack(target))
+        return {i: Fraction(c, den) for i, c in num.items()}
 
-        The dict returned is the cached one; callers must not modify it.
-        """
-        vectors = self._vectors
-        got = vectors.get(target)
+    def _walker(self, bits: int = 0) -> tuple:
+        """(packing, packed basis, coordinate cache, divisor images, unit of each field),
+        at `bits` or wider; a wider packing starts a new cache."""
+        got = self._walk
+        if got is None or got[0].bits < bits:
+            pk, lms, images, elements, _ = _divisors(self.gb, bits)
+            packed = [pk.pack(b) for b in self.basis]
+            where = {m: i for i, m in enumerate(packed)}
+            cache = {m: ({i: 1}, 1) for m, i in where.items()}
+            for lm, g in zip(lms, elements):  # g is primitive with g[lm] > 0
+                cache[lm] = ({where[e]: -c for e, c in g.items() if e != lm}, g[lm])
+            units = {pos // pk.bits: unit for (pos, _), unit in zip(pk.cells, pk.units)}
+            got = (pk, packed, cache, images, units)
+            object.__setattr__(self, "_walk", got)
+        return got
+
+    def _coords(self, target: int) -> tuple[dict[int, int], int]:
+        """Cached integer coordinates of a monomial packed by `_walker`; do not modify."""
+        pk, basis, cache, images, units = self._walk
+        got = cache.get(target)
         if got is not None:
             return got
-        index, basis, gb = self.index, self.basis, self.gb
+        offset, guards, bits = pk.offset, pk.guards, pk.bits
         stack = [target]
         while stack:
             m = stack[-1]
-            if m in vectors:  # pushed more than once
+            if m in cache:  # pushed more than once
                 stack.pop()
                 continue
-            i = index.get(m)
-            if i is not None:
-                vectors[stack.pop()] = {i: Fraction(1)}
-                continue
-            lm, g = next((lm, g) for lm, g in zip(gb.leading, gb.basis) if mono_divides(lm, m))
-            if m == lm:
-                vectors[stack.pop()] = {index[e]: -c for e, c in g.terms.items() if e != lm}
-                continue
-            v = next(k for k, (a, b) in enumerate(zip(m, lm)) if a > b)
-            below = m[:v] + (m[v] - 1,) + m[v + 1 :]
-            smaller = vectors.get(below)
+            # m is neither standard nor leading, so some lm divides it properly
+            t = (m + offset) ^ offset
+            d = next(t - u for u in images if not (t - u) & guards)
+            unit = units[((d & -d).bit_length() - 1) // bits]
+            smaller = cache.get(m - unit)
             if smaller is None:
-                stack.append(below)
+                stack.append(m - unit)
                 continue
-            steps = [basis[j][:v] + (basis[j][v] + 1,) + basis[j][v + 1 :] for j in smaller]
-            missing = [s for s in steps if s not in vectors]
+            steps = [basis[j] + unit for j in smaller[0]]
+            missing = [s for s in steps if s not in cache]
             if missing:
                 stack.extend(missing)
                 continue
-            out: dict[int, Fraction] = {}
-            for c, s in zip(smaller.values(), steps):
-                for i, d in vectors[s].items():
-                    out[i] = out.get(i, 0) + c * d
-            vectors[stack.pop()] = {i: c for i, c in out.items() if c}
-        return vectors[target]
+            parts = [cache[s] for s in steps]
+            scale = lcm(*(den for _, den in parts))
+            out: dict[int, int] = {}
+            for c, (vec, den) in zip(smaller[0].values(), parts):
+                c *= scale // den
+                for i, x in vec.items():
+                    out[i] = out.get(i, 0) + c * x
+            den = smaller[1] * scale
+            g = gcd(den, *out.values())
+            cache[stack.pop()] = ({i: x // g for i, x in out.items() if x}, den // g)
+        return cache[target]
 
 
 def build_quotient(
@@ -235,26 +263,34 @@ def socle(q: FiniteGradedAlgebra) -> tuple[Polynomial, ...]:
 
 
 def _graded_socle(q: FiniteGradedAlgebra) -> tuple[Polynomial, ...]:
+    pk, basis = q._walker()[:2]
     by_degree: dict[int, list[int]] = {}
     for i, d in enumerate(q.degrees):
         by_degree.setdefault(d, []).append(i)
-    n = len(q.variables)
     found: list[tuple[int, Polynomial]] = []
     for k, cols in by_degree.items():
-        block: list[list[Fraction]] = []
-        for v, w in enumerate(q.grading.weights):
-            unit = tuple(1 if u == v else 0 for u in range(n))
-            images = [q.vector(mono_mul(q.basis[j], unit)) for j in cols]
-            for j, image in zip(cols, images):
-                if any(q.degrees[i] != k + w for i in image):
+        images = []  # images[v][c]: integer coordinates of x_v * b_cols[c]
+        for v, (w, unit) in enumerate(zip(q.grading.weights, pk.units)):
+            images.append([q._coords(basis[j] + unit) for j in cols])
+            for j, (num, _) in zip(cols, images[-1]):
+                if any(q.degrees[i] != k + w for i in num):
                     raise ValueError(
                         f"{q.variables[v]} * {q.basis_monomial(j)} leaves degree {k + w}: "
                         "the ideal is not homogeneous for the grading"
                     )
-            block.extend([image.get(i, 0) for image in images] for i in by_degree.get(k + w, ()))
+        # column c of the block is N_c / L_c, L_c the lcm of its denominators, so
+        # its kernel is diag(L) times that of the integer N, rescaled so free = 1
+        scales = [lcm(*(row[c][1] for row in images)) for c in range(len(cols))]
+        block: list[list[int]] = []
+        for w, row in zip(q.grading.weights, images):
+            factors = [s // den for s, (_, den) in zip(scales, row)]
+            block.extend(
+                [num.get(i, 0) * f for (num, _), f in zip(row, factors)]
+                for i in by_degree.get(k + w, ())
+            )
         for vec in nullspace(block, len(cols)):
-            terms = {q.basis[cols[c]]: x for c, x in enumerate(vec) if x}
             free = max(c for c, x in enumerate(vec) if x)  # pivots lie left of it
+            terms = {q.basis[cols[c]]: x * scales[c] / scales[free] for c, x in enumerate(vec) if x}
             found.append((cols[free], Polynomial(q.variables, terms)))
     return tuple(p for _, p in sorted(found, key=lambda item: item[0]))
 
@@ -326,8 +362,12 @@ def pairing_matrices(q: FiniteGradedAlgebra) -> PairingReport:
             scale = Fraction(1) / jac
             normalized = True
 
+    basis, coords = q._walker()[1], q._coords
+    top, bottom = scale.numerator, scale.denominator
+
     def ell(i: int, j: int) -> Fraction:
-        return q.vector(mono_mul(q.basis[i], q.basis[j])).get(slot, 0) * scale
+        num, den = coords(basis[i] + basis[j])
+        return Fraction(num.get(slot, 0) * top, den * bottom)
 
     m = q.top_degree
     by_deg: list[DegreePairing] = []

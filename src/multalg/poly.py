@@ -560,25 +560,32 @@ def jacobian_determinant(m: PolynomialMap) -> Polynomial:
     The expansion runs on integer rows: row r is the Jacobian row of
     component r times the lcm L_r of that component's denominators, and
     the result is divided by the product of the L_r once at the end.
+    Monomials are packed ints, exponent i in the field at bits*i: a product
+    of n entries has no exponent above n times the largest input exponent,
+    which fits a field, so `+` multiplies.
     """
     variables = m.variables
     n = len(variables)
-    rows: list[list[dict[Exponents, int]]] = []
+    top = max((e for comp in m.components for exps in comp.terms for e in exps), default=0)
+    bits = max(1, (n * top).bit_length())
+    shifts = [bits * i for i in range(n)]
+    rows: list[list[dict[int, int]]] = []
     denominator = 1
     for comp in m.components:
         scale = lcm(*(c.denominator for c in comp.terms.values()))
         denominator *= scale
-        row: list[dict[Exponents, int]] = [{} for _ in range(n)]
+        row: list[dict[int, int]] = [{} for _ in range(n)]
         for exps, coeff in comp.terms.items():
             coeff = coeff.numerator * (scale // coeff.denominator)
+            packed = sum(e << s for e, s in zip(exps, shifts))
             for i, e in enumerate(exps):
                 if e:
-                    row[i][exps[:i] + (e - 1,) + exps[i + 1 :]] = coeff * e
+                    row[i][packed - (1 << shifts[i])] = coeff * e
         rows.append(row)
     # minors[S] = determinant of rows 0..r-1 against column set S
-    minors: dict[frozenset[int], dict[Exponents, int]] = {frozenset(): {(0,) * n: 1}}
+    minors: dict[frozenset[int], dict[int, int]] = {frozenset(): {0: 1}}
     for r in range(n):
-        nxt: dict[frozenset[int], dict[Exponents, int]] = {}
+        nxt: dict[frozenset[int], dict[int, int]] = {}
         for cols, minor in minors.items():
             # expanding along row r: cofactor sign is (-1)^(r + column position)
             sign = 1 if r % 2 == 0 else -1
@@ -593,7 +600,7 @@ def jacobian_determinant(m: PolynomialMap) -> Polynomial:
                 for e1, c1 in minor.items():
                     c1 *= sign
                     for e2, c2 in entry.items():
-                        e = mono_mul(e1, e2)
+                        e = e1 + e2
                         acc[e] = acc.get(e, 0) + c1 * c2
         minors = {}
         for cols, acc in nxt.items():
@@ -603,4 +610,8 @@ def jacobian_determinant(m: PolynomialMap) -> Polynomial:
         if not minors:
             return Polynomial.zero(variables)
     (det,) = minors.values()  # the one column set left is all n columns
-    return Polynomial(variables, {e: Fraction(c, denominator) for e, c in det.items()})
+    mask = (1 << bits) - 1
+    return Polynomial(
+        variables,
+        {tuple([(e >> s) & mask for s in shifts]): Fraction(c, denominator) for e, c in det.items()},
+    )

@@ -70,7 +70,8 @@ class UniPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        # a constant equals, so hashes as, its int
+        return hash(self.coeffs) if len(self.coeffs) > 1 else hash(self.coefficient(0))
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         a, b = self.coeffs, other.coeffs
@@ -274,7 +275,7 @@ class RationalSeries:
         return self.numerator
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, UniPoly):
+        if isinstance(other, (UniPoly, int)):
             return self.is_polynomial() and self.numerator == other
         return (
             isinstance(other, RationalSeries)

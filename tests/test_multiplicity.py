@@ -9,7 +9,7 @@ import multalg.multiplicity
 from multalg.grassmann import grassmann_presentation
 from multalg.groebner import groebner_basis, Ideal, normal_form
 from multalg.linalg import nullspace, rank, rref
-from multalg.orders import Lex, WeightedGrevlex
+from multalg.orders import EliminationOrder, Lex, WeightedGrevlex
 from multalg.multiplicity import (
     FiniteGradedAlgebra,
     build_quotient,
@@ -162,6 +162,22 @@ def test_multiplication_matrices_match_normal_forms():
                 assert q.vector(image) == sparse_normal_form(q, image)
 
 
+def test_coordinates_of_monomials_past_the_product_width():
+    # exponents in the hundreds do not fit the fields that hold a product of
+    # two standard monomials, so `vector` moves to a wider packing
+    others = [q for q in reference_algebras() if not isinstance(q.gb.order, WeightedGrevlex)]
+    for q in [build_quotient(gr21_map()), *others]:
+        n = len(q.variables)
+        narrow = q._walker()[0].bits
+        for far in ((300,) * n, tuple(150 * (v + 1) for v in range(n))):
+            assert q.vector(far) == sparse_normal_form(q, far)
+        assert q._walker()[0].bits > narrow
+        # the wider walk still gives every product
+        for i in range(q.dimension):
+            product = mono_mul(q.basis[i], q.basis[-1])
+            assert q.vector(product) == sparse_normal_form(q, product)
+
+
 def test_coordinates_reject_foreign_monomial():
     # a leading monomial's vector is minus its tail: p1 + q1 is in the
     # ideal, so p1 = -q1 and q1 is basis[1]
@@ -239,6 +255,16 @@ def reference_algebras():
         ideal = Ideal(vs3, tuple(gens), units)
         for order in (WeightedGrevlex.units(3), Lex()):
             algebras.append(FiniteGradedAlgebra(groebner_basis(ideal, order), units))
+    # Lex and elimination orders: lex blocks alone or next to a graded block
+    gens = (P("x^2 + y*z", vs3), P("y^2 - 2*x*z", vs3), P("z^3 + x*y*z", vs3))
+    for order in (
+        EliminationOrder(block=1),
+        EliminationOrder(block=2, first=WeightedGrevlex.units(2), rest=Lex()),
+    ):
+        algebras.append(FiniteGradedAlgebra(groebner_basis(Ideal(vs3, gens, units), order), units))
+    ideal = Ideal(vs, weighted.components, weighted.grading)
+    for order in (Lex(), EliminationOrder(block=1, first=Lex(), rest=WeightedGrevlex((2,)))):
+        algebras.append(FiniteGradedAlgebra(groebner_basis(ideal, order), weighted.grading))
     return algebras
 
 
@@ -247,6 +273,37 @@ def test_graded_socle_matches_dense_reference():
         got = [[s.terms.get(b, Fraction(0)) for b in q.basis] for s in socle(q)]
         assert got == dense_socle_reference(q)
     assert [str(s) for s in socle(fat_point())] == ["y", "x"]
+
+
+def complete_intersection(rng, weights, degrees):
+    """Every monomial of each degree with a nonzero coefficient in -3..3; finite."""
+    vs = ("x", "y", "z", "w")[: len(weights)]
+    grading = WeightedGrading(weights)
+    while True:
+        comps = [
+            Polynomial(vs, {e: rng.choice((-3, -2, -1, 1, 2, 3)) for e in monos})
+            for monos in (monomials_of_weighted_degree(weights, d) for d in degrees)
+        ]
+        try:
+            return build_quotient(PolynomialMap.build(comps, grading))
+        except multalg.groebner.NotZeroDimensional:
+            continue
+
+
+def test_socle_and_pairing_stay_exact():
+    # 0.5 == Fraction(1, 2), so the value tests above would not see a float
+    algebras = reference_algebras()
+    algebras.append(complete_intersection(random.Random(5), (1, 1, 1, 2), (2, 3, 4, 4)))
+    paired = 0
+    for q in algebras:
+        soc = socle(q)
+        assert all(type(c) is Fraction for s in soc for c in s.terms.values())
+        if len(soc) == 1:
+            rep = pairing_matrices(q)
+            entries = [x for p in rep.by_degree for row in p.matrix for x in row]
+            assert entries and all(type(x) is Fraction for x in entries)
+            paired += 1
+    assert algebras[-1].dimension == 48 and paired == 14
 
 
 def test_deep_staircase_is_walked_without_recursion():

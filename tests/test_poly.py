@@ -321,6 +321,17 @@ def test_jacobian_determinant_matches_leibniz(seed):
     assert jacobian_determinant(m) == _leibniz_determinant(m)
 
 
+def test_jacobian_determinant_with_exponents_past_eight_bit_fields():
+    # exponents of the determinant reach 599, past a field of 8 or 9 bits
+    m = PolynomialMap.build(
+        [parse_polynomial(t, XY) for t in ("x^300*y + y^2", "1/2*x^300 - 3*y")],
+        WeightedGrading((1, 300)),
+    )
+    det = jacobian_determinant(m)
+    assert det == _leibniz_determinant(m)
+    assert max(e for exps in det.terms for e in exps) == 599
+
+
 def test_jacobian_determinant_of_dependent_map_is_zero():
     for texts in (("x + y", "2*x + 2*y"), ("1/2*x + 1/3*y", "3/5*x + 2/5*y")):
         m = PolynomialMap.build([parse_polynomial(t, XY) for t in texts], WeightedGrading.units(2))

@@ -266,3 +266,33 @@ def test_series_and_polynomial_compare_both_ways(monkeypatch):
     assert made == 0
     assert hash(polynomial) == hash(poly) and hash(zero) == hash(UniPoly())
     assert len({polynomial, poly, proper}) == 2
+
+
+def test_equality_and_hash_agree_across_int_polynomial_and_series():
+    # one value may arrive as an int, a UniPoly or a RationalSeries; equal
+    # values must compare equal both ways and hash alike
+    values = [
+        0, 1, 5, -5,
+        UniPoly(), UniPoly([1]), UniPoly([5]), UniPoly([1, 1]), UniPoly([0, 5]),
+        RationalSeries(UniPoly(), one_minus_power(1)),
+        RationalSeries.from_polynomial(UniPoly([5])),
+        RationalSeries(one_minus_power(2), one_minus_power(1)),  # 1 + t
+        RationalSeries(one_minus_power(1), one_minus_power(1)),  # 1
+        RationalSeries(UniPoly([5]), one_minus_power(1)),
+    ]
+
+    def value(x):
+        if isinstance(x, int):
+            return (x,) if x else (), (1,)
+        if isinstance(x, UniPoly):
+            return x.coeffs, (1,)
+        return x.numerator.coeffs, x.denominator.coeffs
+
+    for a in values:
+        for b in values:
+            equal = value(a) == value(b)
+            assert (a == b) is (b == a) is equal, (a, b)
+            assert (a != b) is (b != a) is (not equal), (a, b)
+            if equal:
+                assert hash(a) == hash(b), (a, b)
+    assert len(set(values)) == 7
