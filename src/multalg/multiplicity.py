@@ -184,19 +184,20 @@ class FiniteGradedAlgebra:
             if smaller is None:
                 stack.append(m - unit)
                 continue
-            steps = [basis[j] + unit for j in smaller[0]]
+            coeffs, den = smaller
+            steps = [basis[j] + unit for j in coeffs]
             missing = [s for s in steps if s not in cache]
             if missing:
                 stack.extend(missing)
                 continue
             parts = [cache[s] for s in steps]
-            scale = lcm(*(den for _, den in parts))
+            scale = lcm(*(d for _, d in parts))
             out: dict[int, int] = {}
-            for c, (vec, den) in zip(smaller[0].values(), parts):
-                c *= scale // den
+            for c, (vec, d) in zip(coeffs.values(), parts):
+                c *= scale // d
                 for i, x in vec.items():
                     out[i] = out.get(i, 0) + c * x
-            den = smaller[1] * scale
+            den *= scale
             g = gcd(den, *out.values())
             cache[stack.pop()] = ({i: x // g for i, x in out.items() if x}, den // g)
         return cache[target]

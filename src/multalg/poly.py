@@ -611,7 +611,5 @@ def jacobian_determinant(m: PolynomialMap) -> Polynomial:
             return Polynomial.zero(variables)
     (det,) = minors.values()  # the one column set left is all n columns
     mask = (1 << bits) - 1
-    return Polynomial(
-        variables,
-        {tuple([(e >> s) & mask for s in shifts]): Fraction(c, denominator) for e, c in det.items()},
-    )
+    terms = {tuple([(e >> s) & mask for s in shifts]): c for e, c in det.items()}
+    return Polynomial(variables, {e: Fraction(c, denominator) for e, c in terms.items()})
