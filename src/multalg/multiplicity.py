@@ -178,8 +178,8 @@ class FiniteGradedAlgebra:
                 continue
             # m is neither standard nor leading, so some lm divides it properly
             t = (m + offset) ^ offset
-            d = next(t - u for u in images if not (t - u) & guards)
-            unit = units[((d & -d).bit_length() - 1) // bits]
+            diff = next(t - u for u in images if not (t - u) & guards)
+            unit = units[((diff & -diff).bit_length() - 1) // bits]
             smaller = cache.get(m - unit)
             if smaller is None:
                 stack.append(m - unit)
