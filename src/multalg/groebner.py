@@ -761,17 +761,18 @@ def standard_monomials(gb: GroebnerBasis) -> list[Exponents]:
     """
     if not is_zero_dimensional(gb):
         raise NotZeroDimensional(gb)
-    # every monomial visited lies below the field-wise max of the leading
-    # monomials, which includes a pure power of each variable
+    # the leading monomials include a pure power of each variable, so each
+    # standard monomial and its neighbours divide their field-wise max, the
+    # corner; the walk stays in that box whatever the check above said
     corner = [tuple(map(max, zip(*gb.leading)))]
     pk, _, images, _, _ = _divisors(gb, _width(gb.order, len(gb.variables), corner))
     guards = pk.guards
+    box = pk.image(pk.pack(corner[0]))
     seen = {0}
-    queue = [0]
+    queue = [(0, pk.image(0))]
     found: list[int] = []
     while queue:
-        m = queue.pop()
-        t = pk.image(m)
+        m, t = queue.pop()
         if any(not (t - u) & guards for u in images):
             continue
         found.append(m)
@@ -779,7 +780,9 @@ def standard_monomials(gb: GroebnerBasis) -> list[Exponents]:
             nxt = m + unit
             if nxt not in seen:
                 seen.add(nxt)
-                queue.append(nxt)
+                v = pk.image(nxt)
+                if not (box - v) & guards:
+                    queue.append((nxt, v))
     found.sort()
     return [pk.unpack(m) for m in found]
 

@@ -6,6 +6,14 @@ on integer rows, fraction-free, in one routine: `rref` clears every other
 row and divides the pivots out once at the end, while `rank` runs only
 the forward half and reduces nothing.
 
+Before eliminating, `rref` and `rank` count pivots modulo the prime
+p = 2^61 - 1.  A minor that is nonzero mod p is a nonzero integer minor of
+the integer-scaled rows, so the rank mod p is a lower bound for the rank
+over Q.  When it reaches every column (`rref`) or min(rows, columns)
+(`rank`), it is the exact rank, and no elimination is needed: the RREF of
+full column rank is the identity over zero rows.  Otherwise the exact
+elimination, the only one, decides.
+
 `primitive` is the one place that picks the primitive integer
 representative of a rational vector; `rref`, the Groebner content
 normalization and the series gcd all go through it.
@@ -20,6 +28,8 @@ from typing import Sequence
 __all__ = ["primitive", "rref", "rank", "nullspace"]
 
 Matrix = list[list[Fraction | int]]
+
+_PRIME = (1 << 61) - 1
 
 
 def primitive(row: Sequence[Fraction | int]) -> list[int]:
@@ -63,6 +73,37 @@ def _echelon(rows: Matrix, full: bool) -> tuple[list[list[int]], list[int]]:
     return m, pivots
 
 
+def _rank_mod_prime(rows: Matrix, want: int) -> int:
+    """Rank of the rows mod `_PRIME`, counting at most `want` pivots and reducing each row only
+    when it is reached; a denominator divisible by p ends the count early (a lower bound still)."""
+    p = _PRIME
+    inverses: dict[int, int] = {}
+    echelon: list[tuple[int, list[int]]] = []  # (pivot column, row with pivot 1)
+    for row in rows:
+        if len(echelon) == want:
+            break
+        v = []
+        for x in row:
+            if type(x) is int:
+                v.append(x % p)
+                continue
+            inv = inverses.get(x.denominator)
+            if inv is None:
+                if not x.denominator % p:
+                    return len(echelon)
+                inv = inverses[x.denominator] = pow(x.denominator, -1, p)
+            v.append(x.numerator * inv % p)
+        for c, e in echelon:  # e is zero in the earlier pivot columns
+            f = v[c]
+            if f:
+                v = [(a - f * b) % p for a, b in zip(v, e)]
+        c = next((c for c, a in enumerate(v) if a), None)
+        if c is not None:
+            inv = pow(v[c], -1, p)
+            echelon.append((c, [a * inv % p for a in v]))
+    return len(echelon)
+
+
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot column list.
 
@@ -73,8 +114,14 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     Each pivot row is divided by its pivot once at the end.  Pivots are the
     first nonzero entry of a column, with no pivoting by size; the RREF of
     a matrix is unique, so the result is the one Fraction elimination gives.
-    Zero rows come last.
+    Zero rows come last.  A matrix of full column rank mod p (see the
+    module docstring) is not eliminated.
     """
+    ncols = len(rows[0]) if rows else 0
+    if len(rows) >= ncols and _rank_mod_prime(rows, ncols) == ncols:
+        one, zero = Fraction(1), Fraction(0)
+        eye = [[one if i == j else zero for j in range(ncols)] for i in range(len(rows))]
+        return eye, list(range(ncols))
     m, pivots = _echelon(rows, True)
     out = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
     out.extend([Fraction(0)] * len(row) for row in m[len(pivots) :])
@@ -82,6 +129,9 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def rank(rows: Matrix) -> int:
+    want = min(len(rows), len(rows[0]) if rows else 0)
+    if _rank_mod_prime(rows, want) == want:
+        return want
     return len(_echelon(rows, False)[1])
 
 

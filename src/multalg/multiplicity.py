@@ -346,6 +346,10 @@ def pairing_matrices(q: FiniteGradedAlgebra) -> PairingReport:
     ell is the coefficient functional of the socle generator, scaled so
     that ell(Jacobian) = 1 when the map is available and the Jacobian has
     a nonzero socle coefficient (perfection does not depend on the scale).
+    b_i*b_j and b_j*b_i are one packed monomial, so for k > m/2 the block
+    is the transpose of the block of degree m - k, read once, with its rank.
+    (A one-dimensional socle makes dim Q^k = dim Q^(m-k), so the shapes
+    agree even where a block is empty.)
     Raises ValueError when the socle is not one-dimensional.
     """
     soc = socle(q)
@@ -376,10 +380,11 @@ def pairing_matrices(q: FiniteGradedAlgebra) -> PairingReport:
     for k in range(m + 1):
         rows_idx = [i for i, d in enumerate(q.degrees) if d == k]
         cols_idx = [j for j, d in enumerate(q.degrees) if d == m - k]
-        matrix = tuple(
-            tuple(ell(i, j) for j in cols_idx) for i in rows_idx
-        )
-        r = rank([list(row) for row in matrix])
+        if m - k < k:
+            matrix, r = tuple(zip(*by_deg[m - k].matrix)), by_deg[m - k].rank
+        else:
+            matrix = tuple(tuple(ell(i, j) for j in cols_idx) for i in rows_idx)
+            r = rank([list(row) for row in matrix])
         perfect = len(rows_idx) == len(cols_idx) and r == len(rows_idx)
         by_deg.append(DegreePairing(k, m - k, matrix, r, perfect))
         all_perfect = all_perfect and perfect

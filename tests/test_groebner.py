@@ -454,6 +454,16 @@ def test_standard_monomials():
     assert standard_monomials(groebner_basis(I(XY, "1"))) == []
 
 
+def test_staircase_walk_stays_below_the_corner(monkeypatch):
+    # y^k and z^k are standard in (x^3, x*y^2) for every k, so the staircase
+    # is infinite; told otherwise, the walk still ends in the box below the
+    # corner x^3*y^2 of the leading monomials
+    monkeypatch.setattr(groebner, "is_zero_dimensional", lambda gb: True)
+    got = standard_monomials(groebner_basis(I(XYZ, "x^3", "x*y^2")))
+    box = {(a, b, 0) for a in range(3) for b in range(3)} - {(1, 2, 0), (2, 2, 0)}
+    assert len(got) == 7 and set(got) == box
+
+
 def test_standard_monomial_count_is_bezout_product():
     # zero-dimensional quasi-homogeneous complete intersection:
     # the count is the product of degree/weight ratios

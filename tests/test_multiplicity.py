@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 import multalg.groebner
 import multalg.linalg
@@ -132,6 +134,59 @@ def test_integer_rref_matches_fraction_reference():
         assert len(kernel) == ncols - len(pivots)
         for v in kernel:
             assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+
+
+def reference_nullspace(rows, ncols):
+    reduced, pivots = fraction_rref_reference(rows)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(int(c == free)) for c in range(ncols)]
+        for row, c in zip(reduced, pivots):
+            v[c] = -row[free]
+        basis.append(v)
+    return basis
+
+
+def test_rank_deficient_modulo_the_prime_falls_back_to_elimination():
+    p = multalg.linalg._PRIME
+    cases = [
+        [[p, 0], [0, 1]],
+        [[1, 1], [1, 1 + p]],
+        [[Fraction(1, p), 1], [0, 1]],
+        [[1, 0], [1, p], [2, p]],  # every 2x2 minor is p or -p
+        [[1, 0, 0], [1, p, 2 * p]],  # wider than tall
+    ]
+    for rows in cases:
+        ncols = len(rows[0])
+        want = min(len(rows), ncols)
+        reduced, pivots = fraction_rref_reference(rows)
+        assert multalg.linalg._rank_mod_prime(rows, want) < len(pivots) == want
+        assert rref(rows) == (reduced, pivots)
+        assert rank(rows) == len(pivots)
+        assert nullspace(rows, ncols) == reference_nullspace(rows, ncols)
+
+
+def test_integer_rref_matches_fraction_reference_modulo_3(monkeypatch):
+    # modulo 3 many of the random matrices lose rank, so both the certificate
+    # and the exact elimination answer many calls
+    calls = {"settled": 0, "eliminated": 0}
+    certificate, echelon = multalg.linalg._rank_mod_prime, multalg.linalg._echelon
+
+    def counting_certificate(rows, want):
+        got = certificate(rows, want)
+        calls["settled"] += got == want
+        return got
+
+    def counting_echelon(rows, full):
+        calls["eliminated"] += 1
+        return echelon(rows, full)
+
+    monkeypatch.setattr(multalg.linalg, "_PRIME", 3)
+    monkeypatch.setattr(multalg.linalg, "_rank_mod_prime", counting_certificate)
+    monkeypatch.setattr(multalg.linalg, "_echelon", counting_echelon)
+    test_integer_rref_matches_fraction_reference()
+    # 101 and 358 calls; under 2^61 - 1, 258 and 201
+    assert calls["settled"] > 50 and calls["eliminated"] > 300
 
 
 # ---------------------------------------------------------------- quotient
@@ -423,6 +478,60 @@ def test_pairing_normalization_sends_jacobian_to_one():
         assert rep.by_degree[0].matrix[0][0] * jac.terms[top] == 1
         checked += 1
     assert checked == 9
+
+
+def sympy_qq(rows):
+    shape = (len(rows), len(rows[0]) if rows else 0)
+    return DomainMatrix([[QQ(x.numerator, x.denominator) for x in row] for row in rows], shape, QQ)
+
+
+def test_report_linear_algebra_matches_sympy():
+    # products and neighbours come from normal forms reduced from scratch, and
+    # ranks and kernels from sympy over QQ
+    rng = random.Random(18)
+    algebras = reference_algebras() + [
+        complete_intersection(rng, (1, 1, 1), (2, 3, 4)),
+        complete_intersection(rng, (1, 1, 1, 2), (2, 3, 4, 4)),
+    ]
+    paired = 0
+    for q in algebras:
+        n = len(q.variables)
+        kernel = []
+        for k in sorted(set(q.degrees)):
+            cols = [j for j, d in enumerate(q.degrees) if d == k]
+            block = []
+            for v in range(n):
+                unit = tuple(int(u == v) for u in range(n))
+                images = [sparse_normal_form(q, mono_mul(q.basis[j], unit)) for j in cols]
+                block.extend([im.get(i, Fraction(0)) for im in images] for i in range(q.dimension))
+            for vec in sympy_qq(block).nullspace().to_list():
+                full = [QQ(0)] * q.dimension
+                for j, x in zip(cols, vec):
+                    full[j] = x
+                kernel.append(full)
+        got = [[s.terms.get(b, Fraction(0)) for b in q.basis] for s in socle(q)]
+        span = sympy_qq(got).to_list() + kernel
+        assert len(got) == len(kernel) == DomainMatrix(span, (len(span), q.dimension), QQ).rank()
+        if len(got) != 1:
+            continue
+        rep = pairing_matrices(q)
+        ((top, c),) = socle(q)[0].terms.items()
+        slot, scale = q.index[top], 1 / c
+        if rep.jacobian_normalized:
+            scale = 1 / normal_form(jacobian_determinant(q.source_map), q.gb).terms[top]
+        for block in rep.by_degree:
+            rows = [i for i, d in enumerate(q.degrees) if d == block.degree]
+            cols = [j for j, d in enumerate(q.degrees) if d == block.complementary_degree]
+            ell = [
+                [scale * sparse_normal_form(q, mono_mul(b, q.basis[j])).get(slot, 0) for j in cols]
+                for b in (q.basis[i] for i in rows)
+            ]
+            mirror = rep.by_degree[block.complementary_degree].matrix
+            assert [list(row) for row in block.matrix] == ell
+            assert block.matrix == tuple(tuple(row[c] for row in mirror) for c in range(len(rows)))
+            assert block.rank == sympy_qq(block.matrix).rank()
+        paired += 1
+    assert paired == 15
 
 
 # ------------------------------------------------------------- equivariant
