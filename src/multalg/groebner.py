@@ -769,20 +769,19 @@ def standard_monomials(gb: GroebnerBasis) -> list[Exponents]:
     guards = pk.guards
     box = pk.image(pk.pack(corner[0]))
     seen = {0}
-    queue = [(0, pk.image(0))]
+    queue = [0]
     found: list[int] = []
     while queue:
-        m, t = queue.pop()
+        m = queue.pop()
+        t = pk.image(m)
         if any(not (t - u) & guards for u in images):
             continue
         found.append(m)
         for unit in pk.units:
             nxt = m + unit
-            if nxt not in seen:
+            if nxt not in seen and not (box - pk.image(nxt)) & guards:
                 seen.add(nxt)
-                v = pk.image(nxt)
-                if not (box - v) & guards:
-                    queue.append((nxt, v))
+                queue.append(nxt)
     found.sort()
     return [pk.unpack(m) for m in found]
 
