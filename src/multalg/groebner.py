@@ -1,12 +1,14 @@
 """Buchberger engine over Q with exact arithmetic, plus ideal queries.
 
 Monomials are packed integers.  Inside the kernel (`buchberger`,
-`normal_form`, `certify`, `s_polynomial` and the staircase enumeration of
-`standard_monomials`) an exponent vector is one Python `int`, laid out so
-that `int` comparison is the monomial order, multiplication is `+` and
-division is `-`.  Exponent tuples are made only at the edge: a
-`Polynomial` is packed on the way in, and result polynomials,
-`GroebnerBasis.leading` and standard monomials are unpacked on the way out.
+`normal_form`, `certify`, `s_polynomial`) and the staircase queries
+(`is_zero_dimensional`, `standard_monomials`, the Hilbert numerator behind
+`hilbert_series` and `krull_dimension`) an exponent vector is one Python
+`int`, laid out so that `int` comparison is the monomial order,
+multiplication is `+` and division is `-`.  Exponent tuples are made only
+at the edge: a `Polynomial` is packed on the way in, and result
+polynomials, `GroebnerBasis.leading` and standard monomials are unpacked
+on the way out.
 
 Layout.  An order is cut into blocks of consecutive variables:
 `WeightedGrevlex` is one graded block, `Lex` one lex block, and an
@@ -33,6 +35,14 @@ Schoenemann (ISSAC 1998) on the packed monomials of Monagan and Pearce
 (CASC 2007).  The field-wise minimum of two images comes from the same
 guard-bit subtraction, and lcm(a, b) is u(a) + u(b) - gcd, the degree
 field of each graded block in gcd summed by one multiplication.
+
+The Hilbert numerator is Bigatti's pivot recursion (JPAA 1997) on the
+images of the leading monomials, N(I) = N(I + (x_v)) + t^w_v N(I : x_v).
+It rests on two facts.  A proper divisor has the smaller image, so one
+pass over the sorted images keeps the minimal generators.  And u(a*b) =
+u(a) + u(b), so I + (x_v) appends u(x_v), I : x_v subtracts it from each
+image whose field v is nonzero, and the exponents a leaf's degree needs
+are its fields over their packing weights.
 
 Width and overflow.  The field width is derived from the input: the
 smallest with 2^(bits-1) above twice the largest field value of any input
@@ -100,7 +110,6 @@ from .poly import (
     Polynomial,
     PolynomialError,
     WeightedGrading,
-    mono_divides,
     quasi_homogeneity_witness,
     weighted_degree,
 )
@@ -745,13 +754,10 @@ def _certify(gb, sources, limits, pk, lms, images, polys, reach) -> bool:
 def is_zero_dimensional(gb: GroebnerBasis) -> bool:
     """True iff the staircase is finite: every variable has a pure-power
     leading monomial (the constant monomial counts for every variable)."""
-    n = len(gb.variables)
-    for i in range(n):
-        if not any(
-            all(e == 0 for j, e in enumerate(lm) if j != i) for lm in gb.leading
-        ):
-            return False
-    return True
+    pk, _, images, _, _ = _divisors(gb, 0)
+    fields = [pk.mask << pos for pos, _ in pk.cells]
+    exponents = sum(fields)  # the degree fields of graded blocks left out
+    return all(any(not u & (exponents - f) for u in images) for f in fields)
 
 
 def standard_monomials(gb: GroebnerBasis) -> list[Exponents]:
@@ -786,44 +792,39 @@ def standard_monomials(gb: GroebnerBasis) -> list[Exponents]:
     return [pk.unpack(m) for m in found]
 
 
-def _minimalize(gens: Iterable[Exponents]) -> tuple[Exponents, ...]:
-    uniq = sorted(set(gens), key=lambda e: (sum(e), e))
-    out: list[Exponents] = []
-    for g in uniq:
-        if not any(mono_divides(h, g) for h in out):
-            out.append(g)
-    return tuple(out)
-
-
-def _monomial_numerator(gens: tuple[Exponents, ...], weights: tuple[int, ...]) -> UniPoly:
-    """Numerator N with Hilb(R/(gens)) = N / prod(1 - t^w), by pivot recursion."""
-    gens = _minimalize(gens)
-    n = len(weights)
-    if any(not any(g) for g in gens):
+def _monomial_numerator(pk: _Packing, images: Iterable[int], weights: tuple[int, ...]) -> UniPoly:
+    """Numerator N with Hilb(R/I) = N / prod(1 - t^w) for the monomial ideal I
+    of these images, by Bigatti's pivot recursion (see the module docstring)."""
+    guards, mask, cells = pk.guards, pk.mask, pk.cells
+    gens: list[int] = []
+    for u in sorted(images):  # a proper divisor comes first
+        if all((u - h) & guards for h in gens):
+            gens.append(u)
+    if gens and not gens[0]:
         return UniPoly()  # unit ideal
-    counts = [0] * n
-    for g in gens:
-        for i, e in enumerate(g):
-            if e:
-                counts[i] += 1
+    fields = [mask << pos for pos, _ in cells]
+    counts = [sum(1 for u in gens if u & f) for f in fields]
     top = max(counts, default=0)
     if top < 2:
         # pairwise disjoint supports (no generator or one included): the
         # quotient is a tensor product
         out = UniPoly.one()
-        for g in gens:
-            out = out * one_minus_power(sum(w * e for w, e in zip(weights, g)))
+        for u in gens:
+            degree = sum(s * ((u >> pos) & mask) // w for s, (pos, w) in zip(weights, cells))
+            out = out * one_minus_power(degree)
         return out
     # split along the pivot variable x_v:  N(I) = N(I + (x_v)) + t^w N(I : x_v)
-    pivot_var = counts.index(top)
-    pivot = tuple(1 if i == pivot_var else 0 for i in range(n))
-    plus = tuple(g for g in gens if g[pivot_var] == 0) + (pivot,)
-    colon = tuple(
-        g[:pivot_var] + (max(0, g[pivot_var] - 1),) + g[pivot_var + 1 :] for g in gens
-    )
-    left = _monomial_numerator(plus, weights)
-    right = _monomial_numerator(colon, weights)
-    return left + UniPoly.term(1, weights[pivot_var]) * right
+    v = counts.index(top)
+    f, unit = fields[v], pk.image(pk.units[v])
+    left = _monomial_numerator(pk, [*gens, unit], weights)
+    right = _monomial_numerator(pk, [u - unit if u & f else u for u in gens], weights)
+    return left + UniPoly.term(1, weights[v]) * right
+
+
+def _staircase_series(gb: GroebnerBasis, weights: tuple[int, ...]) -> RationalSeries:
+    """Hilbert series of R/in(I) under these weights, read off the basis's images."""
+    pk, _, images, _, _ = _divisors(gb, 0)
+    return RationalSeries(_monomial_numerator(pk, images, weights), weight_denominator(weights))
 
 
 def hilbert_series(
@@ -841,10 +842,8 @@ def hilbert_series(
         witness = quasi_homogeneity_witness(g, grading)
         if witness is not None:
             raise NotQuasiHomogeneous(*witness)
-    denom = weight_denominator(grading.weights)
     gb = groebner_basis(ideal, WeightedGrevlex(grading.weights), limits)
-    numerator = _monomial_numerator(gb.leading, grading.weights)
-    return RationalSeries(numerator, denom)
+    return _staircase_series(gb, grading.weights)
 
 
 def krull_dimension(ideal_or_gb: Ideal | GroebnerBasis, limits: ReductionLimits = DEFAULT_LIMITS) -> int:
@@ -856,9 +855,7 @@ def krull_dimension(ideal_or_gb: Ideal | GroebnerBasis, limits: ReductionLimits 
         gb = groebner_basis(ideal_or_gb, limits=limits)
     else:
         gb = ideal_or_gb
-    units = (1,) * len(gb.variables)
-    series = RationalSeries(_monomial_numerator(gb.leading, units), weight_denominator(units))
-    return series.pole_order()
+    return _staircase_series(gb, (1,) * len(gb.variables)).pole_order()
 
 
 # ---------------------------------------------------------------------------

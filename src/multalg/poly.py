@@ -26,7 +26,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import le
 from typing import Iterable, Mapping
 
 from .orders import WeightedGrevlex
@@ -45,7 +44,6 @@ __all__ = [
     "WeightedGrading",
     "PolynomialMap",
     "mono_mul",
-    "mono_divides",
     "monomials_of_weighted_degree",
     "monomial_to_text",
     "parse_polynomial",
@@ -103,11 +101,6 @@ class NotQuasiHomogeneous(PolynomialError):
 
 def mono_mul(a: Exponents, b: Exponents) -> Exponents:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_divides(a: Exponents, b: Exponents) -> bool:
-    """True when the monomial with exponents `a` divides the one with `b`."""
-    return all(map(le, a, b))
 
 
 def monomials_of_weighted_degree(weights: tuple[int, ...], degree: int) -> list[Exponents]:

@@ -6,12 +6,13 @@ and with rational coefficients.  The normal-form operator is pinned by its
 two defining invariants (idempotence and linearity) and compared with a
 plain `Fraction` division on exponent tuples kept here, since the engine
 itself reduces packed monomials over the integers; the packing is checked
-against the tuple helpers and the order keys.  Everything runs over exact
-rationals.
+against exponent-tuple arithmetic and the order keys.  Everything runs
+over exact rationals.
 """
 
 import random
 from fractions import Fraction
+from operator import le
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,12 +45,20 @@ from multalg.groebner import (
 from multalg.grassmann import grassmann_presentation
 from multalg.jets import jet_presentation
 from multalg.orders import EliminationOrder, Lex, WeightedGrevlex
-from multalg.poly import Polynomial, WeightedGrading, mono_divides, mono_mul, parse_polynomial
+from multalg.poly import (
+    Polynomial,
+    WeightedGrading,
+    mono_mul,
+    monomials_of_weighted_degree,
+    parse_polynomial,
+    weighted_degree,
+)
 from multalg.series import RationalSeries, UniPoly
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
 A3 = ("a0", "a1", "a2")
+WXYZ = ("w", "x", "y", "z")
 
 
 def P(text, vs):
@@ -363,7 +372,7 @@ def test_packing_agrees_with_tuples(order):
         assert (pa < pb, pa == pb) == (order.key(a) < order.key(b), a == b)
         assert pa + pb == pk.pack(mono_mul(a, b))
         for x, y, px, py in ((a, b, pa, pb), (b, a, pb, pa)):
-            assert (not (pk.image(py) - pk.image(px)) & pk.guards) == mono_divides(x, y)
+            assert (not (pk.image(py) - pk.image(px)) & pk.guards) == all(map(le, x, y))
         assert pk.lcm(pk.image(pa), pk.image(pb)) == pk.pack(tuple(map(max, a, b)))
         assert pk.unpack(pa) == a and pk.unpack(pb) == b
 
@@ -517,43 +526,61 @@ def test_hilbert_series_of_complete_intersection_is_weight_ratio():
         grading = WeightedGrading(weights)
         gens = tuple(P(t, vs) for t in texts)
         ideal = Ideal(vs, gens, grading)
-        degrees = []
-        from multalg.poly import weighted_degree
-
-        for g in gens:
-            degrees.append(weighted_degree(g, grading))
-        want = RationalSeries.from_weight_ratio(tuple(degrees), weights)
+        degrees = tuple(weighted_degree(g, grading) for g in gens)
+        want = RationalSeries.from_weight_ratio(degrees, weights)
         assert hilbert_series(ideal) == want
 
 
-def test_hilbert_series_counts_standard_monomials():
-    # independent route: brute-force count monomials outside the staircase
-    ideal = I(XY, "x^3", "x*y^2")
-    gb = groebner_basis(ideal)
-    lms = gb.leading
-    series = hilbert_series(ideal)
-    # count monomials of total degree up to 8 not divisible by any LM
-    counts = [0] * 9
-    for a in range(0, 9):
-        for b in range(0, 9):
-            if a + b > 8:
-                continue
-            if any(a >= l[0] and b >= l[1] for l in lms):
-                continue
-            counts[a + b] += 1
-    # expand the series to degree 8 by long division
+def _expansion(series, top):
+    """Coefficients of t^0 .. t^top of the series, by long division."""
     num, den = series.numerator, series.denominator
-    expansion = []
-    rem = list(num.coeffs) + [0] * 12
+    rem = [Fraction(num.coefficient(k)) for k in range(top + 1)]
     d0 = den.coefficient(0)
     assert d0 != 0
-    for k in range(9):
-        c = Fraction(rem[k], d0)
-        expansion.append(c)
-        for j, dc in enumerate(den.coeffs):
-            if k + j < len(rem):
-                rem[k + j] -= c * dc
-    assert [int(c) for c in expansion] == counts
+    for k in range(top + 1):
+        rem[k] /= d0
+        for j in range(1, min(len(den.coeffs), top + 1 - k)):
+            rem[k + j] -= rem[k] * den.coeffs[j]
+    return rem
+
+
+def _random_monomial_ideal(rng):
+    """1-4 variables weighted from {1, 2, 3}, 1-4 monomial generators, and
+    half the time a pure power of every variable (a finite quotient)."""
+    n = rng.randint(1, 4)
+    vs = WXYZ[:n]
+    exps = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.5:
+        exps += [tuple(rng.randint(1, 3) if j == i else 0 for j in range(n)) for i in range(n)]
+    gens = tuple(Polynomial(vs, {e: Fraction(1)}) for e in exps)
+    return Ideal(vs, gens, WeightedGrading(tuple(rng.choice((1, 2, 3)) for _ in range(n))))
+
+
+def test_hilbert_series_counts_standard_monomials():
+    # independent route: the number of monomials of each weighted degree up
+    # to 10 outside in(I), counted by brute force, against the series
+    # expanded to that degree; on (x^3, x*y^2), seeded monomial ideals of
+    # every dimension (the unit ideal included) and the order-2 jet ideals
+    # of Gr(k, 4), whose level-shifted weights reach 4
+    rng = random.Random(19)
+    ideals = [I(XY, "x^3", "x*y^2")]
+    ideals += [_random_monomial_ideal(rng) for _ in range(150)]
+    ideals += [jet_presentation(grassmann_presentation(4, k), 2).ring.ideal() for k in (1, 2, 3)]
+    dims = set()
+    for ideal in ideals:
+        weights = ideal.grading.weights
+        gb = groebner_basis(ideal, WeightedGrevlex(weights))
+        counts = [
+            sum(
+                1
+                for e in monomials_of_weighted_degree(weights, d)
+                if not any(all(map(le, lm, e)) for lm in gb.leading)
+            )
+            for d in range(11)
+        ]
+        assert _expansion(hilbert_series(ideal), 10) == counts, ideal
+        dims.add(krull_dimension(gb))
+    assert dims == {0, 1, 2, 3}
 
 
 # ------------------------------------------------------------------- krull
@@ -590,7 +617,7 @@ def test_krull_dimension_matches_brute_force():
     bases = [groebner_basis(_random_ideal(rng, XYZ, count=2)) for _ in range(10)]
     orders = (WeightedGrevlex.units(4), Lex(), EliminationOrder(block=2, first=WeightedGrevlex.units(2)))
     for _ in range(8):
-        ideal = _random_ideal(rng, ("w", "x", "y", "z"), count=rng.randint(1, 3))
+        ideal = _random_ideal(rng, WXYZ, count=rng.randint(1, 3))
         dims = set()
         for order in orders:
             gb = groebner_basis(ideal, order)
@@ -599,10 +626,17 @@ def test_krull_dimension_matches_brute_force():
         assert len(dims) == 1
     for k in (1, 2, 3):
         bases.append(groebner_basis(jet_presentation(grassmann_presentation(4, k), 2).ring.ideal()))
+    # finite quotients under every order family, for is_zero_dimensional
+    finite = (
+        grassmann_presentation(4, 2).ideal(),
+        I(WXYZ, "w^2 - x*y", "x^2 + y", "y^3 - z", "z^2 - w"),
+    )
+    bases += [groebner_basis(ideal, order) for ideal in finite for order in orders]
     zero, unit = Ideal(XYZ, (), WeightedGrading.units(3)), I(XYZ, "1")
     bases += [groebner_basis(zero), groebner_basis(unit)]
     for gb in bases:
         assert krull_dimension(gb) == _subset_dimension(gb)
+        assert is_zero_dimensional(gb) == (_subset_dimension(gb) == 0)
     assert {_subset_dimension(gb) for gb in bases} == {0, 1, 2, 3}
     assert krull_dimension(zero) == 3 and krull_dimension(unit) == 0
 

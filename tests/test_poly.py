@@ -18,7 +18,6 @@ from multalg.poly import (
     WeightedGrading,
     jacobian_determinant,
     jacobian_matrix,
-    mono_divides,
     monomials_of_weighted_degree,
     parse_polynomial,
     polynomial_to_text,
@@ -364,8 +363,3 @@ def test_jacobian_determinant_matches_sympy(m):
     want = sympy.Matrix([[sympy.diff(f, s) for s in syms] for f in comps]).det()
     got = _to_sympy(jacobian_determinant(m), syms)
     assert sympy.expand(got - want) == 0
-
-
-def test_mono_helpers():
-    assert mono_divides((1, 0), (2, 1))
-    assert not mono_divides((1, 2), (2, 1))
