@@ -32,6 +32,7 @@ from .jets import jet_invariants, jet_presentation
 from .multiplicity import equivariant_multiplicity, hitchin_base_weights, verify_structure_theorem
 from .poly import polynomial_to_text, weighted_degree
 from .rings import PresentedRing
+from .series import UniPoly
 from .weights import DominantWeight, dominance_leq, weyl_orbit_size
 
 __all__ = ["main", "build_parser"]
@@ -53,6 +54,17 @@ def _load_ring(path: str) -> PresentedRing:
         return PresentedRing.loads(sys.stdin.read())
     with open(path, "r", encoding="utf-8") as handle:
         return PresentedRing.loads(handle.read())
+
+
+def _emit(as_json: bool, data: dict, text: str) -> None:
+    """Print `data` as compact sorted JSON, or `text`."""
+    print(json.dumps(data, sort_keys=True) if as_json else text)
+
+
+def _poly_fields(poly: UniPoly) -> dict:
+    """The JSON fields `gaussian` and `multiplicity` share."""
+    coefficients = [int(c) for c in poly.coeffs]
+    return {"coefficients": coefficients, "text": str(poly), "value_at_1": int(poly(1))}
 
 
 def _print_ring(ring: PresentedRing, as_json: bool) -> None:
@@ -216,13 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args: argparse.Namespace, limits: ReductionLimits) -> int:
     if args.command == "gaussian":
         poly = gaussian_binomial(args.n, args.k)
-        if args.json:
-            print(json.dumps(
-                {"n": args.n, "k": args.k, "coefficients": [int(c) for c in poly.coeffs],
-                 "text": str(poly), "value_at_1": int(poly(1))},
-                sort_keys=True))
-        else:
-            print(poly)
+        _emit(args.json, {"n": args.n, "k": args.k, **_poly_fields(poly)}, str(poly))
         return 0
 
     if args.command == "grassmann":
@@ -231,15 +237,8 @@ def _run(args: argparse.Namespace, limits: ReductionLimits) -> int:
 
     if args.command == "multiplicity":
         m = _parse_int_list(args.m, "-m")
-        data = DivisorData(args.n, m)
-        poly = grassmann_multiplicity(data)
-        if args.json:
-            print(json.dumps(
-                {"n": args.n, "m": list(m), "coefficients": [int(c) for c in poly.coeffs],
-                 "text": str(poly), "value_at_1": int(poly(1))},
-                sort_keys=True))
-        else:
-            print(poly)
+        poly = grassmann_multiplicity(DivisorData(args.n, m))
+        _emit(args.json, {"n": args.n, "m": list(m), **_poly_fields(poly)}, str(poly))
         return 0
 
     if args.command == "analyze":
@@ -251,24 +250,18 @@ def _run(args: argparse.Namespace, limits: ReductionLimits) -> int:
     if args.command == "equivariant":
         domain = _parse_int_list(args.domain, "--domain")
         codomain = _parse_int_list(args.codomain, "--codomain")
-        series = equivariant_multiplicity(domain, codomain)
-        if args.json:
-            print(json.dumps(
-                {"domain": list(domain), "codomain": list(codomain), "series": str(series)},
-                sort_keys=True))
-        else:
-            print(series)
+        series = str(equivariant_multiplicity(domain, codomain))
+        data = {"domain": list(domain), "codomain": list(codomain), "series": series}
+        _emit(args.json, data, series)
         return 0
 
     if args.command == "hitchin-weights":
         weights = hitchin_base_weights(args.n, args.g)
-        if args.json:
-            print(json.dumps(
-                {"n": args.n, "g": args.g, "weights": list(weights), "cardinality": len(weights)},
-                sort_keys=True))
-        else:
-            print("weights:", " ".join(str(w) for w in weights))
-            print("cardinality:", len(weights))
+        _emit(
+            args.json,
+            {"n": args.n, "g": args.g, "weights": list(weights), "cardinality": len(weights)},
+            f"weights: {' '.join(map(str, weights))}\ncardinality: {len(weights)}",
+        )
         return 0
 
     if args.command == "jet":
@@ -296,21 +289,17 @@ def _run(args: argparse.Namespace, limits: ReductionLimits) -> int:
         lam = DominantWeight(_parse_int_list(args.lam, "LAMBDA"))
         mu = DominantWeight(_parse_int_list(args.mu, "MU"))
         below = dominance_leq(lam, mu)
-        if args.json:
-            print(json.dumps(
-                {"lambda": list(lam.entries), "mu": list(mu.entries), "below": below},
-                sort_keys=True))
-        else:
-            print("true" if below else "false")
+        _emit(
+            args.json,
+            {"lambda": list(lam.entries), "mu": list(mu.entries), "below": below},
+            "true" if below else "false",
+        )
         return 0
 
     if args.command == "orbit":
         weight = DominantWeight(_parse_int_list(args.weight, "WEIGHT"))
         size = weyl_orbit_size(weight)
-        if args.json:
-            print(json.dumps({"weight": list(weight.entries), "orbit_size": size}, sort_keys=True))
-        else:
-            print(size)
+        _emit(args.json, {"weight": list(weight.entries), "orbit_size": size}, str(size))
         return 0
 
     if args.command == "closure":

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .groebner import DEFAULT_LIMITS, ReductionLimits, hilbert_series
 from .poly import Polynomial
 from .rings import PresentedRing
-from .series import RationalSeries, UniPoly, one_minus_power
+from .series import RationalSeries, UniPoly, weight_denominator
 from .weights import DominantWeight, fundamental_decomposition, lower_set
 
 __all__ = [
@@ -45,12 +45,8 @@ def gaussian_binomial(n: int, k: int) -> UniPoly:
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    num = UniPoly.one()
-    for i in range(1, k + 1):
-        num = num * one_minus_power(n - i + 1)
-    for i in range(1, k + 1):
-        num = num.divide_exact(one_minus_power(i))
-    return num
+    numerator = weight_denominator(range(n - k + 1, n + 1))
+    return numerator.divide_exact(weight_denominator(range(1, k + 1)))
 
 
 def grassmann_presentation(n: int, k: int) -> PresentedRing:

@@ -382,6 +382,8 @@ class GroebnerBasis:
         basis: tuple[Polynomial, ...],
         source: tuple[Polynomial, ...] | None = None,
     ):
+        if any(p.variables != variables for p in (*basis, *(source or ()))):
+            raise PolynomialError(f"basis or source polynomial not over {variables}")
         leading = tuple(leading_exponents(g, order) for g in basis)
         self._set(variables, order, basis, leading, source, None)
 
@@ -495,13 +497,8 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
 
     def attempt(bits: int) -> Polynomial:
         pk = _packing(order, n, bits)
-        fi, gi = _pack_terms(pk, f), _pack_terms(pk, g)
-        lmf, lmg = max(fi), max(gi)
-        uf, ug = pk.image(lmf), pk.image(lmg)
-        fi, gi = _int_terms(fi, lmf), _int_terms(gi, lmg)
-        s = _s_terms(
-            pk, fi, lmf, pk.reach(fi, uf), gi, lmg, pk.reach(gi, ug), pk.lcm(uf, ug)
-        )
+        (lmf, lmg), (uf, ug), (fi, gi), (rf, rg) = _elements(pk, (f, g))
+        s = _s_terms(pk, fi, lmf, rf, gi, lmg, rg, pk.lcm(uf, ug))
         return _from_int(pk, f.variables, s, lcm(fi[lmf], gi[lmg]))
 
     return _widening(_width(order, n, [*f.terms, *g.terms]), attempt)

@@ -25,12 +25,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Mapping
 
 from .groebner import DEFAULT_LIMITS, Ideal, ReductionLimits, hilbert_series
-from .poly import (
-    Polynomial,
-    PolynomialError,
-    WeightedGrading,
-    quasi_homogeneity_witness,
-)
+from .poly import NotQuasiHomogeneous, Polynomial, PolynomialError, WeightedGrading
 from .rings import PresentedRing
 from .series import RationalSeries
 
@@ -213,11 +208,10 @@ def jet_invariants(
     series (see `JetInvariants`), not from further passes over the basis.
     """
     ideal = jet.ring.ideal()
-    units = WeightedGrading.units(len(jet.ring.variables))
-    unit_graded = all(
-        quasi_homogeneity_witness(g, units) is None for g in ideal.generators
-    )
-    series_grading = units if unit_graded else jet.ring.grading()
-    return JetInvariants(
-        hilbert_series(ideal, series_grading, limits), series_grading.weights
-    )
+    grading = WeightedGrading.units(len(jet.ring.variables))
+    try:
+        series = hilbert_series(ideal, grading, limits)
+    except NotQuasiHomogeneous:  # raised before any basis is built
+        grading = jet.ring.grading()
+        series = hilbert_series(ideal, grading, limits)
+    return JetInvariants(series, grading.weights)

@@ -1,18 +1,17 @@
 """Exact dense linear algebra over the rationals: rref, rank, nullspace.
 
 Matrices come in as lists of rows whose entries may be `int` or
-`Fraction`, and go out as lists of `Fraction` rows.  The elimination runs
-on integer rows, fraction-free, in one routine: `rref` clears every other
-row and divides the pivots out once at the end, while `rank` runs only
-the forward half and reduces nothing.
+`Fraction`, and go out as lists of `Fraction` rows.  `rref` is the only
+elimination: it runs on integer rows, fraction-free, clears every other
+row and divides the pivots out once at the end.  `rank` and `nullspace`
+read its result.
 
-Before eliminating, `rref` and `rank` count pivots modulo the prime
-p = 2^61 - 1.  A minor that is nonzero mod p is a nonzero integer minor of
-the integer-scaled rows, so the rank mod p is a lower bound for the rank
-over Q.  When it reaches every column (`rref`) or min(rows, columns)
-(`rank`), it is the exact rank, and no elimination is needed: the RREF of
-full column rank is the identity over zero rows.  Otherwise the exact
-elimination, the only one, decides.
+Before eliminating, `rref` counts pivots modulo the prime p = 2^61 - 1.
+A minor that is nonzero mod p is a nonzero integer minor of the
+integer-scaled rows, so the rank mod p is a lower bound for the rank over
+Q.  When it reaches every column, it is the exact rank, and no elimination
+is needed: the RREF of full column rank is the identity over zero rows.
+Otherwise the exact elimination decides.
 
 `primitive` is the one place that picks the primitive integer
 representative of a rational vector; `rref`, the Groebner content
@@ -44,9 +43,8 @@ def primitive(row: Sequence[Fraction | int]) -> list[int]:
     return [a // content for a in ints] if content > 1 else ints
 
 
-def _echelon(rows: Matrix, full: bool) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free elimination on primitive integer rows (see `rref`); without
-    `full` only the rows below each pivot are cleared, which leaves the same pivots."""
+def _echelon(rows: Matrix) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination on primitive integer rows (see `rref`)."""
     m = [primitive(row) for row in rows]
     ncols = len(m[0]) if m else 0
     pivots: list[int] = []
@@ -58,7 +56,7 @@ def _echelon(rows: Matrix, full: bool) -> tuple[list[list[int]], list[int]]:
         m[r], m[pivot_row] = m[pivot_row], m[r]
         top = m[r]
         p = top[c]
-        for i in range(0 if full else r + 1, len(m)):
+        for i in range(len(m)):
             f = m[i][c]
             if i != r and f:
                 g = gcd(p, f)
@@ -105,7 +103,8 @@ def _rank_mod_prime(rows: Matrix, want: int) -> int:
 
 
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot column list.
+    """Reduced row echelon form and pivot column list: the package's only
+    elimination, which `rank` and `nullspace` read.
 
     Each row is scaled to a primitive integer row first.  Gauss-Jordan
     elimination then replaces row i by (p*row_i - f*row_r)/g, where p is
@@ -122,17 +121,14 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
         one, zero = Fraction(1), Fraction(0)
         eye = [[one if i == j else zero for j in range(ncols)] for i in range(len(rows))]
         return eye, list(range(ncols))
-    m, pivots = _echelon(rows, True)
+    m, pivots = _echelon(rows)
     out = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
     out.extend([Fraction(0)] * len(row) for row in m[len(pivots) :])
     return out, pivots
 
 
 def rank(rows: Matrix) -> int:
-    want = min(len(rows), len(rows[0]) if rows else 0)
-    if _rank_mod_prime(rows, want) == want:
-        return want
-    return len(_echelon(rows, False)[1])
+    return len(rref(rows)[1])
 
 
 def nullspace(rows: Matrix, ncols: int) -> list[list[Fraction]]:

@@ -44,6 +44,7 @@ from .orders import WeightedGrevlex
 from .poly import (
     Exponents,
     Polynomial,
+    PolynomialError,
     PolynomialMap,
     WeightedGrading,
     jacobian_determinant,
@@ -116,6 +117,8 @@ class FiniteGradedAlgebra:
         grading: WeightedGrading,
         source_map: PolynomialMap | None = None,
     ):
+        if len(grading.weights) != len(gb.variables):
+            raise PolynomialError("grading length does not match the variable count")
         basis = tuple(standard_monomials(gb))  # raises NotZeroDimensional
         object.__setattr__(self, "gb", gb)
         object.__setattr__(self, "grading", grading)

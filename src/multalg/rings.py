@@ -79,7 +79,7 @@ class PresentedRing:
 
     def as_map(self) -> PolynomialMap:
         """The relations as a square quasi-homogeneous map (when square)."""
-        gens = tuple(r for r in self.relations if not r.is_zero())
+        gens = self.ideal().generators
         if len(gens) != len(self.variables):
             raise PolynomialError(
                 f"{len(gens)} nonzero relations over {len(self.variables)} variables: not square"

@@ -17,7 +17,7 @@ Provenance tags: "paper" for values copied from the source results,
 "trivial" for immediate identities, "derived" for values computed by an
 independent oracle and frozen.
 
-Adding a case is one row of `_ROWS`: `_Row(name, tag, anchor, compute,
+A case is one row of `_ROWS`: `CheckCase(name, tag, anchor, compute,
 expected)`.  `compute(limits)` runs when the case runs, and the case
 passes when its result equals `expected`, which states the pinned value
 as plain data (a polynomial as its text or its term dict, a series as
@@ -49,7 +49,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .grassmann import (
     DivisorData,
@@ -120,19 +120,28 @@ __all__ = [
     "embedded_point_check",
 ]
 
-Runner = Callable[[ReductionLimits], "str | None"]
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # some `expected` values are lists
 class CheckCase:
     """One catalogue entry.  `run` returns None on pass, a witness on fail."""
 
     name: str
-    module: str
     tag: str  # "paper" | "trivial" | "derived"
     anchor: str  # the identity being pinned, in domain language
-    run: Runner
+    compute: Callable[[ReductionLimits], object]
+    expected: object  # the pinned value, or `_WITNESS` for a named runner
     negative_control: bool = False
+
+    @property
+    def module(self) -> str:
+        prefix = self.name.split(".", 1)[0]
+        return _MODULE_OF_PREFIX.get(prefix, prefix)
+
+    def run(self, limits: ReductionLimits) -> str | None:
+        got = self.compute(limits)
+        if self.expected is _WITNESS:
+            return got
+        return None if got == self.expected else f"got {got!r}, expected {self.expected!r}"
 
 
 @dataclass(frozen=True)
@@ -450,105 +459,95 @@ def _structure_random_sweep(seed: int, limits: ReductionLimits) -> str | None:
 
 _WITNESS = object()  # `expected` of a named runner: its result is the witness
 
-
-class _Row(NamedTuple):
-    name: str
-    tag: str
-    anchor: str
-    compute: Callable[[ReductionLimits], object]
-    expected: object
-    negative_control: bool = False
-
-
 _ROWS = (
     # -- poly_core
-    _Row(
+    CheckCase(
         "poly.parse_single_monomial", "trivial", "text 'a0^2' parses to the squared first variable",
         lambda _: _p("a0^2", _A2).terms, {(2, 0): 1},
     ),
-    _Row(
+    CheckCase(
         "poly.parse_two_term_generator", "paper",
         "the degree-4 jet relation a0*a2 + a1^2 parses with both terms",
         lambda _: _p("a0*a2 + a1^2", _A3).terms, {(1, 0, 1): 1, (0, 2, 0): 1},
     ),
-    _Row(
+    CheckCase(
         "poly.parse_zero", "trivial", "text '0' is the empty-term polynomial",
         lambda _: _p("0", _A2).terms, {},
     ),
-    _Row(
+    CheckCase(
         "poly.product_of_monic_linear_factors", "paper",
         "(p1+x)(q1+x) expands to p1*q1 + (p1+q1)x + x^2",
         lambda _: str(_p("p1 + x", (*_PQ, "x")) * _p("q1 + x", (*_PQ, "x"))),
         "p1*q1 + p1*x + q1*x + x^2",
     ),
-    _Row(
+    CheckCase(
         "poly.additive_identity", "trivial", "f + 0 = f",
         lambda _: (_p("3*a0 - 1/2*a1", _A2) + Polynomial.zero(_A2)).terms,
         {(1, 0): 3, (0, 1): Fraction(-1, 2)},
     ),
-    _Row(
+    CheckCase(
         "poly.truncated_series_square", "derived",
         "(a0 + a1 z + a2 z^2)^2 has z-coefficients a0^2, 2a0a1, 2a0a2 + a1^2",
         _square_z_coefficients, [{(2, 0, 0): 1}, {(1, 1, 0): 2}, {(1, 0, 1): 2, (0, 2, 0): 1}],
     ),
-    _Row(
+    CheckCase(
         "poly.weighted_degree_mixed_weights", "derived",
         "a0*a2 + a1^2 has weighted degree 4 under weights (1,2,3)",
         lambda _: weighted_degree(_p("a0*a2 + a1^2", _A3), WeightedGrading((1, 2, 3))), 4,
     ),
-    _Row(
+    CheckCase(
         "poly.weighted_degree_pure_power", "trivial", "x^5 has degree 5 under unit weights",
         lambda _: weighted_degree(_p("x^5", ("x",)), WeightedGrading((1,))), 5,
     ),
-    _Row(
+    CheckCase(
         "poly.inhomogeneity_witnesses", "trivial",
         "a0^2 + a1 is flagged with witness degrees 2 and 1",
         _inhomogeneity_witnesses, _WITNESS,
     ),
-    _Row(
+    CheckCase(
         "poly.zero_polynomial_has_no_degree", "trivial",
         "the zero polynomial raises the distinguished degree error",
         _zero_polynomial_has_no_degree, _WITNESS,
     ),
-    _Row(
+    CheckCase(
         "poly.jacobian_one_variable", "trivial", "the map (x^2) has Jacobian determinant 2x",
         lambda _: jacobian_determinant(_x2_map()).terms, {(1,): 2},
     ),
-    _Row(
+    CheckCase(
         "poly.jacobian_two_by_two", "derived",
         "the map (p1+q1, p1*q1) has Jacobian determinant p1 - q1",
         lambda _: str(jacobian_determinant(_gr21_map())), "p1 - q1",
     ),
-    _Row(
+    CheckCase(
         "poly.jacobian_degree_grassmann_4_2", "derived",
         "Jacobian degree of the (4,2) presentation map is (1+2+3+4)-(1+2+1+2) = 4",
         lambda _: _jacobian_degree(_gr24_map()), (4, 4),
     ),
     # -- groebner
-    _Row(
+    CheckCase(
         "groebner.reduced_basis_gr_2_1", "derived",
         "(p1+q1, p1*q1) reduces to the basis {p1+q1, q1^2}",
         lambda limits: _texts(groebner_basis(_gr21_ideal(), limits=limits).basis),
         ["p1 + q1", "q1^2"],
     ),
-    _Row(
+    CheckCase(
         "groebner.principal_ideal", "trivial", "(a0) is its own reduced basis",
         lambda limits: [g.terms for g in groebner_basis(_ideal(_A2, ("a0",)), limits=limits).basis],
         [{(1, 0): 1}],
     ),
-    _Row(
+    CheckCase(
         "groebner.syzygy_gives_cube", "derived",
         "a1^3 = a1(a0a2+a1^2) - a2(a0a1) enters the lex basis of the degree-3 jet ideal",
         _syzygy_cube, (True, "0"),
     ),
-    _Row(
+    CheckCase(
         "groebner.normal_form_reduces_generator", "derived", "p1*q1 reduces to zero through -q1^2",
         lambda limits: str(
             normal_form(_p("p1*q1", _PQ), groebner_basis(_gr21_ideal(), limits=limits))
         ),
         "0",
     ),
-    _Row(
+    CheckCase(
         "groebner.normal_form_of_unit", "trivial",
         "1 survives reduction modulo a proper homogeneous ideal",
         lambda limits: normal_form(
@@ -556,7 +555,7 @@ _ROWS = (
         ).terms,
         {(0, 0): 1},
     ),
-    _Row(
+    CheckCase(
         "groebner.normal_form_of_jet_generator", "paper",
         "a0*a2 + a1^2 is a member of the degree-3 jet ideal",
         lambda limits: str(
@@ -564,27 +563,27 @@ _ROWS = (
         ),
         "0",
     ),
-    _Row(
+    CheckCase(
         "groebner.zero_dimensional_gr_2_1", "derived",
         "(p1+q1, q1^2) has pure-power leading monomials p1 and q1^2",
         lambda limits: is_zero_dimensional(groebner_basis(_gr21_ideal(), limits=limits)), True,
     ),
-    _Row(
+    CheckCase(
         "groebner.not_zero_dimensional_embedded_line", "paper",
         "(a0^2, a0a1) has no pure power of a1: an infinite staircase",
         lambda limits: is_zero_dimensional(groebner_basis(_d2_ideal(), limits=limits)), False,
     ),
-    _Row(
+    CheckCase(
         "groebner.zero_dimensional_principal", "trivial", "(x) in one variable is zero-dimensional",
         lambda limits: is_zero_dimensional(groebner_basis(_ideal(("x",), ("x",)), limits=limits)),
         True,
     ),
-    _Row(
+    CheckCase(
         "groebner.staircase_gr_2_1", "derived", "standard monomials of (p1+q1, q1^2) are 1 and q1",
         lambda limits: standard_monomials(groebner_basis(_gr21_ideal(), limits=limits)),
         [(0, 0), (0, 1)],
     ),
-    _Row(
+    CheckCase(
         "groebner.staircase_count_gr_4_2", "derived",
         "the (4,2) presentation has 6 standard monomials = C(4,2)",
         lambda limits: len(
@@ -592,52 +591,52 @@ _ROWS = (
         ),
         6,
     ),
-    _Row(
+    CheckCase(
         "groebner.staircase_principal", "trivial", "(x) leaves only the constant monomial",
         lambda limits: standard_monomials(groebner_basis(_ideal(("x",), ("x",)), limits=limits)),
         [(0,)],
     ),
-    _Row(
+    CheckCase(
         "groebner.hilbert_series_finite_quotient", "derived",
         "quotient by (p1+q1, p1q1) has Hilbert series 1 + t",
         lambda limits: str(hilbert_series(_gr21_ideal(), limits=limits)), "1 + t",
     ),
-    _Row(
+    CheckCase(
         "groebner.hilbert_series_embedded_point", "derived",
         "quotient by (a0^2, a0a1) has series (1 + t - t^2)/(1 - t)",
         lambda limits: str(hilbert_series(_d2_ideal(), limits=limits)), "(1 + t - t^2)/(1 - t)",
     ),
-    _Row(
+    CheckCase(
         "groebner.hilbert_series_free_ring", "trivial",
         "the zero ideal in one weight-1 variable gives 1/(1 - t)",
         lambda limits: str(hilbert_series(Ideal(("x",), (), WeightedGrading((1,))), limits=limits)),
         "(1)/(1 - t)",
     ),
-    _Row(
+    CheckCase(
         "groebner.krull_dimension_embedded_point", "paper",
         "the degree-2 jet ideal cuts out a line: dimension 1",
         lambda limits: krull_dimension(_d2_ideal(), limits), 1,
     ),
-    _Row(
+    CheckCase(
         "groebner.krull_dimension_grassmann", "derived",
         "the (4,2) presentation ideal is zero-dimensional",
         lambda limits: krull_dimension(grassmann_presentation(4, 2).ideal(), limits), 0,
     ),
-    _Row(
+    CheckCase(
         "groebner.krull_dimension_zero_ideal", "trivial",
         "the zero ideal in 3 variables has dimension 3",
         lambda limits: krull_dimension(Ideal(_A3, (), WeightedGrading.units(3)), limits), 3,
     ),
-    _Row(
+    CheckCase(
         "groebner.intersection_embedded_point", "paper",
         "(a0,a1)^2 meet (a0) equals (a0^2, a0a1) by elimination",
         lambda limits: embedded_point_check(limits), True,
     ),
-    _Row(
+    CheckCase(
         "groebner.intersection_idempotent", "trivial", "I meet I = I",
         lambda limits: _meets_itself(_gr21_ideal(), limits), True,
     ),
-    _Row(
+    CheckCase(
         "groebner.intersection_coprime_principal", "derived", "(a0) meet (a1) = (a0*a1)",
         lambda limits: ideal_equal(
             ideal_intersection(_ideal(_A2, ("a0",)), _ideal(_A2, ("a1",)), limits),
@@ -646,19 +645,19 @@ _ROWS = (
         ),
         True,
     ),
-    _Row(
+    CheckCase(
         "groebner.equality_unit_scaling", "trivial", "(x) and (2x) are the same ideal",
         lambda limits: ideal_equal(
             _ideal(("x",), ("x",)), _ideal(("x",), ("2*x",)), limits=limits
         ),
         True,
     ),
-    _Row(
+    CheckCase(
         "groebner.inequality_with_witness", "derived",
         "(a0a2 + a1^2) differs from (2a0a2 + a1^2), witnessed by a normal form",
         _scaled_generator_differs, (False, "-a0*a2"),
     ),
-    _Row(
+    CheckCase(
         "groebner.certification_pass", "derived",
         "every S-polynomial of the worked bases reduces to zero post hoc",
         lambda limits: [
@@ -668,27 +667,27 @@ _ROWS = (
         [True] * 3,
     ),
     # -- multiplicity_algebra
-    _Row(
+    CheckCase(
         "multiplicity.quotient_gr_2_1", "derived",
         "the (2,1) presentation map gives a 2-dimensional algebra on {1, q1}",
         lambda limits: build_quotient(_gr21_map(), limits).basis, ((0, 0), (0, 1)),
     ),
-    _Row(
+    CheckCase(
         "multiplicity.quotient_x_squared", "paper",
         "(x^2) gives the 2-dimensional algebra of the projective line",
         lambda limits: build_quotient(_x2_map(), limits).dimension, 2,
     ),
-    _Row(
+    CheckCase(
         "multiplicity.degenerate_map_not_finite", "paper",
         "(a0^2, a0a1) is degenerate: the quotient is not finite-dimensional",
         _degenerate_map_not_finite, _WITNESS,
     ),
-    _Row(
+    CheckCase(
         "multiplicity.poincare_gr_2_1", "derived",
         "Poincare polynomial of the (2,1) quotient is 1 + t",
         lambda limits: str(poincare_polynomial(build_quotient(_gr21_map(), limits))), "1 + t",
     ),
-    _Row(
+    CheckCase(
         "multiplicity.poincare_gr_4_2", "derived",
         "Poincare polynomial of the (4,2) quotient equals the (4,2) Gaussian binomial",
         lambda limits: (
@@ -697,43 +696,43 @@ _ROWS = (
         ),
         (_Q42, _Q42),
     ),
-    _Row(
+    CheckCase(
         "multiplicity.poincare_x_squared", "paper", "Poincare polynomial of C[x]/(x^2) is 1 + t",
         lambda limits: str(poincare_polynomial(build_quotient(_x2_map(), limits))), "1 + t",
     ),
-    _Row(
+    CheckCase(
         "multiplicity.socle_x_squared", "trivial",
         "socle of C[x]/(x^2) is spanned by x in degree 1",
         lambda limits: _texts(socle(build_quotient(_x2_map(), limits))), ["x"],
     ),
-    _Row(
+    CheckCase(
         "multiplicity.socle_gr_2_1", "derived", "socle of the (2,1) quotient is spanned by q1",
         lambda limits: _texts(socle(build_quotient(_gr21_map(), limits))), ["q1"],
     ),
-    _Row(
+    CheckCase(
         "multiplicity.socle_gr_4_2", "derived",
         "socle of the (4,2) quotient is one-dimensional in degree 4 = k(n-k)",
         lambda limits: _socle_degrees(build_quotient(_gr24_map(), limits)), [{4}],
     ),
-    _Row(
+    CheckCase(
         "multiplicity.jacobian_socle_x_squared", "trivial", "2x spans the socle of C[x]/(x^2)",
         lambda limits: jacobian_spans_socle(build_quotient(_x2_map(), limits)), True,
     ),
-    _Row(
+    CheckCase(
         "multiplicity.jacobian_socle_gr_2_1", "derived",
         "p1 - q1 reduces to -2q1 and spans the socle",
         lambda limits: jacobian_spans_socle(build_quotient(_gr21_map(), limits)), True,
     ),
-    _Row(
+    CheckCase(
         "multiplicity.jacobian_socle_gr_4_2", "derived",
         "the (4,2) Jacobian determinant spans the socle",
         lambda limits: jacobian_spans_socle(build_quotient(_gr24_map(), limits)), True,
     ),
-    _Row(
+    CheckCase(
         "multiplicity.pairing_x_squared", "trivial", "the (1, x) pairing of C[x]/(x^2) is perfect",
         lambda limits: pairing_matrices(build_quotient(_x2_map(), limits)).perfect, True,
     ),
-    _Row(
+    CheckCase(
         "multiplicity.pairing_gr_4_2_middle", "derived",
         "the 2x2 middle-degree pairing matrix of the (4,2) quotient is invertible",
         lambda limits: [
@@ -742,17 +741,17 @@ _ROWS = (
         ],
         [(0, 1, 1, True), (1, 1, 1, True), (2, 2, 2, True), (3, 1, 1, True), (4, 1, 1, True)],
     ),
-    _Row(
+    CheckCase(
         "multiplicity.pairing_flags_fat_socle", "trivial",
         "a 2-dimensional socle (non-square degree pairing) is rejected",
         _pairing_flags_fat_socle, _WITNESS,
     ),
-    _Row(
+    CheckCase(
         "multiplicity.equivariant_cancellation", "derived",
         "degrees {1,2} over weights {1,1} reduce to 1 + t",
         lambda _: str(equivariant_multiplicity((1, 1), (1, 2))), "1 + t",
     ),
-    _Row(
+    CheckCase(
         "multiplicity.equivariant_gr_4_2", "derived",
         "degrees {1,2,3,4} over weights {1,2,1,2} give the (4,2) Gaussian binomial",
         lambda _: (
@@ -761,74 +760,74 @@ _ROWS = (
         ),
         (_Q42, _Q42),
     ),
-    _Row(
+    CheckCase(
         "multiplicity.equivariant_identity_map", "trivial",
         "equal weight multisets give the constant series 1",
         lambda _: str(equivariant_multiplicity((1, 2), (1, 2))), "1",
     ),
-    _Row(
+    CheckCase(
         "multiplicity.structure_report_gr_4_2", "derived",
         "the (4,2) quotient passes every structure clause with dimension 6",
         lambda limits: _structure(_gr24_map(), limits), (True, True, 9, 6, 6),
     ),
-    _Row(
+    CheckCase(
         "multiplicity.structure_report_x_squared", "paper",
         "C[x]/(x^2) passes every structure clause with dimension 2",
         lambda limits: _structure(_x2_map(), limits), (True, True, 9, 2, 2),
     ),
-    _Row(
+    CheckCase(
         "multiplicity.structure_report_degenerate", "paper",
         "the degenerate map reports finite_dimensional = false and nothing else",
         lambda limits: _structure(_degenerate_map(), limits), (False, False, 0, None, None),
     ),
-    _Row(
+    CheckCase(
         "multiplicity.base_weights_rank_1", "derived",
         "rank 1 genus 2 base weights are {1,1}, cardinality 1^2 * 1 + 1",
         lambda _: hitchin_base_weights(1, 2), (1, 1),
     ),
-    _Row(
+    CheckCase(
         "multiplicity.base_weights_rank_2", "derived",
         "rank 2 genus 2 base weights are {1,1,2,2,2}, cardinality 5",
         lambda _: hitchin_base_weights(2, 2), (1, 1, 2, 2, 2),
     ),
     # -- grassmann
-    _Row(
+    CheckCase(
         "grassmann.gaussian_2_1", "derived",
         "the (2,1) Gaussian binomial is 1 + t (counts lines in the plane)",
         lambda _: str(gaussian_binomial(2, 1)), "1 + t",
     ),
-    _Row(
+    CheckCase(
         "grassmann.gaussian_4_2", "derived",
         "the (4,2) Gaussian binomial is 1 + t + 2t^2 + t^3 + t^4, value 6 at t=1",
         lambda _: (str(gaussian_binomial(4, 2)), gaussian_binomial(4, 2)(1)), (_Q42, 6),
     ),
-    _Row(
+    CheckCase(
         "grassmann.gaussian_k_zero", "trivial", "[n 0] = 1",
         lambda _: str(gaussian_binomial(7, 0)), "1",
     ),
-    _Row(
+    CheckCase(
         "grassmann.presentation_2_1", "paper",
         "the (2,1) ring has variables (p1, q1) and relations p1+q1, p1*q1",
         lambda _: _ring_text(grassmann_presentation(2, 1)), (_PQ, ["p1 + q1", "p1*q1"]),
     ),
-    _Row(
+    CheckCase(
         "grassmann.presentation_4_2", "derived",
         "the (4,2) ring has 4 relations of degrees 1..4 from the monic product",
         lambda _: _graded_relations(grassmann_presentation(4, 2)),
         [("p1 + q1", 1), ("p1*q1 + p2 + q2", 2), ("p2*q1 + p1*q2", 3), ("p2*q2", 4)],
     ),
-    _Row(
+    CheckCase(
         "grassmann.presentation_3_1", "derived",
         "(p1+x)(q2+q1x+x^2) yields relations p1q2, p1q1+q2, p1+q1",
         lambda _: _ring_text(grassmann_presentation(3, 1)),
         (("p1", "q1", "q2"), ["p1 + q1", "p1*q1 + q2", "p1*q2"]),
     ),
-    _Row(
+    CheckCase(
         "grassmann.multiplicity_single_point_rank_2", "paper",
         "rank 2 with one simple point gives 1 + t",
         lambda _: str(grassmann_multiplicity(DivisorData(2, (1,)))), "1 + t",
     ),
-    _Row(
+    CheckCase(
         "grassmann.multiplicity_single_factor", "derived",
         "rank 4 with m = (0,1,0) is the single factor [4 2]",
         lambda _: (
@@ -837,23 +836,23 @@ _ROWS = (
         ),
         (_Q42, _Q42),
     ),
-    _Row(
+    CheckCase(
         "grassmann.multiplicity_square", "derived",
         "rank 3 with m = (1,1) gives (1+t+t^2)^2 = 1 + 2t + 3t^2 + 2t^3 + t^4",
         lambda _: str(grassmann_multiplicity(DivisorData(3, (1, 1)))),
         "1 + 2*t + 3*t^2 + 2*t^3 + t^4",
     ),
-    _Row(
+    CheckCase(
         "grassmann.product_hilbert_two_lines", "derived",
         "two copies of the (2,1) ring give (1+t)^2 by the dimension count",
         lambda limits: str(product_hilbert([grassmann_presentation(2, 1)] * 2, limits)),
         "1 + 2*t + t^2",
     ),
-    _Row(
+    CheckCase(
         "grassmann.product_hilbert_empty", "trivial", "the empty product has Hilbert series 1",
         lambda limits: str(product_hilbert([], limits)), "1",
     ),
-    _Row(
+    CheckCase(
         "grassmann.product_hilbert_matches_multiplicity", "derived",
         "one (4,2) factor matches the divisor-data product formula",
         lambda limits: (
@@ -862,12 +861,12 @@ _ROWS = (
         ),
         (_Q42, _Q42),
     ),
-    _Row(
+    CheckCase(
         "grassmann.structure_sweep", "derived",
         "every presentation with n up to 5 passes the full structure suite",
         _structure_sweep, _WITNESS,
     ),
-    _Row(
+    CheckCase(
         "grassmann.gaussian_duality", "derived", "[n k] = [n n-k] for n up to 6",
         lambda _: [
             (n, k) for n in range(1, 7) for k in range(0, n + 1)
@@ -875,7 +874,7 @@ _ROWS = (
         ],
         [],
     ),
-    _Row(
+    CheckCase(
         "grassmann.gaussian_pascal_recurrence", "derived",
         "[n k] = [n-1 k-1] + t^k [n-1 k] for n up to 10",
         lambda _: [
@@ -885,7 +884,7 @@ _ROWS = (
         ],
         [],
     ),
-    _Row(
+    CheckCase(
         "grassmann.equivariant_closed_form", "derived",
         "weight ratio {1..n} over {1..k}+{1..n-k} equals [n k] for n up to 8",
         lambda _: [
@@ -898,28 +897,28 @@ _ROWS = (
         [],
     ),
     # -- jets
-    _Row(
+    CheckCase(
         "jets.square_zero_order_1", "paper", "order-1 jets of C[a]/(a^2) are C[a0]/(a0^2)",
         lambda limits: _square_jet(1, ("a0^2",), limits), (("a0",), ["a0^2"], True),
     ),
-    _Row(
+    CheckCase(
         "jets.square_zero_order_2", "paper",
         "order-2 jets give (a0^2, 2a0a1), the ideal (a0^2, a0a1)",
         lambda limits: _square_jet(2, ("a0^2", "a0*a1"), limits),
         (_A2, ["a0^2", "2*a0*a1"], True),
     ),
-    _Row(
+    CheckCase(
         "jets.square_zero_order_3", "paper",
         "order-3 jets give (a0^2, 2a0a1, 2a0a2+a1^2): the reference ideal rescaled by a2 -> 2a2, "
         "and not the reference ideal itself",
         _square_jet_order_3,
         ([{(2, 0, 0): 1}, {(1, 1, 0): 2}, {(1, 0, 1): 2, (0, 2, 0): 1}], True, True, False),
     ),
-    _Row(
+    CheckCase(
         "jets.substitution_identity", "trivial", "the identity substitution preserves the ideal",
         _substitution_identity, True,
     ),
-    _Row(
+    CheckCase(
         "jets.substitution_collapse_to_zero", "trivial",
         "a0 -> 0 on (a0^2) collapses to the zero ideal",
         lambda _: apply_substitution(
@@ -927,107 +926,107 @@ _ROWS = (
         ).generators,
         (),
     ),
-    _Row(
+    CheckCase(
         "jets.invariants_order_2", "derived",
         "order-2 jets of the square-zero ring: a line (dimension 1), series (1+t-t^2)/(1-t)",
         lambda limits: _square_jet_invariants(2, limits), (1, False, None, "(1 + t - t^2)/(1 - t)"),
     ),
-    _Row(
+    CheckCase(
         "jets.invariants_order_1", "paper",
         "order-1 jets are the ring itself: finite of dimension 2",
         lambda limits: _square_jet_invariants(1, limits), (0, True, 2, "1 + t"),
     ),
-    _Row(
+    CheckCase(
         "jets.order_1_is_identity", "trivial",
         "order-1 jets of the (3,1) ring equal the ring after renaming",
         _order_1_is_identity, True,
     ),
-    _Row(
+    CheckCase(
         "jets.counts_scale_with_order", "trivial",
         "variable and relation counts both scale by the jet order",
         lambda _: _jet_counts(grassmann_presentation(3, 2), 3), (3, 3, 9, 9),
     ),
-    _Row(
+    CheckCase(
         "jets.induced_grading_homogeneous", "derived",
         "jet relations are quasi-homogeneous for weight(x, level j) = weight(x) + j",
         _jet_weights, (1, 2, 1, 2, 2, 3),  # p1 then q1, q2, each at levels 0 and 1
     ),
-    _Row(
+    CheckCase(
         "jets.negative_control_corrupted_order_3", "trivial",
         "a sign-flipped order-3 fixture must NOT match the rescaled jet ideal",
         _negative_control_corrupted_order_3, _WITNESS, negative_control=True,
     ),
     # -- weights
-    _Row(
+    CheckCase(
         "weights.dominance_positive_root", "derived",
         "(1,1,0) lies below (2,0,0): the difference is a positive root",
         lambda _: dominance_leq(_W((1, 1, 0)), _W((2, 0, 0))), True,
     ),
-    _Row(
+    CheckCase(
         "weights.dominance_reflexive", "trivial", "every weight lies below itself",
         lambda _: dominance_leq(_W((3, 1, 0)), _W((3, 1, 0))), True,
     ),
-    _Row(
+    CheckCase(
         "weights.dominance_totals_differ", "trivial",
         "(2,0) and (1,0) are incomparable: totals differ",
         lambda _: (dominance_leq(_W((2, 0)), _W((1, 0))), dominance_leq(_W((1, 0)), _W((2, 0)))),
         (False, False),
     ),
-    _Row(
+    CheckCase(
         "weights.lower_set_two_zero", "derived", "the closure of (2,0) has strata (2,0) and (1,1)",
         lambda _: [w.entries for w in lower_set(_W((2, 0)))], [(2, 0), (1, 1)],
     ),
-    _Row(
+    CheckCase(
         "weights.lower_set_four_zero", "derived",
         "the closure of (4,0) has 3 = floor(4/2)+1 strata",
         lambda _: [w.entries for w in lower_set(_W((4, 0)))], [(4, 0), (3, 1), (2, 2)],
     ),
-    _Row(
+    CheckCase(
         "weights.lower_set_minuscule_singleton", "paper",
         "the first fundamental weight of GL_3 is alone in its closure",
         lambda _: [w.entries for w in lower_set(_W((1, 0, 0)))], [(1, 0, 0)],
     ),
-    _Row(
+    CheckCase(
         "weights.orbit_size_rank_2", "paper", "(d+1, 0) has a 2-element symmetric-group orbit",
         lambda _: [weyl_orbit_size(_W((d + 1, 0))) for d in range(0, 6)], [2] * 6,
     ),
-    _Row(
+    CheckCase(
         "weights.orbit_size_choose", "derived", "(3,3,0,0) has orbit size 4!/(2!2!) = 6 = C(4,2)",
         lambda _: weyl_orbit_size(_W((3, 3, 0, 0))), 6,
     ),
-    _Row(
+    CheckCase(
         "weights.orbit_size_central", "trivial", "constant weights have a singleton orbit",
         lambda _: weyl_orbit_size(_W((5, 5, 5))), 1,
     ),
-    _Row(
+    CheckCase(
         "weights.decomposition_omega_2", "derived",
         "(1,1,0,0) decomposes as omega_2 with reversed exponents (0,0,1,0)",
         lambda _: fundamental_decomposition(_W((1, 1, 0, 0))), ((0, 1, 0, 0), (0, 0, 1, 0)),
     ),
-    _Row(
+    CheckCase(
         "weights.decomposition_rank_2", "paper",
         "(2,0) has coefficients (2,0) and reversed exponents (0,2)",
         lambda _: fundamental_decomposition(_W((2, 0))), ((2, 0), (0, 2)),
     ),
-    _Row(
+    CheckCase(
         "weights.decomposition_zero", "trivial", "the zero weight decomposes to all zeros",
         lambda _: fundamental_decomposition(_W((0, 0, 0))), ((0, 0, 0), (0, 0, 0)),
     ),
-    _Row(
+    CheckCase(
         "weights.minuscule_omega_2", "paper", "the second fundamental weight of GL_4 is minuscule",
         lambda _: is_minuscule(_W((1, 1, 0, 0))), True,
     ),
-    _Row(
+    CheckCase(
         "weights.minuscule_fails_above", "derived",
         "(2,0) is not minuscule: (1,1) lies strictly below",
         lambda _: is_minuscule(_W((2, 0))), False,
     ),
-    _Row(
+    CheckCase(
         "weights.minuscule_zero", "trivial", "the zero weight is minuscule",
         lambda _: is_minuscule(_W((0, 0, 0))), True,
     ),
     # -- verification_suite
-    _Row(
+    CheckCase(
         "verification.embedded_point_symmetric", "derived",
         "(a0,a1)^2 meet (a1) = (a1^2, a0a1) by the same elimination",
         lambda limits: ideal_equal(
@@ -1035,13 +1034,13 @@ _ROWS = (
         ),
         True,
     ),
-    _Row(
+    CheckCase(
         "verification.embedded_point_diagonal_differs", "derived",
         "(a0,a1)^2 meet (a0+a1) is a different ideal",
         lambda limits: ideal_equal(_square_meet("a0 + a1", limits), _d2_ideal(), limits=limits),
         False,
     ),
-    _Row(
+    CheckCase(
         "verification.closure_rank_2", "derived",
         "(2,0) strata: a jet case without a closed formula, then the central stratum",
         lambda _: _strata(_W((2, 0))),
@@ -1050,13 +1049,13 @@ _ROWS = (
             ("multiplicity", "1", "central"),
         ],
     ),
-    _Row(
+    CheckCase(
         "verification.closure_minuscule", "derived",
         "the second fundamental weight of GL_4 has one stratum with the (4,2) binomial",
         lambda _: (_strata(fundamental_weight(4, 2)), str(gaussian_binomial(4, 2))),
         ([("multiplicity", _Q42, "")], _Q42),
     ),
-    _Row(
+    CheckCase(
         "verification.closure_zero_weight", "trivial",
         "the zero weight has a single stratum with multiplicity polynomial 1",
         lambda _: _strata(_W((0, 0, 0))), [("multiplicity", "1", "central")],
@@ -1070,31 +1069,18 @@ _MODULE_OF_PREFIX = {
 }
 
 
-def _compare(compute, expected, limits: ReductionLimits) -> str | None:
-    """None when `compute(limits)` equals `expected`, else both values."""
-    got = compute(limits)
-    return None if got == expected else f"got {got!r}, expected {expected!r}"
-
-
 def catalogue(seed: int = 0) -> tuple[CheckCase, ...]:
     """All cases, sorted by name.  `seed` feeds the randomized sweep."""
-    sweep = _Row(
+    sweep = CheckCase(
         "multiplicity.structure_random_sweep", "derived",
         "five seeded random finite quotients pass every structure clause",
         partial(_structure_random_sweep, seed), _WITNESS,
     )
     cases: dict[str, CheckCase] = {}
-    for row in (*_ROWS, sweep):
-        if row.name in cases:
-            raise ValueError(f"duplicate case name {row.name!r}")
-        prefix = row.name.split(".", 1)[0]
-        run = row.compute
-        if row.expected is not _WITNESS:
-            run = partial(_compare, row.compute, row.expected)
-        cases[row.name] = CheckCase(
-            row.name, _MODULE_OF_PREFIX.get(prefix, prefix), row.tag, row.anchor, run,
-            row.negative_control,
-        )
+    for case in (*_ROWS, sweep):
+        if case.name in cases:
+            raise ValueError(f"duplicate case name {case.name!r}")
+        cases[case.name] = case
     return tuple(sorted(cases.values(), key=lambda c: c.name))
 
 

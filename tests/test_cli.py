@@ -42,6 +42,43 @@ def test_gaussian_json(capsys):
     assert data["value_at_1"] == 6
 
 
+_COMPACT = {
+    ("gaussian", "-n", "4", "-k", "2"): (
+        "1 + t + 2*t^2 + t^3 + t^4\n",
+        '{"coefficients": [1, 1, 2, 1, 1], "k": 2, "n": 4, "text": "1 + t + 2*t^2 + t^3 + t^4", '
+        '"value_at_1": 6}\n',
+    ),
+    ("multiplicity", "-n", "3", "-m", "1,1"): (
+        "1 + 2*t + 3*t^2 + 2*t^3 + t^4\n",
+        '{"coefficients": [1, 2, 3, 2, 1], "m": [1, 1], "n": 3, '
+        '"text": "1 + 2*t + 3*t^2 + 2*t^3 + t^4", "value_at_1": 9}\n',
+    ),
+    ("equivariant", "--domain", "2", "--codomain", "3"): (
+        "(1 + t + t^2)/(1 + t)\n",
+        '{"codomain": [3], "domain": [2], "series": "(1 + t + t^2)/(1 + t)"}\n',
+    ),
+    ("hitchin-weights", "-n", "2", "-g", "2"): (
+        "weights: 1 1 2 2 2\ncardinality: 5\n",
+        '{"cardinality": 5, "g": 2, "n": 2, "weights": [1, 1, 2, 2, 2]}\n',
+    ),
+    ("dominance", "1,1", "2,0"): (
+        "true\n",
+        '{"below": true, "lambda": [1, 1], "mu": [2, 0]}\n',
+    ),
+    ("orbit", "3,3,0,0"): (
+        "6\n",
+        '{"orbit_size": 6, "weight": [3, 3, 0, 0]}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", _COMPACT, ids=lambda argv: argv[0])
+def test_compact_subcommands_print_exact_text_and_json(capsys, argv):
+    text, compact = _COMPACT[argv]
+    assert run(capsys, *argv) == (0, text, "")
+    assert run(capsys, *argv, "--json") == (0, compact, "")
+
+
 def test_grassmann_json_round_trips(capsys):
     rc, out, _ = run(capsys, "grassmann", "-n", "3", "-k", "1", "--json")
     assert rc == 0

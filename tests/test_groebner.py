@@ -47,6 +47,7 @@ from multalg.jets import jet_presentation
 from multalg.orders import EliminationOrder, Lex, WeightedGrevlex
 from multalg.poly import (
     Polynomial,
+    PolynomialError,
     WeightedGrading,
     mono_mul,
     monomials_of_weighted_degree,
@@ -701,6 +702,16 @@ def test_certify_rejects_basis_missing_source_membership():
     impostor = GroebnerBasis(XY, good.order, good.basis, (P("y", XY),))
     with pytest.raises(CertificationError):
         certify(impostor)
+
+
+def test_basis_over_other_variables_is_rejected():
+    # read over (x,), y^2 + x would lead with x and reduce x^2 to 1
+    units = WeightedGrevlex.units(1)
+    stray = P("y^2 + x", XY)
+    with pytest.raises(PolynomialError):
+        GroebnerBasis(("x",), units, (stray,))
+    with pytest.raises(PolynomialError):
+        GroebnerBasis(("x",), units, (P("x", ("x",)),), (stray,))
 
 
 # -------------------------------------------------------------- resources

@@ -26,6 +26,7 @@ from multalg.multiplicity import (
 )
 from multalg.poly import (
     Polynomial,
+    PolynomialError,
     PolynomialMap,
     WeightedGrading,
     jacobian_determinant,
@@ -177,15 +178,15 @@ def test_integer_rref_matches_fraction_reference_modulo_3(monkeypatch):
         calls["settled"] += got == want
         return got
 
-    def counting_echelon(rows, full):
+    def counting_echelon(rows):
         calls["eliminated"] += 1
-        return echelon(rows, full)
+        return echelon(rows)
 
     monkeypatch.setattr(multalg.linalg, "_PRIME", 3)
     monkeypatch.setattr(multalg.linalg, "_rank_mod_prime", counting_certificate)
     monkeypatch.setattr(multalg.linalg, "_echelon", counting_echelon)
     test_integer_rref_matches_fraction_reference()
-    # 101 and 358 calls; under 2^61 - 1, 258 and 201
+    # 99 and 360 calls; under 2^61 - 1, 237 and 222
     assert calls["settled"] > 50 and calls["eliminated"] > 300
 
 
@@ -194,6 +195,14 @@ def test_integer_rref_matches_fraction_reference_modulo_3(monkeypatch):
 
 def test_build_quotient_gr21():
     assert build_quotient(gr21_map()).top_degree == 1
+
+
+@pytest.mark.parametrize("weights", [(1,), (1, 1, 1)])
+def test_grading_of_the_wrong_length_is_rejected(weights):
+    vs = ("x", "y")
+    gb = groebner_basis(Ideal(vs, (P("x^2", vs), P("y^2", vs))))
+    with pytest.raises(PolynomialError, match="grading length"):
+        FiniteGradedAlgebra(gb, WeightedGrading(weights))
 
 
 def sparse_normal_form(q, m):

@@ -58,7 +58,7 @@ def test_catalogue_and_verify_json_are_pinned():
 
 
 def _row(name, compute, expected):
-    return verification._Row(name, "trivial", "a test row", compute, expected)
+    return verification.CheckCase(name, "trivial", "a test row", compute, expected)
 
 
 @pytest.mark.parametrize("name", ["poly.parse_zero", "multiplicity.structure_random_sweep"])
