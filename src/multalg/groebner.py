@@ -83,6 +83,33 @@ Pairs wait on a heap of (packed lcm, i, j), which pops in the order a
 (i, j) answers the chain criterion's membership tests, and a pair leaves
 both when it is popped.
 
+A third criterion is Traverso's Hilbert-driven one (J. Symbolic Comput.
+22, 1996).  It runs when the order is a lone `WeightedGrevlex` and the
+input is n forms in n variables whose degrees d and the weights w make H =
+prod(1 - t^d) / prod(1 - t^w) a polynomial with nonnegative coefficients:
+the Hilbert series of R/I if the forms are a complete intersection, which
+is the equivariant multiplicity that
+`multiplicity.equivariant_multiplicity` computes.  Homogeneous pairs pop in
+order of degree.  The loop keeps the standard monomials of the current
+leading monomials one degree at a time (level d is x_v times level d - w_v,
+less the multiples of a leading monomial), and since G lies in I, level d
+has at least HF(R/I, d) monomials.  A pair whose degree-d level is down to
+H_d monomials is deferred: were I a complete intersection, <LT(G)>_d would
+already be in(I)_d and the pair would reduce to zero.  A deferred pair
+stays pending, so the chain criterion never counts on it.  Exactness rests
+on two checks.  When a pair of a higher degree comes up, every lower level
+is finished, and under the hypothesis it has exactly H_d monomials; one
+that differs disproves it, the criterion turns off and the deferred pairs
+go back on the heap.  When only deferred pairs are left, they are dropped
+only if every level up to deg H + max w matches H.  Every monomial of a
+higher degree then has a divisor in the empty levels above deg H, so the
+staircase is finite, of size H(1) = prod d / prod w.  R/I is then Artinian,
+so the n forms are a regular sequence, dim R/I = H(1), and the staircase of
+in(I), inside that of <LT(G)> and of the same size, equals it: in(I) =
+<LT(G)> and G is a Groebner basis.  Otherwise the deferred pairs go back
+and the loop goes on without the criterion.  Reduced bases are unique, so
+every result is the one the loop gives without it.
+
 Every run is bounded by an explicit cap on processed S-pair reductions;
 exceeding it raises ResourceLimitExceeded rather than returning anything.
 `certify` recomputes every S-polynomial of a finished basis with no
@@ -594,6 +621,81 @@ def buchberger(
     )
 
 
+class _Staircase:
+    """Standard monomials of the leading monomials found so far, as images,
+    one weighted degree at a time, held against the Hilbert function h of
+    the complete intersection that a square system of forms would be (see
+    the module docstring)."""
+
+    def __init__(self, pk: _Packing, weights: tuple[int, ...], h: tuple[int, ...]):
+        self.h = h + (0,) * max(weights)  # through `top`, where a finite staircase ends
+        self.top = len(self.h) - 1
+        self.guards = pk.guards
+        self.steps = [(w, pk.image(unit)) for w, unit in zip(weights, pk.units)]
+        self.shift = pk.degrees[0][3]  # u >> shift is the degree of the image u
+        self.levels: list[set[int]] = [{0}]
+        self.checked = 0  # the levels below this one match h
+
+    def _level(self, d: int, images: Sequence[int]) -> set[int]:
+        """Level d, built on the levels below it: a divisor of a standard
+        monomial is standard, so each one is x_v times a standard monomial."""
+        levels, guards = self.levels, self.guards
+        while len(levels) <= d:
+            e = len(levels)
+            products = {t + step for w, step in self.steps if w <= e for t in levels[e - w]}
+            levels.append({t for t in products if all((t - u) & guards for u in images)})
+        return levels[d]
+
+    def agrees(self, d: int, images: Sequence[int]) -> bool:
+        """Whether every finished level below d (none above `top` is needed)
+        has as many monomials as h says."""
+        for e in range(self.checked, min(d, self.top + 1)):
+            if len(self._level(e, images)) != self.h[e]:
+                return False
+            self.checked = e + 1
+        return True
+
+    def full(self, d: int, images: Sequence[int]) -> bool:
+        """Whether level d is down to h_d monomials, so that no pair of degree
+        d can give a new leading monomial; past `top` the levels below have
+        shown the staircase finite, and level d empty."""
+        return d > self.top or len(self._level(d, images)) == self.h[d]
+
+    def drop(self, u: int) -> None:
+        self.levels[u >> self.shift].discard(u)
+
+
+@lru_cache(maxsize=64)
+def _weight_ratio(degrees: tuple[int, ...], weights: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The coefficients of prod(1 - t^d) / prod(1 - t^w), the Hilbert function
+    of a complete intersection of forms of these degrees, when that is a
+    polynomial with nonnegative coefficients; otherwise None."""
+    h = RationalSeries.from_weight_ratio(degrees, weights)
+    if h.is_polynomial() and all(c >= 0 for c in h.numerator.coeffs):
+        return h.numerator.coeffs
+    return None
+
+
+def _staircase(
+    pk: _Packing, order: MonomialOrder, elements: Sequence[IntTerms]
+) -> _Staircase | None:
+    """The staircase of the Hilbert-driven criterion, or None where it does
+    not apply: it needs a lone `WeightedGrevlex`, as many generators as
+    variables, each homogeneous of positive degree under its weights, and
+    a weight ratio that is a polynomial with nonnegative coefficients."""
+    if not isinstance(order, WeightedGrevlex) or len(elements) != len(order.weights):
+        return None
+    shift = pk.degrees[0][3]
+    degrees = []
+    for terms in elements:
+        found = {pk.image(m) >> shift for m in terms}
+        if len(found) != 1 or 0 in found:
+            return None
+        degrees.append(found.pop())
+    h = _weight_ratio(tuple(degrees), order.weights)
+    return None if h is None else _Staircase(pk, order.weights, h)
+
+
 def _buchberger(
     ideal: Ideal, pk: _Packing, order: MonomialOrder, limits: ReductionLimits
 ) -> GroebnerBasis:
@@ -604,15 +706,36 @@ def _buchberger(
     queue = [(pk.lcm(images[i], images[j]), i, j) for i, j in pending]
     heapify(queue)
 
+    # coprime generators are already a basis: then no pair is worth deferring
+    coprime = all(big == lms[i] + lms[j] for big, i, j in queue)
+    stairs = None if coprime else _staircase(pk, order, work)
+    held: list[tuple[int, int, int]] = []  # deferred pairs; they stay pending
     processed = 0
-    while queue:
+    while queue or held:
+        if not queue:  # only deferred pairs are left
+            if stairs.agrees(stairs.top + 1, images):
+                break  # a finite staircase of size H(1): the basis is complete
+            # the complete intersection is disproved: the deferred pairs go back
+            stairs, queue, held = None, held, []
+            heapify(queue)
         big, i, j = heappop(queue)
         pending.remove((i, j))
         # coprime criterion
         if big == lms[i] + lms[j]:
             continue
-        # chain criterion (order-safe form)
         ub = (big + offset) ^ offset
+        # Hilbert-driven criterion
+        if stairs is not None:
+            d = ub >> stairs.shift
+            if not stairs.agrees(d, images):
+                # a finished degree disproves the complete intersection
+                stairs, queue, held = None, queue + held, []
+                heapify(queue)
+            elif stairs.full(d, images):
+                pending.add((i, j))
+                held.append((big, i, j))
+                continue
+        # chain criterion (order-safe form)
         skip = False
         for k, u in enumerate(images):
             if (ub - u) & guards or k == i or k == j:
@@ -641,6 +764,8 @@ def _buchberger(
         lms.append(lm)
         images.append(u)
         reach.append(pk.reach(r, u))
+        if stairs is not None:
+            stairs.drop(u)
         for i2 in range(t):
             pending.add((i2, t))
             heappush(queue, (pk.lcm(images[i2], u), i2, t))

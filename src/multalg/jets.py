@@ -95,17 +95,16 @@ def jet_presentation(base: PresentedRing, d: int) -> JetPresentation:
     for group in groups:
         images.append([Polynomial.variable(jet_vars, name) for name in group])
 
-    # truncated powers of the images, shared by every relation
-    power_cache: dict[tuple[int, int], list[Polynomial]] = {}
+    # truncated powers of the images, shared by every relation: powers[i][e]
+    # is the e-th, each made from the one before (a loop, not a recursion,
+    # so an exponent of any size fits the stack)
+    powers: list[list[list[Polynomial]]] = [[one] for _ in images]
 
     def power(i: int, e: int) -> list[Polynomial]:
-        if e == 0:
-            return one
-        got = power_cache.get((i, e))
-        if got is None:
-            got = _truncated_product(power(i, e - 1), images[i], d, zero)
-            power_cache[(i, e)] = got
-        return got
+        row = powers[i]
+        while len(row) <= e:
+            row.append(_truncated_product(row[-1], images[i], d, zero))
+        return row[e]
 
     relations: list[Polynomial] = []
     for rel in base.relations:

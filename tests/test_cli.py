@@ -156,6 +156,15 @@ def test_jet_invariants_json(capsys, tmp_path):
     assert "z carries weight 1" in data["invariants"]["grading_assumption"]
 
 
+def test_jet_of_a_high_power(capsys, monkeypatch):
+    # the truncated powers of x0 + x1*z are built in a loop, so an exponent
+    # far above the recursion limit is no RecursionError
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"variables": ["x"], "generators": ["x^1000"]}'))
+    rc, out, _ = run(capsys, "jet", "-", "-d", "2", "--json")
+    assert rc == 0
+    assert json.loads(out)["generators"] == ["x0^1000", "1000*x0^999*x1"]
+
+
 def test_dominance(capsys):
     rc, out, _ = run(capsys, "dominance", "1,1", "2,0")
     assert rc == 0 and out.strip() == "true"

@@ -44,6 +44,7 @@ from multalg.groebner import (
 )
 from multalg.grassmann import grassmann_presentation
 from multalg.jets import jet_presentation
+from multalg.multiplicity import random_zero_dimensional_map
 from multalg.orders import EliminationOrder, Lex, WeightedGrevlex
 from multalg.poly import (
     Polynomial,
@@ -732,7 +733,7 @@ def _map_ideal(ring):
 
 
 def _pair_sequence_cases():
-    for n, k, counts in [(4, 2, (5, 9, 12)), (6, 3, (27, 53, 108)), (8, 4, (144, 249))]:
+    for n, k, counts in [(4, 2, (4, 9, 12)), (6, 3, (16, 53, 108)), (8, 4, (92, 249))]:
         ideal = _map_ideal(grassmann_presentation(n, k))
         orders = (ideal.default_order(), WeightedGrevlex.units(len(ideal.variables)), Lex())
         for order, count in zip(orders, counts):
@@ -744,7 +745,8 @@ def _pair_sequence_cases():
 def test_pair_sequence_and_cap_are_unchanged():
     # exact processed-pair counts: the chain criterion skips a pair only once
     # its partner pairs have left the queue, so taking the pairs in another
-    # order can move these counts, and changing a criterion does
+    # order can move these counts, and changing a criterion does; the
+    # Hilbert-driven criterion runs under the default orders only
     for ideal, order, count in _pair_sequence_cases():
         buchberger(ideal, order, ReductionLimits(count))
         with pytest.raises(ResourceLimitExceeded):
@@ -791,3 +793,143 @@ def test_ideal_validation():
     mixed = P("x", ("x", "z"))
     with pytest.raises(ValueError):
         Ideal(XY, (mixed,), WeightedGrading.units(2))
+
+
+# ------------------------------------------------ Hilbert-driven criterion
+
+
+def _form(rng, variables, weights, degree):
+    """Every monomial of the weighted degree, with a small nonzero coefficient."""
+    monos = monomials_of_weighted_degree(weights, degree)
+    return Polynomial(variables, {m: Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) for m in monos})
+
+
+_CI_SHAPES = (((1, 1), (2, 3)), ((1, 2), (4, 4)), ((1, 1, 1), (2, 3, 4)), ((1, 1, 1, 2), (2, 3, 4, 4)))
+
+
+def _complete_intersections():
+    rng = random.Random(21)
+    for weights, degrees in _CI_SHAPES * 2:
+        vs = WXYZ[: len(weights)]
+        yield Ideal(vs, tuple(_form(rng, vs, weights, d) for d in degrees), WeightedGrading(weights))
+
+
+def _binary_cubics():
+    """(x + y)*(x - y)^2 and (x + y)*(x^2 + y^2)."""
+    return I(XY, "x^3 - x^2*y - x*y^2 + y^3", "x^3 + x^2*y + x*y^2 + y^3")
+
+
+def _common_factor_ideals():
+    """Square systems of forms that share a factor: positive-dimensional."""
+    rng = random.Random(22)
+    for weights, degrees in _CI_SHAPES:
+        vs = WXYZ[: len(weights)]
+        factor = _form(rng, vs, weights, weights[-1])
+        gens = tuple(factor * _form(rng, vs, weights, d) for d in degrees)
+        yield Ideal(vs, gens, WeightedGrading(weights))
+    yield _binary_cubics()
+
+
+def _random_maps():
+    rng = random.Random(23)
+    for _ in range(40):
+        m = random_zero_dimensional_map(rng, rng.randint(1, 4), max_degree=4)
+        yield Ideal(m.variables, m.components, m.grading)
+
+
+_CRITERION_FAMILIES = {
+    "grassmannians": lambda: (
+        _map_ideal(grassmann_presentation(n, k)) for n in range(2, 8) for k in range(1, n)
+    ),
+    "random_maps": _random_maps,
+    "complete_intersections": _complete_intersections,
+    "common_factor": _common_factor_ideals,
+    "jets_gr_k_4": lambda: (
+        _map_ideal(jet_presentation(grassmann_presentation(4, k), 2).ring) for k in (1, 2, 3)
+    ),
+}
+
+
+def _criterion_log(monkeypatch):
+    """Record each deferral and each staircase check of the criterion."""
+    log = []
+    full, agrees = groebner._Staircase.full, groebner._Staircase.agrees
+
+    def logged_full(self, d, images):
+        out = full(self, d, images)
+        log.append(("full", d, self.top, out))
+        return out
+
+    def logged_agrees(self, d, images):
+        out = agrees(self, d, images)
+        log.append(("agrees", d, self.top, out))
+        return out
+
+    monkeypatch.setattr(groebner._Staircase, "full", logged_full)
+    monkeypatch.setattr(groebner._Staircase, "agrees", logged_agrees)
+    return log
+
+
+def _criterion_off(monkeypatch):
+    monkeypatch.setattr(groebner, "_staircase", lambda *args: None)
+
+
+@pytest.mark.parametrize("family", sorted(_CRITERION_FAMILIES))
+def test_hilbert_criterion_leaves_reduced_bases_unchanged(monkeypatch, family):
+    # the criterion only skips pairs, so the (unique) reduced basis is the
+    # one computed with it switched off; every family defers some pair
+    ideals = list(_CRITERION_FAMILIES[family]())
+    log = _criterion_log(monkeypatch)
+    with_criterion = [buchberger(ideal) for ideal in ideals]
+    assert any(kind == "full" and out for kind, _, _, out in log)
+    _criterion_off(monkeypatch)
+    for ideal, gb in zip(ideals, with_criterion):
+        plain = buchberger(ideal)
+        assert gb.basis == plain.basis and gb.leading == plain.leading
+
+
+def test_hilbert_criterion_leaves_no_zero_reduction_on_a_complete_intersection(monkeypatch):
+    rng = random.Random(24)
+    weights = (1, 1, 1, 1)
+    ideal = Ideal(WXYZ, tuple(_form(rng, WXYZ, weights, 3) for _ in range(4)), WeightedGrading(weights))
+    # 81 = 3^4 standard monomials: the four cubics are a complete intersection
+    assert len(standard_monomials(buchberger(ideal))) == 81
+    remainders = []
+    reduce = groebner._nf_terms
+
+    def spy(work, *divisors):
+        rem, scale = reduce(work, *divisors)
+        remainders.append(bool(rem))
+        return rem, scale
+
+    monkeypatch.setattr(groebner, "_nf_terms", spy)
+    buchberger(ideal)
+    assert remainders and all(remainders)
+    # the spy does see the zero reductions that the criterion removes
+    remainders.clear()
+    _criterion_off(monkeypatch)
+    buchberger(ideal)
+    assert not all(remainders)
+
+
+def test_hilbert_criterion_falls_back_when_the_input_is_no_complete_intersection(monkeypatch):
+    # the order-2 jets of Gr(1,4) defer pairs until a finished degree has
+    # more standard monomials than a complete intersection would; the
+    # second ideal, (x + z/2, z^2, y*z) and positive-dimensional, defers a
+    # pair that only the final check of the staircase up to deg H + max w
+    # sends back, after the queue has run out
+    jets = _map_ideal(jet_presentation(grassmann_presentation(4, 1), 2).ring)
+    vs = XYZ
+    late = Ideal(vs, tuple(P(t, vs) for t in ("x^3 - x*y", "x^2 + x*z", "2*x + z")), WeightedGrading((1, 2, 1)))
+    log = _criterion_log(monkeypatch)
+    bases = []
+    for ideal, final in ((jets, False), (late, True)):
+        log.clear()
+        bases.append(buchberger(ideal))
+        assert any(kind == "full" and out for kind, _, _, out in log)
+        disproofs = [(d, top) for kind, d, top, out in log if kind == "agrees" and not out]
+        assert len(disproofs) == 1
+        d, top = disproofs[0]
+        assert (d == top + 1) if final else (d <= top)
+    _criterion_off(monkeypatch)
+    assert [gb.basis for gb in bases] == [buchberger(ideal).basis for ideal in (jets, late)]
