@@ -37,12 +37,17 @@ guard-bit subtraction, and lcm(a, b) is u(a) + u(b) - gcd, the degree
 field of each graded block in gcd summed by one multiplication.
 
 The Hilbert numerator is Bigatti's pivot recursion (JPAA 1997) on the
-images of the leading monomials, N(I) = N(I + (x_v)) + t^w_v N(I : x_v).
-It rests on two facts.  A proper divisor has the smaller image, so one
-pass over the sorted images keeps the minimal generators.  And u(a*b) =
-u(a) + u(b), so I + (x_v) appends u(x_v), I : x_v subtracts it from each
-image whose field v is nonzero, and the exponents a leaf's degree needs
-are its fields over their packing weights.
+images of the leading monomials, N(I) = N(I + (p)) + t^deg(p) N(I : p) for
+the pivot p = x_v^e, x_v the variable in most minimal generators and e the
+lower median of its positive exponents there.  No generator divides p (a
+pure power of x_v among them has the one largest exponent), so both sides
+shrink the exponent sum of the generators, and the median halves the
+steps a long staircase in x_v would take one at a time.  It rests on two
+facts.  A proper divisor has the smaller image, so one pass over the
+sorted images keeps the minimal generators.  And u(a*b) = u(a) + u(b), so
+I + (p) appends e*u(x_v), I : p subtracts min(e, e_v)*u(x_v) from each
+image, and the exponents a leaf's degree needs are its fields over their
+packing weights.
 
 Width and overflow.  The field width is derived from the input: the
 smallest with 2^(bits-1) above twice the largest field value of any input
@@ -83,32 +88,38 @@ Pairs wait on a heap of (packed lcm, i, j), which pops in the order a
 (i, j) answers the chain criterion's membership tests, and a pair leaves
 both when it is popped.
 
-A third criterion is Traverso's Hilbert-driven one (J. Symbolic Comput.
-22, 1996).  It runs when the order is a lone `WeightedGrevlex` and the
-input is n forms in n variables whose degrees d and the weights w make H =
+A third criterion is Traverso's Hilbert-driven one (J. Symbolic Comput. 22,
+1996).  It runs when the order is a lone `WeightedGrevlex` and the input is
+n forms in n variables whose degrees d and the weights w make H =
 prod(1 - t^d) / prod(1 - t^w) a polynomial with nonnegative coefficients:
 the Hilbert series of R/I if the forms are a complete intersection, which
 is the equivariant multiplicity that
 `multiplicity.equivariant_multiplicity` computes.  Homogeneous pairs pop in
-order of degree.  The loop keeps the standard monomials of the current
-leading monomials one degree at a time (level d is x_v times level d - w_v,
-less the multiples of a leading monomial), and since G lies in I, level d
-has at least HF(R/I, d) monomials.  A pair whose degree-d level is down to
-H_d monomials is deferred: were I a complete intersection, <LT(G)>_d would
-already be in(I)_d and the pair would reduce to zero.  A deferred pair
-stays pending, so the chain criterion never counts on it.  Exactness rests
-on two checks.  When a pair of a higher degree comes up, every lower level
-is finished, and under the hypothesis it has exactly H_d monomials; one
+order of degree, and since G lies in I, R/<LT(G)> has at least HF(R/I, d)
+monomials of each degree d.  The loop keeps the Hilbert numerator of the
+leading monomials (above) less prod(1 - t^d), the numerator of H, and
+updates it for each new leading monomial u by N(J + (u)) = N(J) - t^deg(u)
+N(J : u), the colon ideal being generated by the quotients lcm(lm_k, u)/u
+that the new pairs' lcms give.  Both series have the denominator
+prod(1 - t^w), whose expansion starts at 1, so they agree below d iff the
+numerators do, and then the Hilbert functions differ at d by the
+numerators' coefficient there.  A pair whose degree has no standard
+monomial more than H allows is deferred: were I a complete intersection,
+<LT(G)>_d would already be in(I)_d and the pair would reduce to zero.  A
+deferred pair stays pending, so the chain criterion never counts on it.
+Exactness rests on two checks.  When a pair of a higher degree comes up,
+every lower degree is finished, and under the hypothesis it matches H; one
 that differs disproves it, the criterion turns off and the deferred pairs
 go back on the heap.  When only deferred pairs are left, they are dropped
-only if every level up to deg H + max w matches H.  Every monomial of a
-higher degree then has a divisor in the empty levels above deg H, so the
-staircase is finite, of size H(1) = prod d / prod w.  R/I is then Artinian,
-so the n forms are a regular sequence, dim R/I = H(1), and the staircase of
-in(I), inside that of <LT(G)> and of the same size, equals it: in(I) =
-<LT(G)> and G is a Groebner basis.  Otherwise the deferred pairs go back
-and the loop goes on without the criterion.  Reduced bases are unique, so
-every result is the one the loop gives without it.
+only if the Hilbert series of R/<LT(G)> is H, a polynomial: the staircase
+is finite, of size H(1) = prod d / prod w.  R/I is then Artinian, so the n
+forms are a regular sequence, dim R/I = H(1), and the staircase of in(I),
+inside that of <LT(G)> and of the same size, equals it: in(I) = <LT(G)> and
+G is a Groebner basis.  Otherwise the deferred pairs go back and the loop
+goes on without the criterion.  Reduced bases are unique, so every result
+is the one the loop gives without it.  The count costs one Hilbert
+numerator of a colon ideal per leading monomial, so it grows with the
+basis, not with H(1).
 
 Every run is bounded by an explicit cap on processed S-pair reductions;
 exceeding it raises ResourceLimitExceeded rather than returning anything.
@@ -125,6 +136,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from itertools import zip_longest
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
@@ -140,7 +152,7 @@ from .poly import (
     quasi_homogeneity_witness,
     weighted_degree,
 )
-from .series import RationalSeries, UniPoly, one_minus_power, weight_denominator
+from .series import RationalSeries, UniPoly, weight_denominator
 
 IntTerms = dict[int, int]
 
@@ -621,69 +633,68 @@ def buchberger(
     )
 
 
-class _Staircase:
-    """Standard monomials of the leading monomials found so far, as images,
-    one weighted degree at a time, held against the Hilbert function h of
-    the complete intersection that a square system of forms would be (see
-    the module docstring)."""
+class _HilbertCount:
+    """The count behind the Hilbert-driven criterion (see the module
+    docstring): the Hilbert numerator of the leading monomials found so far,
+    less that of the complete intersection a square system of forms would
+    be, kept up to date one leading monomial at a time."""
 
-    def __init__(self, pk: _Packing, weights: tuple[int, ...], h: tuple[int, ...]):
-        self.h = h + (0,) * max(weights)  # through `top`, where a finite staircase ends
-        self.top = len(self.h) - 1
-        self.guards = pk.guards
-        self.steps = [(w, pk.image(unit)) for w, unit in zip(weights, pk.units)]
+    def __init__(
+        self, pk: _Packing, weights: tuple[int, ...], target: tuple[int, ...], images: Sequence[int]
+    ):
+        self.pk, self.weights = pk, weights
         self.shift = pk.degrees[0][3]  # u >> shift is the degree of the image u
-        self.levels: list[set[int]] = [{0}]
-        self.checked = 0  # the levels below this one match h
+        got = _monomial_numerator(pk, images, weights).coeffs
+        self.diff = [a - b for a, b in zip_longest(got, target, fillvalue=0)]
+        self.degree = -1  # the degree under way
 
-    def _level(self, d: int, images: Sequence[int]) -> set[int]:
-        """Level d, built on the levels below it: a divisor of a standard
-        monomial is standard, so each one is x_v times a standard monomial."""
-        levels, guards = self.levels, self.guards
-        while len(levels) <= d:
-            e = len(levels)
-            products = {t + step for w, step in self.steps if w <= e for t in levels[e - w]}
-            levels.append({t for t in products if all((t - u) & guards for u in images)})
-        return levels[d]
+    def start(self, d: int) -> bool:
+        """Take up degree d; whether every degree below it agrees with H."""
+        self.degree = d
+        return not any(self.diff[:d])
 
-    def agrees(self, d: int, images: Sequence[int]) -> bool:
-        """Whether every finished level below d (none above `top` is needed)
-        has as many monomials as h says."""
-        for e in range(self.checked, min(d, self.top + 1)):
-            if len(self._level(e, images)) != self.h[e]:
-                return False
-            self.checked = e + 1
-        return True
+    def full(self) -> bool:
+        """Whether the degree under way is down to H's count, so that no pair
+        of it can give a new leading monomial were I a complete intersection."""
+        d = self.degree
+        return d >= len(self.diff) or not self.diff[d]
 
-    def full(self, d: int, images: Sequence[int]) -> bool:
-        """Whether level d is down to h_d monomials, so that no pair of degree
-        d can give a new leading monomial; past `top` the levels below have
-        shown the staircase finite, and level d empty."""
-        return d > self.top or len(self._level(d, images)) == self.h[d]
+    def add(self, u: int, lcms: Sequence[int]) -> None:
+        """A new leading monomial u, given its lcms with the ones before it:
+        N(J + (u)) = N(J) - t^deg(u) N(J : u), the colon ideal generated by
+        the quotients lcm / u."""
+        image, d = self.pk.image, u >> self.shift
+        colon = _monomial_numerator(self.pk, [image(m) - u for m in lcms], self.weights).coeffs
+        diff = self.diff
+        diff.extend([0] * (d + len(colon) - len(diff)))
+        for k, c in enumerate(colon, d):
+            diff[k] -= c
 
-    def drop(self, u: int) -> None:
-        self.levels[u >> self.shift].discard(u)
+    def complete(self) -> bool:
+        """Whether the Hilbert series of R/<LT(G)> is H itself."""
+        return not any(self.diff)
 
 
 @lru_cache(maxsize=64)
 def _weight_ratio(degrees: tuple[int, ...], weights: tuple[int, ...]) -> tuple[int, ...] | None:
-    """The coefficients of prod(1 - t^d) / prod(1 - t^w), the Hilbert function
-    of a complete intersection of forms of these degrees, when that is a
-    polynomial with nonnegative coefficients; otherwise None."""
+    """The coefficients of prod(1 - t^d) when prod(1 - t^d) / prod(1 - t^w),
+    the Hilbert series of a complete intersection of forms of these degrees,
+    is a polynomial with nonnegative coefficients; otherwise None."""
     h = RationalSeries.from_weight_ratio(degrees, weights)
-    if h.is_polynomial() and all(c >= 0 for c in h.numerator.coeffs):
-        return h.numerator.coeffs
+    if h.is_polynomial() and h.numerator.nonnegative():
+        return weight_denominator(degrees).coeffs
     return None
 
 
-def _staircase(
-    pk: _Packing, order: MonomialOrder, elements: Sequence[IntTerms]
-) -> _Staircase | None:
-    """The staircase of the Hilbert-driven criterion, or None where it does
-    not apply: it needs a lone `WeightedGrevlex`, as many generators as
-    variables, each homogeneous of positive degree under its weights, and
-    a weight ratio that is a polynomial with nonnegative coefficients."""
-    if not isinstance(order, WeightedGrevlex) or len(elements) != len(order.weights):
+def _hilbert_count(
+    pk: _Packing, order: MonomialOrder, elements: Sequence[IntTerms], images: Sequence[int]
+) -> _HilbertCount | None:
+    """The count of the Hilbert-driven criterion, or None where it does not
+    apply: it needs a lone `WeightedGrevlex`, as many generators as
+    variables (two or more, so that there are pairs), each homogeneous of
+    positive degree under its weights, and a weight ratio that is a
+    polynomial with nonnegative coefficients."""
+    if not isinstance(order, WeightedGrevlex) or not 2 <= len(elements) == len(order.weights):
         return None
     shift = pk.degrees[0][3]
     degrees = []
@@ -692,8 +703,8 @@ def _staircase(
         if len(found) != 1 or 0 in found:
             return None
         degrees.append(found.pop())
-    h = _weight_ratio(tuple(degrees), order.weights)
-    return None if h is None else _Staircase(pk, order.weights, h)
+    target = _weight_ratio(tuple(degrees), order.weights)
+    return None if target is None else _HilbertCount(pk, order.weights, target, images)
 
 
 def _buchberger(
@@ -706,17 +717,15 @@ def _buchberger(
     queue = [(pk.lcm(images[i], images[j]), i, j) for i, j in pending]
     heapify(queue)
 
-    # coprime generators are already a basis: then no pair is worth deferring
-    coprime = all(big == lms[i] + lms[j] for big, i, j in queue)
-    stairs = None if coprime else _staircase(pk, order, work)
+    count = _hilbert_count(pk, order, work, images)
     held: list[tuple[int, int, int]] = []  # deferred pairs; they stay pending
     processed = 0
     while queue or held:
         if not queue:  # only deferred pairs are left
-            if stairs.agrees(stairs.top + 1, images):
-                break  # a finite staircase of size H(1): the basis is complete
+            if count.complete():
+                break  # R/<LT(G)> has the Hilbert series H: the basis is complete
             # the complete intersection is disproved: the deferred pairs go back
-            stairs, queue, held = None, held, []
+            count, queue, held = None, held, []
             heapify(queue)
         big, i, j = heappop(queue)
         pending.remove((i, j))
@@ -725,13 +734,13 @@ def _buchberger(
             continue
         ub = (big + offset) ^ offset
         # Hilbert-driven criterion
-        if stairs is not None:
-            d = ub >> stairs.shift
-            if not stairs.agrees(d, images):
+        if count is not None:
+            d = ub >> count.shift
+            if d != count.degree and not count.start(d):
                 # a finished degree disproves the complete intersection
-                stairs, queue, held = None, queue + held, []
+                count, queue, held = None, queue + held, []
                 heapify(queue)
-            elif stairs.full(d, images):
+            elif count.full():
                 pending.add((i, j))
                 held.append((big, i, j))
                 continue
@@ -764,11 +773,12 @@ def _buchberger(
         lms.append(lm)
         images.append(u)
         reach.append(pk.reach(r, u))
-        if stairs is not None:
-            stairs.drop(u)
-        for i2 in range(t):
+        lcms = [pk.lcm(images[i2], u) for i2 in range(t)]
+        if count is not None:
+            count.add(u, lcms)
+        for i2, big in enumerate(lcms):
             pending.add((i2, t))
-            heappush(queue, (pk.lcm(images[i2], u), i2, t))
+            heappush(queue, (big, i2, t))
 
     return _reduce_basis(work, lms, images, reach, pk, ideal, order)
 
@@ -919,8 +929,11 @@ def _monomial_numerator(pk: _Packing, images: Iterable[int], weights: tuple[int,
     of these images, by Bigatti's pivot recursion (see the module docstring)."""
     guards, mask, cells = pk.guards, pk.mask, pk.cells
     gens: list[int] = []
-    for u in sorted(images):  # a proper divisor comes first
-        if all((u - h) & guards for h in gens):
+    for u in sorted(set(images)):  # a proper divisor comes first
+        for h in gens:
+            if not (u - h) & guards:
+                break
+        else:
             gens.append(u)
     if gens and not gens[0]:
         return UniPoly()  # unit ideal
@@ -929,18 +942,24 @@ def _monomial_numerator(pk: _Packing, images: Iterable[int], weights: tuple[int,
     top = max(counts, default=0)
     if top < 2:
         # pairwise disjoint supports (no generator or one included): the
-        # quotient is a tensor product
-        out = UniPoly.one()
+        # quotient is a tensor product, prod(1 - t^deg u)
+        out = [1]
         for u in gens:
             degree = sum(s * ((u >> pos) & mask) // w for s, (pos, w) in zip(weights, cells))
-            out = out * one_minus_power(degree)
-        return out
-    # split along the pivot variable x_v:  N(I) = N(I + (x_v)) + t^w N(I : x_v)
+            out += [0] * degree
+            for k in range(len(out) - 1, degree - 1, -1):
+                out[k] -= out[k - degree]
+        return UniPoly(out)
+    # split along the pivot x_v^e, e a median exponent of x_v among the
+    # generators:  N(I) = N(I + (x_v^e)) + t^(e w_v) N(I : x_v^e)
     v = counts.index(top)
-    f, unit = fields[v], pk.image(pk.units[v])
-    left = _monomial_numerator(pk, [*gens, unit], weights)
-    right = _monomial_numerator(pk, [u - unit if u & f else u for u in gens], weights)
-    return left + UniPoly.term(1, weights[v]) * right
+    (pos, w), unit = cells[v], pk.image(pk.units[v])
+    exponents = sorted((u >> pos) & mask for u in gens if u & fields[v])
+    e = exponents[(top - 1) // 2] // w
+    left = _monomial_numerator(pk, [*gens, e * unit], weights)
+    colon = [u - min((u >> pos) & mask, e * w) // w * unit for u in gens]
+    right = _monomial_numerator(pk, colon, weights)
+    return left + UniPoly.term(1, e * weights[v]) * right
 
 
 def _staircase_series(gb: GroebnerBasis, weights: tuple[int, ...]) -> RationalSeries:

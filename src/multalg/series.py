@@ -212,9 +212,12 @@ def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     for shift in range(len(r) - n, -1, -1):
         c = r[shift + n - 1]
         if c:
-            r = [lead * x for x in r]
+            f, rem = divmod(c, lead)
+            if rem:  # scale only where lc(b) does not divide, as never for a monic b
+                r = [lead * x for x in r]
+                f = c
             for i, x in enumerate(b):
-                r[shift + i] -= c * x
+                r[shift + i] -= f * x
     return _trim(r)
 
 

@@ -11,6 +11,7 @@ over exact rationals.
 """
 
 import random
+import time
 from fractions import Fraction
 from operator import le
 
@@ -851,27 +852,41 @@ _CRITERION_FAMILIES = {
 
 
 def _criterion_log(monkeypatch):
-    """Record each deferral and each staircase check of the criterion."""
+    """Record each check of the criterion's count: ("start", degree, agrees)
+    when a degree is taken up, ("full", degree, full) when a pair is weighed
+    for deferral, ("complete", None, complete) when only deferred pairs are
+    left."""
     log = []
-    full, agrees = groebner._Staircase.full, groebner._Staircase.agrees
+    count = groebner._HilbertCount
+    start, full, complete = count.start, count.full, count.complete
 
-    def logged_full(self, d, images):
-        out = full(self, d, images)
-        log.append(("full", d, self.top, out))
+    def logged_start(self, d):
+        out = start(self, d)
+        log.append(("start", d, out))
         return out
 
-    def logged_agrees(self, d, images):
-        out = agrees(self, d, images)
-        log.append(("agrees", d, self.top, out))
+    def logged_full(self):
+        out = full(self)
+        log.append(("full", self.degree, out))
         return out
 
-    monkeypatch.setattr(groebner._Staircase, "full", logged_full)
-    monkeypatch.setattr(groebner._Staircase, "agrees", logged_agrees)
+    def logged_complete(self):
+        out = complete(self)
+        log.append(("complete", None, out))
+        return out
+
+    monkeypatch.setattr(count, "start", logged_start)
+    monkeypatch.setattr(count, "full", logged_full)
+    monkeypatch.setattr(count, "complete", logged_complete)
     return log
 
 
+def _deferred(log):
+    return any(kind == "full" and out for kind, _, out in log)
+
+
 def _criterion_off(monkeypatch):
-    monkeypatch.setattr(groebner, "_staircase", lambda *args: None)
+    monkeypatch.setattr(groebner, "_hilbert_count", lambda *args: None)
 
 
 @pytest.mark.parametrize("family", sorted(_CRITERION_FAMILIES))
@@ -881,7 +896,7 @@ def test_hilbert_criterion_leaves_reduced_bases_unchanged(monkeypatch, family):
     ideals = list(_CRITERION_FAMILIES[family]())
     log = _criterion_log(monkeypatch)
     with_criterion = [buchberger(ideal) for ideal in ideals]
-    assert any(kind == "full" and out for kind, _, _, out in log)
+    assert _deferred(log)
     _criterion_off(monkeypatch)
     for ideal, gb in zip(ideals, with_criterion):
         plain = buchberger(ideal)
@@ -916,8 +931,8 @@ def test_hilbert_criterion_falls_back_when_the_input_is_no_complete_intersection
     # the order-2 jets of Gr(1,4) defer pairs until a finished degree has
     # more standard monomials than a complete intersection would; the
     # second ideal, (x + z/2, z^2, y*z) and positive-dimensional, defers a
-    # pair that only the final check of the staircase up to deg H + max w
-    # sends back, after the queue has run out
+    # pair that only the final check of the Hilbert series sends back,
+    # after the queue has run out
     jets = _map_ideal(jet_presentation(grassmann_presentation(4, 1), 2).ring)
     vs = XYZ
     late = Ideal(vs, tuple(P(t, vs) for t in ("x^3 - x*y", "x^2 + x*z", "2*x + z")), WeightedGrading((1, 2, 1)))
@@ -926,10 +941,25 @@ def test_hilbert_criterion_falls_back_when_the_input_is_no_complete_intersection
     for ideal, final in ((jets, False), (late, True)):
         log.clear()
         bases.append(buchberger(ideal))
-        assert any(kind == "full" and out for kind, _, _, out in log)
-        disproofs = [(d, top) for kind, d, top, out in log if kind == "agrees" and not out]
-        assert len(disproofs) == 1
-        d, top = disproofs[0]
-        assert (d == top + 1) if final else (d <= top)
+        assert _deferred(log)
+        disproofs = [kind for kind, _, out in log if kind != "full" and not out]
+        assert disproofs == ["complete" if final else "start"]
     _criterion_off(monkeypatch)
     assert [gb.basis for gb in bases] == [buchberger(ideal).basis for ideal in (jets, late)]
+
+
+def test_hilbert_criterion_counts_instead_of_listing_the_staircase(monkeypatch):
+    # H(1) = 10^6 standard monomials, yet the count takes one Hilbert
+    # numerator of a colon ideal per leading monomial, of which there are
+    # three; the numerator's median pivot keeps its recursion shallow on
+    # the staircase of 1000 steps in x
+    ideal = I(XY, "x^1000 + y^1000", "x^999*y")
+    log = _criterion_log(monkeypatch)
+    began = time.perf_counter()
+    gb = buchberger(ideal)
+    assert time.perf_counter() - began < 2
+    assert ("complete", None, True) in log
+    assert gb.leading == ((999, 1), (1000, 0), (0, 1001))
+    assert hilbert_series(ideal) == RationalSeries.from_weight_ratio((1000, 1000), (1, 1))
+    _criterion_off(monkeypatch)
+    assert buchberger(ideal).basis == gb.basis

@@ -11,6 +11,7 @@ from multalg.grassmann import gaussian_binomial
 from multalg.series import (
     RationalSeries,
     UniPoly,
+    _pseudo_remainder,
     one_minus_power,
     weight_denominator,
 )
@@ -163,6 +164,17 @@ def test_from_weight_ratio():
     # degrees {1,2} over weights {1,1}: (1-t)(1-t^2)/(1-t)^2 = 1 + t
     s = RationalSeries.from_weight_ratio((1, 2), (1, 1))
     assert s.is_polynomial() and s.as_polynomial() == UniPoly([1, 1])
+
+
+def test_pseudo_remainder_scales_only_where_lc_does_not_divide():
+    # by 1 - t^2, whose lc -1 divides every coefficient, the remainder is
+    # the true one, 5t + 3 for 5t^3 + 3, with no power of lc: one pass per
+    # coefficient, so high-degree weight ratios stay linear in the degree
+    assert _pseudo_remainder((3, 0, 0, 5), (1, 0, -1)) == (3, 5)
+    # by 2t^2 + 1 the top coefficient 5 is scaled: 2 * (5t^3) = 5t(2t^2 + 1) - 5t
+    assert _pseudo_remainder((3, 0, 0, 5), (1, 0, 2)) == (6, -5)
+    s = RationalSeries.from_weight_ratio((1000, 999), (1, 1, 1))
+    assert s.denominator == one_minus_power(1) and s.numerator(1) == 1000 * 999
 
 
 @pytest.mark.parametrize(
