@@ -75,6 +75,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-reductions", type=int, default=200_000)
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
     args = parser.parse_args(argv)
+    if args.max_reductions <= 0:
+        print("error: --max-reductions must be positive", file=sys.stderr)
+        return 2
 
     rows = sweep_rows(
         args.max_n, args.max_order, ReductionLimits(max_pair_reductions=args.max_reductions)

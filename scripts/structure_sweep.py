@@ -33,6 +33,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-reductions", type=int, default=200_000)
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)
+    if args.max_reductions <= 0:
+        print("error: --max-reductions must be positive", file=sys.stderr)
+        return 2
 
     limits = ReductionLimits(max_pair_reductions=args.max_reductions)
     jobs = []

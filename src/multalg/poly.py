@@ -236,8 +236,6 @@ class Polynomial:
         return NotImplemented
 
     def scale(self, c: Fraction | int) -> "Polynomial":
-        if not c:
-            return Polynomial.zero(self.variables)
         return Polynomial(self.variables, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":

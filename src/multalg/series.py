@@ -93,8 +93,6 @@ class UniPoly:
             return UniPoly([other * c for c in self.coeffs])
         if not isinstance(other, UniPoly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return UniPoly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -321,8 +319,6 @@ class RationalSeries:
 
 
 def _reduce(num: UniPoly, den: UniPoly) -> tuple[UniPoly, UniPoly]:
-    if num.is_zero():
-        return UniPoly(), UniPoly.one()
     g = _gcd(num.coeffs, den.coeffs)
     n = num.divide_exact(g).coeffs
     both = primitive(n + den.divide_exact(g).coeffs)

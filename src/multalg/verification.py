@@ -239,11 +239,7 @@ def _texts(polys) -> list[str]:
 
 def embedded_point_check(limits: ReductionLimits = DEFAULT_LIMITS) -> bool:
     """(a0, a1)^2 intersected with (a0) equals (a0^2, a0*a1)."""
-    linear = _ideal(_A2, ("a0", "a1"))
-    axis = _ideal(_A2, ("a0",))
-    squared = ideal_product(linear, linear)
-    meet = ideal_intersection(squared, axis, limits)
-    return ideal_equal(meet, _d2_ideal(), limits=limits)
+    return ideal_equal(_square_meet("a0", limits), _d2_ideal(), limits=limits)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import multalg
 from multalg.cli import main
-from multalg.grassmann import grassmann_presentation
+from multalg.grassmann import MAX_GAUSSIAN_DEGREE, MAX_MULTIPLICITY_DEGREE, grassmann_presentation
+from multalg.multiplicity import MAX_HITCHIN_WEIGHTS
 from multalg.rings import PresentedRing
 
 
@@ -283,6 +285,24 @@ def test_missing_generators_key_exits_2(capsys, tmp_path):
 def test_nonpositive_cap_exits_2(capsys):
     rc, _, err = run(capsys, "--max-reductions", "0", "gaussian", "-n", "2", "-k", "1")
     assert rc == 2 and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [  # each the first input over its cap, by one
+        ("hitchin-weights", "-n", "1", "-g", str(MAX_HITCHIN_WEIGHTS + 1)),
+        ("hitchin-weights", "-n", "2", "-g", str(MAX_HITCHIN_WEIGHTS // 4 + 1)),
+        ("gaussian", "-n", str(MAX_GAUSSIAN_DEGREE + 2), "-k", "1"),
+        ("gaussian", "-n", str(MAX_GAUSSIAN_DEGREE + 2), "-k", str(MAX_GAUSSIAN_DEGREE + 1)),
+        ("multiplicity", "-n", "2", "-m", str(MAX_MULTIPLICITY_DEGREE + 1)),
+    ],
+    ids=lambda argv: "-".join(argv[:1] + argv[2::2]),
+)
+def test_oversized_output_exits_2_before_any_work(capsys, argv):
+    started = time.perf_counter()
+    rc, out, err = run(capsys, *argv, "--json")
+    assert time.perf_counter() - started < 1
+    assert rc == 2 and out == "" and "over the cap" in err
 
 
 def test_resource_cap_exits_3(capsys, tmp_path):

@@ -5,6 +5,8 @@ import pytest
 import sympy
 
 from multalg.grassmann import (
+    MAX_GAUSSIAN_DEGREE,
+    MAX_MULTIPLICITY_DEGREE,
     DivisorData,
     gaussian_binomial,
     grassmann_multiplicity,
@@ -136,6 +138,18 @@ def test_divisor_data_validation():
 def test_grassmann_multiplicity_products():
     assert grassmann_multiplicity(DivisorData(2, (2,))) == UniPoly([1, 2, 1])
     assert grassmann_multiplicity(DivisorData(4, (0, 0, 0))) == UniPoly([1])
+
+
+def test_output_degree_caps_accept_their_bound():
+    # degree exactly at each cap; the second binomial is the first by
+    # symmetry, so its numerator is built from k = 1 factor, not 3600
+    n = MAX_GAUSSIAN_DEGREE + 1
+    ones = UniPoly([1] * n)
+    assert gaussian_binomial(n, 1) == gaussian_binomial(n, n - 1) == ones
+    n = MAX_MULTIPLICITY_DEGREE + 1
+    assert grassmann_multiplicity(DivisorData(n, (1,) + (0,) * (n - 2))) == UniPoly([1] * n)
+    with pytest.raises(ValueError, match="over the cap"):
+        grassmann_multiplicity(DivisorData(n + 1, (1,) + (0,) * (n - 1)))
 
 
 def test_expected_point_count_is_value_at_one():

@@ -659,6 +659,15 @@ def test_intersection_members_lie_in_both():
             assert normal_form(g, gbb).is_zero()
 
 
+def test_intersection_with_the_zero_ideal_is_zero():
+    # eliminating t from t*I + (1 - t)*J leaves no t-free element when
+    # either side is zero; the shared grading is kept
+    units = WeightedGrading.units(2)
+    zero, some = Ideal(XY, (), units), I(XY, "x^2", "x*y - y^2")
+    for left, right in ((zero, some), (some, zero), (zero, zero)):
+        assert ideal_intersection(left, right) == zero
+
+
 def test_product_generators():
     prod = ideal_product(I(XY, "x", "y"), I(XY, "x", "y"))
     assert set(map(str, prod.generators)) == {"x^2", "x*y", "y^2"}
@@ -687,6 +696,14 @@ def test_elimination_order_keeps_blocks_separate():
 
 def test_certify_accepts_valid_bases():
     assert certify(groebner_basis(I(XYZ, "x^2 - y", "y^2 - z")))
+
+
+def test_monomial_basis_with_vanishing_s_polynomials_certifies():
+    # every S-polynomial of (xy, xz, yz) is zero before any reduction step,
+    # in Buchberger's pair loop and in certify's
+    gb = groebner_basis(I(XYZ, "x*y", "x*z", "y*z"))
+    assert [str(g) for g in gb.basis] == ["y*z", "x*z", "x*y"]
+    assert certify(gb)
 
 
 def test_certify_rejects_non_basis():

@@ -291,3 +291,40 @@ def test_invariants_json_carries_grading_assumption():
     assert "z carries weight 1" in d["grading_assumption"]
     assert d["finite"] is False and d["dimension"] is None
     assert d["hilbert_series"] == "(1 + t - t^2)/(1 - t)"
+
+
+# ------------------------------------------------------ jet-scheme oracles
+
+
+def fat_point(variable, e):
+    """k[a]/(a^e) on one variable of weight 1."""
+    vs = (variable,)
+    return PresentedRing(vs, (1,), (P(f"{variable}^{e}", vs),))
+
+
+def presentation_series(jet):
+    """Hilbert series of a jet ring under its presentation grading."""
+    return hilbert_series(jet.ring.ideal(), jet.ring.grading())
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("e", range(1, 6))
+def test_fat_point_jets_have_dimension_d_minus_ceil_d_over_e(e, d):
+    # a(z)^e = 0 mod z^d exactly when ord a(z) >= ceil(d/e): the first
+    # ceil(d/e) coordinates vanish on the reduced locus, the rest are free
+    series = presentation_series(jet_presentation(fat_point("a", e), d))
+    assert series.pole_order() == d - -(-d // e)
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+@pytest.mark.parametrize("e, f", [(e, f) for e in range(1, 4) for f in range(1, 4)])
+def test_jets_of_a_product_are_the_product_of_the_jets(e, f, d):
+    # on disjoint variables the jets of A (x) B are those of A tensor those
+    # of B: the series multiply and the Krull dimensions add
+    vs = ("a", "b")
+    both = PresentedRing(vs, (1, 1), (P(f"a^{e}", vs), P(f"b^{f}", vs)))
+    left = presentation_series(jet_presentation(fat_point("a", e), d))
+    right = presentation_series(jet_presentation(fat_point("b", f), d))
+    product = presentation_series(jet_presentation(both, d))
+    assert product == left * right
+    assert product.pole_order() == left.pole_order() + right.pole_order()

@@ -211,6 +211,12 @@ def sparse_normal_form(q, m):
     return {q.index[e]: c for e, c in nf.terms.items()}
 
 
+def walked(q, m):
+    """{index: coefficient} of the monomial m, read by the algebra's coordinate walk."""
+    num, den = q._coords(q._walk[0].pack(m))
+    return {i: Fraction(c, den) for i, c in num.items()}
+
+
 def test_multiplication_matrices_match_normal_forms():
     for q in reference_algebras():
         n = len(q.variables)
@@ -218,28 +224,29 @@ def test_multiplication_matrices_match_normal_forms():
         for i in range(q.dimension):
             for j in range(i, q.dimension):
                 product = mono_mul(q.basis[i], q.basis[j])
-                assert q.vector(product) == sparse_normal_form(q, product)
+                assert walked(q, product) == sparse_normal_form(q, product)
         for v in range(n):
             unit = tuple(int(u == v) for u in range(n))
             for b in q.basis:
                 image = mono_mul(b, unit)
-                assert q.vector(image) == sparse_normal_form(q, image)
+                assert walked(q, image) == sparse_normal_form(q, image)
 
 
 def test_coordinates_of_monomials_past_the_product_width():
     # exponents in the hundreds do not fit the fields that hold a product of
-    # two standard monomials, so `vector` moves to a wider packing
+    # two standard monomials: `vector` reads them off the normal form, which
+    # moves the basis to a wider packing, while the walk keeps its own
     others = [q for q in reference_algebras() if not isinstance(q.gb.order, WeightedGrevlex)]
     for q in [build_quotient(gr21_map()), *others]:
         n = len(q.variables)
-        narrow = q._walker()[0].bits
+        narrow = q._walk[0].bits
         for far in ((300,) * n, tuple(150 * (v + 1) for v in range(n))):
             assert q.vector(far) == sparse_normal_form(q, far)
-        assert q._walker()[0].bits > narrow
-        # the wider walk still gives every product
+        assert q.gb._packed[0].bits > narrow == q._walk[0].bits
+        # the walk still gives every product
         for i in range(q.dimension):
             product = mono_mul(q.basis[i], q.basis[-1])
-            assert q.vector(product) == sparse_normal_form(q, product)
+            assert walked(q, product) == sparse_normal_form(q, product)
 
 
 def test_coordinates_reject_foreign_monomial():
@@ -379,8 +386,8 @@ def test_deep_staircase_is_walked_without_recursion():
         WeightedGrading.units(1),
     )
     assert q.dimension == 1500
-    assert q.vector((3000,)) == {}
-    assert q.vector((1499,)) == {1499: Fraction(1)}
+    assert walked(q, (3000,)) == {}
+    assert walked(q, (1499,)) == {1499: Fraction(1)}
 
 
 def test_socle_rejects_grading_the_ideal_does_not_respect():
@@ -626,6 +633,14 @@ def test_hitchin_base_weights():
             assert ws.count(1) == g  # only i=1 contributes weight-one terms
             if n >= 2:
                 assert ws.count(2) == 3 * (g - 1)
+
+
+def test_hitchin_cap_accepts_its_bound():
+    assert len(hitchin_base_weights(1, multalg.multiplicity.MAX_HITCHIN_WEIGHTS)) == (
+        multalg.multiplicity.MAX_HITCHIN_WEIGHTS
+    )
+    with pytest.raises(ValueError, match="over the cap"):
+        hitchin_base_weights(1, multalg.multiplicity.MAX_HITCHIN_WEIGHTS + 1)
 
 
 def test_hitchin_rejects_small_genus():

@@ -136,6 +136,12 @@ def test_polynomials_are_immutable_and_hashable():
     assert hash(p) == hash(parse_polynomial("y + x", XY))
 
 
+def test_scaling_by_zero_gives_the_zero_polynomial():
+    p = parse_polynomial("x^2 - 3*x*y", XY)
+    for zero in (p.scale(0), p.scale(Fraction(0)), 0 * p, Fraction(0) * p):
+        assert zero == Polynomial.zero(XY) and not zero.terms
+
+
 @pytest.mark.parametrize("coeff", [0.1, 1.0, "1/3", "2", None])
 def test_polynomial_rejects_non_rational_coefficients(coeff):
     with pytest.raises(PolynomialError):

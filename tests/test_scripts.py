@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from multalg.cli import main as multalg_main
 from multalg.grassmann import gaussian_binomial
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -94,6 +96,30 @@ def test_structure_sweep_script_passes(capsys):
     assert rc == 0
     assert "0 failures" in out
     assert "FAIL" not in out
+
+
+def test_structure_sweep_rejects_a_nonpositive_cap(capsys):
+    script = load_script("structure_sweep")
+    assert script.main(["--max-n", "2", "--random", "0", "--max-reductions", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "--max-reductions must be positive" in captured.err
+    assert captured.out == ""
+
+
+def test_jet_regression_rejects_a_nonpositive_cap_before_writing(tmp_path, capsys):
+    script = load_script("jet_regression")
+    out = tmp_path / "archive.json"
+    assert script.main(["--max-n", "2", "--max-reductions", "-5", "--out", str(out)]) == 2
+    assert "--max-reductions must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_output_digests_verify_line_matches_a_direct_cli_run(capsys):
+    script = load_script("output_digests")
+    made = dict(script.entries())["verify"]()  # in a fresh interpreter
+    rc = multalg_main(["verify"])
+    expected = hashlib.sha256(f"exit {rc}\n{capsys.readouterr().out}".encode()).hexdigest()
+    assert script.digest(made) == expected
 
 
 def test_bench_record_takes_workloads_from_benchmark_json(tmp_path, monkeypatch, capsys):
