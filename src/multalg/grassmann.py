@@ -47,12 +47,14 @@ MAX_MULTIPLICITY_DEGREE = 2400
 def gaussian_binomial(n: int, k: int) -> UniPoly:
     """[n k]_t = prod_{i=1}^{k} (1 - t^(n-i+1)) / (1 - t^i), by exact division.
 
-    Degree k(n-k); value C(n,k) at t=1.
+    Degree k(n-k); value C(n,k) at t=1.  Raises ValueError when the
+    degree exceeds MAX_GAUSSIAN_DEGREE.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    if k * (n - k) > MAX_GAUSSIAN_DEGREE:
-        raise ValueError(f"[{n} {k}]_t has degree {k * (n - k)}, over the cap of {MAX_GAUSSIAN_DEGREE}")
+    degree = k * (n - k)
+    if degree > MAX_GAUSSIAN_DEGREE:
+        raise ValueError(f"[{n} {k}]_t has degree {degree}, over the cap of {MAX_GAUSSIAN_DEGREE}")
     k = min(k, n - k)  # [n k] = [n n-k], and the numerator's degree stays under 1.5 k(n-k)
     numerator = weight_denominator(range(n - k + 1, n + 1))
     return numerator.divide_exact(weight_denominator(range(1, k + 1)))
@@ -108,7 +110,8 @@ class DivisorData:
 def grassmann_multiplicity(d: DivisorData) -> UniPoly:
     """prod_i [n i]_t^(m_i): the multiplicity polynomial of the divisor data.
 
-    At t=1 this is prod_i C(n,i)^(m_i), the expected point count.
+    At t=1 this is prod_i C(n,i)^(m_i), the expected point count.  Raises
+    ValueError when its degree exceeds MAX_MULTIPLICITY_DEGREE.
     """
     degree = sum(mult * i * (d.n - i) for i, mult in enumerate(d.m, start=1))
     if degree > MAX_MULTIPLICITY_DEGREE:

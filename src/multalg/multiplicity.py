@@ -502,14 +502,16 @@ def hitchin_base_weights(n: int, g: int) -> tuple[int, ...]:
     """Torus weights on the base of the rank-n genus-g integrable system.
 
     Weight 1 with multiplicity g, and weight i with multiplicity
-    (2i-1)(g-1) for 2 <= i <= n; the total count is n^2(g-1) + 1.
+    (2i-1)(g-1) for 2 <= i <= n; the total count is n^2(g-1) + 1, and
+    a count over MAX_HITCHIN_WEIGHTS raises ValueError.
     """
     if n < 1:
         raise ValueError("rank must be at least 1")
     if g < 2:
         raise ValueError("genus must be at least 2 for these section counts")
-    if n * n * (g - 1) + 1 > MAX_HITCHIN_WEIGHTS:
-        raise ValueError(f"n^2(g-1) + 1 weights, over the cap of {MAX_HITCHIN_WEIGHTS}")
+    count = n * n * (g - 1) + 1
+    if count > MAX_HITCHIN_WEIGHTS:
+        raise ValueError(f"{count} weights, over the cap of {MAX_HITCHIN_WEIGHTS}")
     out = [1] * g
     for i in range(2, n + 1):
         out.extend([i] * ((2 * i - 1) * (g - 1)))
