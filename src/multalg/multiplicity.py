@@ -157,7 +157,12 @@ class FiniteGradedAlgebra:
         return monomial_to_text(self.basis[i], self.variables)
 
     def vector(self, target: Exponents) -> dict[int, Fraction]:
-        """Sparse `Fraction` coordinates of a monomial, read off its normal form."""
+        """Sparse `Fraction` coordinates of a monomial, read off its normal form.
+
+        The normal form reduces from scratch, so a monomial far past the
+        staircase can take long: x1^160 modulo the Gr(3,7) relations takes
+        about a second, and the cost grows steeply with the exponent.
+        """
         return _coordinates(self, Polynomial(self.variables, {target: 1}))
 
     def _coords(self, target: int) -> tuple[dict[int, int], int]:

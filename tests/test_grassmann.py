@@ -142,10 +142,9 @@ def test_grassmann_multiplicity_products():
 
 def test_output_degree_caps_accept_their_bound():
     # degree exactly at each cap; the second binomial is the first by
-    # symmetry, so its numerator is built from k = 1 factor, not 3600
+    # symmetry, so its numerator is built from one factor, not n - 1
     n = MAX_GAUSSIAN_DEGREE + 1
-    ones = UniPoly([1] * n)
-    assert gaussian_binomial(n, 1) == gaussian_binomial(n, n - 1) == ones
+    assert gaussian_binomial(n, 1) == gaussian_binomial(n, n - 1) == UniPoly([1] * n)
     n = MAX_MULTIPLICITY_DEGREE + 1
     assert grassmann_multiplicity(DivisorData(n, (1,) + (0,) * (n - 2))) == UniPoly([1] * n)
     with pytest.raises(ValueError, match="over the cap"):

@@ -13,6 +13,7 @@ from multalg.groebner import groebner_basis, Ideal, normal_form
 from multalg.linalg import nullspace, rank, rref
 from multalg.orders import EliminationOrder, Lex, WeightedGrevlex
 from multalg.multiplicity import (
+    MAX_HITCHIN_WEIGHTS,
     FiniteGradedAlgebra,
     build_quotient,
     equivariant_multiplicity,
@@ -636,11 +637,9 @@ def test_hitchin_base_weights():
 
 
 def test_hitchin_cap_accepts_its_bound():
-    assert len(hitchin_base_weights(1, multalg.multiplicity.MAX_HITCHIN_WEIGHTS)) == (
-        multalg.multiplicity.MAX_HITCHIN_WEIGHTS
-    )
+    assert len(hitchin_base_weights(1, MAX_HITCHIN_WEIGHTS)) == MAX_HITCHIN_WEIGHTS
     with pytest.raises(ValueError, match="over the cap"):
-        hitchin_base_weights(1, multalg.multiplicity.MAX_HITCHIN_WEIGHTS + 1)
+        hitchin_base_weights(1, MAX_HITCHIN_WEIGHTS + 1)
 
 
 def test_hitchin_rejects_small_genus():
