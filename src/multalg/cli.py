@@ -16,6 +16,7 @@ failed checks (capped at 125).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -106,6 +107,12 @@ def _print_report(report, as_json: bool) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the `multalg` command line on every call.
+
+    `main` does not call this per invocation: it builds its own parser
+    once per process, on first use, so changing a parser returned here
+    never changes what `main` parses.
+    """
     parser = argparse.ArgumentParser(
         prog="multalg",
         description=(
@@ -225,6 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`main`'s parser: argparse keeps no state between `parse_args` calls."""
+    return build_parser()
+
+
 def _run(args: argparse.Namespace, limits: ReductionLimits) -> int:
     if args.command == "gaussian":
         poly = gaussian_binomial(args.n, args.k)
@@ -335,8 +348,12 @@ def _run(args: argparse.Namespace, limits: ReductionLimits) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run `multalg ARGV` (sys.argv[1:] when None) and return its exit code.
+
+    The parser is built once per process, on the first call, and reused
+    by every later one; `build_parser` returns a new one.
+    """
+    args = _parser().parse_args(argv)
     if args.max_reductions <= 0:
         print("error: --max-reductions must be positive", file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ from multalg.groebner import (
 )
 from multalg.jets import (
     GRADING_ASSUMPTION,
+    MAX_JET_VARIABLES,
     apply_substitution,
     jet_invariants,
     jet_presentation,
@@ -125,6 +126,16 @@ def test_name_collision_rejected():
 def test_jet_order_must_be_positive():
     with pytest.raises(ValueError):
         jet_presentation(square_ring(), 0)
+
+
+def test_jet_order_cap_counts_jet_variables():
+    line = PresentedRing.loads('{"variables": ["a"], "generators": ["a"]}')
+    jet = jet_presentation(line, MAX_JET_VARIABLES)
+    assert len(jet.ring.variables) == MAX_JET_VARIABLES
+    with pytest.raises(ValueError, match="over the cap"):
+        jet_presentation(line, MAX_JET_VARIABLES + 1)
+    with pytest.raises(ValueError, match="over the cap"):
+        jet_presentation(gr21_ring(), MAX_JET_VARIABLES // 2 + 1)
 
 
 def test_counts_scale_with_order():
