@@ -25,7 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from multalg.grassmann import grassmann_presentation
 from multalg.groebner import ReductionLimits, ResourceLimitExceeded
-from multalg.jets import jet_invariants, jet_presentation
+from multalg.jets import MAX_JET_VARIABLES, jet_invariants, jet_presentation
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "data" / "jet_regression.json"
 
@@ -77,6 +77,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.max_reductions <= 0:
         print("error: --max-reductions must be positive", file=sys.stderr)
+        return 2
+    # Gr(k, n) has n variables, so the largest jet ring has max-n * max-order.
+    if args.max_n >= 2 and args.max_n * args.max_order > MAX_JET_VARIABLES:
+        print(
+            f"error: --max-n {args.max_n} at --max-order {args.max_order} needs "
+            f"{args.max_n * args.max_order} jet variables, over the cap of {MAX_JET_VARIABLES}",
+            file=sys.stderr,
+        )
         return 2
 
     rows = sweep_rows(

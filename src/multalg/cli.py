@@ -16,7 +16,6 @@ failed checks (capped at 125).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import re
 import sys
@@ -106,12 +105,42 @@ def _print_report(report, as_json: bool) -> None:
     print(f"all_clauses_true: {'true' if report.all_true() else 'false'}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A new parser for the `multalg` command line on every call.
+class _ArgumentCalls(list):
+    """A subcommand's `add_argument` calls, kept as (args, kwargs) pairs."""
 
-    `main` does not call this per invocation: it builds its own parser
-    once per process, on first use, so changing a parser returned here
-    never changes what `main` parses.
+    def add_argument(self, *args, **kwargs) -> None:
+        self.append((args, kwargs))
+
+
+class _Subcommands(argparse._SubParsersAction):
+    """Subparsers built only when their subcommand is parsed.
+
+    `add_parser` records the choice, its help line and its `add_argument`
+    calls; `__call__` builds the chosen parser from them, as argparse's own
+    `add_parser` would have.  A call then builds two parsers, not twelve,
+    and usage, help and error text stay the same.
+    """
+
+    def add_parser(self, name: str, help: str) -> _ArgumentCalls:
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+        self._name_parser_map[name] = calls = _ArgumentCalls()
+        return calls
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]
+        calls = self._name_parser_map[name]
+        if isinstance(calls, _ArgumentCalls):
+            sub = self._name_parser_map[name] = self._parser_class(prog=f"{self._prog_prefix} {name}")
+            for args, kwargs in calls:
+                sub.add_argument(*args, **kwargs)
+        super().__call__(parser, namespace, values, option_string)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the `multalg` command line.
+
+    Each subcommand's own parser is built when that subcommand is parsed
+    (see `_Subcommands`), so `main` pays for one subcommand, not eleven.
     """
     parser = argparse.ArgumentParser(
         prog="multalg",
@@ -129,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="Groebner pair-reduction cap before giving up (exit 3)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, action=_Subcommands)
 
     p = sub.add_parser(
         "gaussian",
@@ -230,12 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for the randomized structure sweeps")
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """`main`'s parser: argparse keeps no state between `parse_args` calls."""
-    return build_parser()
 
 
 def _run(args: argparse.Namespace, limits: ReductionLimits) -> int:
@@ -350,10 +373,9 @@ def _run(args: argparse.Namespace, limits: ReductionLimits) -> int:
 def main(argv: list[str] | None = None) -> int:
     """Run `multalg ARGV` (sys.argv[1:] when None) and return its exit code.
 
-    The parser is built once per process, on the first call, and reused
-    by every later one; `build_parser` returns a new one.
+    Every call builds a new parser with `build_parser`.
     """
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.max_reductions <= 0:
         print("error: --max-reductions must be positive", file=sys.stderr)
         return 2

@@ -46,7 +46,10 @@ GRADING_ASSUMPTION = (
 
 # A jet ring of more variables (n base variables times order d) is refused
 # before any work.  At the cap the order-42 jets of Gr(1,3) build in 0.3 s
-# and the order-128 jets of (x^2) in 2 s (2-vCPU host, Python 3.11).
+# and the order-128 jets of (x^2) in 2 s (2-vCPU host, Python 3.11).  The
+# cap bounds n*d only, not the number of terms, which also grows with the
+# base's exponents: (x^30) at order 30 has 30 jet variables and takes 44 s.
+# Counting the jet relations' terms up front is ROADMAP item 7's follow-up.
 MAX_JET_VARIABLES = 128
 
 
@@ -89,7 +92,9 @@ def jet_presentation(base: PresentedRing, d: int) -> JetPresentation:
     """The order-d jet ring of `base` (see module docstring for conventions).
 
     Raises ValueError, before building any polynomial, when d < 1 or when
-    the jet ring's n*d variables exceed MAX_JET_VARIABLES.
+    the jet ring's n*d variables exceed MAX_JET_VARIABLES.  That cap bounds
+    the number of variables, not the number of terms: a base relation of
+    high degree can still take long at an order under it.
     """
     if d < 1:
         raise ValueError("jet order must be at least 1")

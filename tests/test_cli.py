@@ -1,6 +1,8 @@
+import argparse
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,7 +11,6 @@ from pathlib import Path
 import pytest
 
 import multalg
-from multalg import cli
 from multalg.cli import build_parser, main
 from multalg.grassmann import MAX_GAUSSIAN_DEGREE, MAX_MULTIPLICITY_DEGREE, grassmann_presentation
 from multalg.jets import MAX_JET_VARIABLES
@@ -317,64 +318,28 @@ def test_resource_cap_exits_3(capsys, tmp_path):
     assert "cap" in err
 
 
-# ------------------------------------------------------------ parser reuse
-# `main` parses every call with one parser per process; each test follows
-# other `main` calls in this process.
+# ------------------------------------------------------------------ parser
+# A subcommand's parser is built only when that subcommand is parsed.
 
 
-def test_reduction_cap_does_not_leak_into_the_next_call(capsys, monkeypatch):
-    fixture = grassmann_presentation(4, 2).dumps()
-    monkeypatch.setattr("sys.stdin", io.StringIO(fixture))
-    rc, _, err = run(capsys, "--max-reductions", "1", "analyze", "-")
-    assert rc == 3 and "cap of 1 pair reductions" in err
-    monkeypatch.setattr("sys.stdin", io.StringIO(fixture))
-    rc, out, err = run(capsys, "analyze", "-")
-    src = str(Path(multalg.__file__).resolve().parent.parent)
-    fresh = subprocess.run(
-        [sys.executable, "-m", "multalg", "analyze", "-"],
-        input=fixture,
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert fresh.returncode == 0 and fresh.stdout.startswith("finite_dimensional: true")
-    assert (rc, out, err) == (0, fresh.stdout, fresh.stderr)
+def test_every_subcommand_prints_its_help(capsys):
+    names = re.search(r"\{(.*?)\}", build_parser().format_usage()).group(1).split(",")
+    assert len(names) == 11
+    for name in names:
+        with pytest.raises(SystemExit) as exit_:
+            main([name, "--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: multalg {name} [-h]")
 
 
-def _exit_output(capsys, parse, argv):
-    with pytest.raises(SystemExit) as err:
-        parse(argv)
-    captured = capsys.readouterr()
-    return err.value.code, captured.out, captured.err
-
-
-def test_help_matches_a_fresh_parser(capsys):
-    assert run(capsys, "orbit", "2,1,0")[0] == 0
-    assert _exit_output(capsys, main, ["--help"]) == (0, build_parser().format_help(), "")
-    fresh = _exit_output(capsys, build_parser().parse_args, ["analyze", "--help"])
-    assert fresh[0] == 0 and fresh[1].startswith("usage: multalg analyze")
-    assert _exit_output(capsys, main, ["analyze", "--help"]) == fresh
-
-
-def test_usage_error_after_a_successful_call(capsys):
-    assert run(capsys, "orbit", "2,1,0") == (0, "6\n", "")
-    fresh = _exit_output(capsys, build_parser().parse_args, ["not-a-command"])
-    assert fresh[0] == 2 and "invalid choice: 'not-a-command'" in fresh[2]
-    assert _exit_output(capsys, main, ["not-a-command"]) == fresh
-
-
-def test_main_builds_its_parser_once(capsys, monkeypatch):
+def test_a_call_builds_only_the_parsers_it_uses(capsys, monkeypatch):
     built = []
+    init = argparse.ArgumentParser.__init__
 
-    def counting_build_parser():
-        built.append(1)
-        return build_parser()
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
-    cli._parser.cache_clear()
-    for argv in (("orbit", "2,1,0"), ("gaussian", "-n", "4", "-k", "2"), ("dominance", "1,1", "2,0")):
-        assert run(capsys, *argv)[0] == 0
-    assert _exit_output(capsys, main, ["not-a-command"])[0] == 2
-    assert len(built) == 1
-    assert build_parser() is not build_parser()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, "orbit", "2,1,0") == (0, "6\n", "")
+    assert built == ["multalg", "multalg orbit"]
