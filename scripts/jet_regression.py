@@ -78,8 +78,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.max_reductions <= 0:
         print("error: --max-reductions must be positive", file=sys.stderr)
         return 2
+    # below these the sweep has no row, and its empty archive would
+    # overwrite the checked one
+    if args.max_order < 1 or args.max_n < 2:
+        print("error: --max-order must be at least 1 and --max-n at least 2", file=sys.stderr)
+        return 2
     # Gr(k, n) has n variables, so the largest jet ring has max-n * max-order.
-    if args.max_n >= 2 and args.max_n * args.max_order > MAX_JET_VARIABLES:
+    if args.max_n * args.max_order > MAX_JET_VARIABLES:
         print(
             f"error: --max-n {args.max_n} at --max-order {args.max_order} needs "
             f"{args.max_n * args.max_order} jet variables, over the cap of {MAX_JET_VARIABLES}",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Mapping
 
 from .groebner import DEFAULT_LIMITS, Ideal, ReductionLimits, hilbert_series
-from .poly import NotQuasiHomogeneous, Polynomial, PolynomialError, WeightedGrading
+from .poly import NotQuasiHomogeneous, Polynomial, PolynomialError, WeightedGrading, mono_mul
 from .rings import PresentedRing
 from .series import RationalSeries
 
@@ -45,11 +45,12 @@ GRADING_ASSUMPTION = (
 )
 
 # A jet ring of more variables (n base variables times order d) is refused
-# before any work.  At the cap the order-42 jets of Gr(1,3) build in 0.3 s
-# and the order-128 jets of (x^2) in 2 s (2-vCPU host, Python 3.11).  The
-# cap bounds n*d only, not the number of terms, which also grows with the
-# base's exponents: (x^30) at order 30 has 30 jet variables and takes 44 s.
-# Counting the jet relations' terms up front is ROADMAP item 7's follow-up.
+# before any work.  At the cap the order-42 jets of Gr(1,3) build in 0.1 s
+# and the order-128 jets of (x^2) in 0.2-0.3 s (2-vCPU host, Python 3.11).
+# The cap bounds n*d only, not the number of terms, which also grows with
+# the base's exponents: (x^30) at order 30 has 30 jet variables and 23,025
+# terms, and takes 10-15 s.  Counting the jet relations' terms up front is
+# ROADMAP item 7's follow-up.
 MAX_JET_VARIABLES = 128
 
 
@@ -72,29 +73,14 @@ class JetPresentation:
     ring: PresentedRing
 
 
-def _truncated_product(
-    a: list[Polynomial], b: list[Polynomial], d: int, zero: Polynomial
-) -> list[Polynomial]:
-    out = [zero] * d
-    for i, ai in enumerate(a):
-        if ai.is_zero():
-            continue
-        for j, bj in enumerate(b):
-            if i + j >= d:
-                break
-            if bj.is_zero():
-                continue
-            out[i + j] = out[i + j] + ai * bj
-    return out
-
-
 def jet_presentation(base: PresentedRing, d: int) -> JetPresentation:
     """The order-d jet ring of `base` (see module docstring for conventions).
 
     Raises ValueError, before building any polynomial, when d < 1 or when
     the jet ring's n*d variables exceed MAX_JET_VARIABLES.  That cap bounds
     the number of variables, not the number of terms: a base relation of
-    high degree can still take long at an order under it.
+    high degree can still take long at an order under it ((x^25) at order
+    25 takes about 3 s, (x^30) at order 30 10-15 s).
     """
     if d < 1:
         raise ValueError("jet order must be at least 1")
@@ -106,34 +92,50 @@ def jet_presentation(base: PresentedRing, d: int) -> JetPresentation:
     jet_weights = tuple(
         w + j for w, group in zip(base.weights, groups) for j in range(d)
     )
-    zero = Polynomial.zero(jet_vars)
-    one = [Polynomial.constant(jet_vars, 1)] + [zero] * (d - 1)
-    # image of base variable i: the truncated series with the new variables
-    images: list[list[Polynomial]] = []
-    for group in groups:
-        images.append([Polynomial.variable(jet_vars, name) for name in group])
+    # a truncated series in z is one term dict keyed by (level, jet
+    # exponents), the level being the power of z; products drop level >= d
+    unit = (0,) * size
+
+    def product(a: dict, b: dict) -> dict:
+        out: dict = {}
+        for (i, ma), ca in a.items():
+            for (j, mb), cb in b.items():
+                if i + j < d:
+                    key = (i + j, mono_mul(ma, mb))
+                    out[key] = out.get(key, 0) + ca * cb
+        return out
+
+    # image of base variable i: x_i^(0) + x_i^(1) z + ... + x_i^(d-1) z^(d-1)
+    images = [
+        {(j, unit[: i * d + j] + (1,) + unit[i * d + j + 1 :]): 1 for j in range(d)}
+        for i in range(len(groups))
+    ]
 
     # truncated powers of the images, shared by every relation: powers[i][e]
     # is the e-th, each made from the one before (a loop, not a recursion,
     # so an exponent of any size fits the stack)
-    powers: list[list[list[Polynomial]]] = [[one] for _ in images]
+    powers: list[list[dict]] = [[{(0, unit): 1}] for _ in images]
 
-    def power(i: int, e: int) -> list[Polynomial]:
+    def power(i: int, e: int) -> dict:
         row = powers[i]
         while len(row) <= e:
-            row.append(_truncated_product(row[-1], images[i], d, zero))
+            row.append(product(row[-1], images[i]))
         return row[e]
 
     relations: list[Polynomial] = []
     for rel in base.relations:
-        coeffs = [zero] * d
+        # one term dict per level: the level-j slice is the z^j relation.  A
+        # jet monomial's exponents in group i sum to the base exponent of
+        # x_i, so distinct base terms never share a jet monomial
+        levels: list[dict] = [{} for _ in range(d)]
         for exps, c in rel.terms.items():
-            term = [Polynomial.constant(jet_vars, c)] + [zero] * (d - 1)
+            term = {(0, unit): c}
             for i, e in enumerate(exps):
                 if e:
-                    term = _truncated_product(term, power(i, e), d, zero)
-            coeffs = [acc + t for acc, t in zip(coeffs, term)]
-        relations.extend(coeffs)
+                    term = product(term, power(i, e))
+            for (j, m), t in term.items():
+                levels[j][m] = t
+        relations.extend(Polynomial(jet_vars, terms) for terms in levels)
 
     ring = PresentedRing(
         jet_vars,

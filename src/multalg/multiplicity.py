@@ -533,8 +533,11 @@ def random_zero_dimensional_map(
 
     Component i always contains the pure power x_i^(d_i/w_i), which keeps
     the finite case generic; resamples until the quotient is actually
-    zero-dimensional.
+    zero-dimensional.  Raises ValueError, before drawing anything, unless
+    1 <= n_vars <= 4.
     """
+    if not 1 <= n_vars <= 4:
+        raise ValueError(f"n_vars must be between 1 and 4, got {n_vars}")
     names = ("x", "y", "z", "w")[:n_vars]
     for _ in range(60):
         weights = tuple(rng.choice((1, 1, 1, 2)) for _ in range(n_vars))

@@ -105,6 +105,50 @@ def test_jet_relations_match_series_substitution_gr21(d):
         assert sympy.expand(to_sympy(rel) - exp) == 0
 
 
+def weighted_rational_ring():
+    vs = ("x", "y")
+    return PresentedRing(vs, (1, 2), (P("x^4 + 3/2*x^2*y - y^2", vs),))
+
+
+def quintic_ring():
+    vs = ("x",)
+    return PresentedRing(vs, (1,), (P("x^5", vs),))
+
+
+def gr24_ring():
+    return grassmann_presentation(4, 2)
+
+
+@pytest.mark.parametrize(
+    "make_base, d",
+    [(weighted_rational_ring, d) for d in (1, 2, 3, 4)]
+    + [(quintic_ring, d) for d in range(1, 7)]
+    + [(gr24_ring, 4)],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_jet_relations_match_series_substitution_wider(make_base, d):
+    base = make_base()
+    jet, expected = sympy_jet_relations(base, d)
+    assert len(jet.ring.relations) == len(expected) == len(base.relations) * d
+    for rel, exp in zip(jet.ring.relations, expected):
+        assert sympy.expand(to_sympy(rel) - exp) == 0
+
+
+def test_jet_presentation_builds_one_polynomial_per_relation(monkeypatch):
+    base = gr24_ring()
+    built = []
+    init = Polynomial.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "__init__", counting)
+    jet = jet_presentation(base, 3)
+    assert len(jet.ring.relations) == 4 * 3
+    assert len(built) == len(jet.ring.relations)
+
+
 def test_order_one_is_renaming():
     jet = jet_presentation(square_ring(), 1)
     assert jet.ring.weights == (1,)

@@ -623,6 +623,15 @@ def test_structure_random_sweep():
         assert rep.all_true(), {k: v for k, v in rep.clauses.items() if not v}
 
 
+def test_random_map_rejects_a_variable_count_out_of_range_before_drawing():
+    rng = random.Random(0)
+    state = rng.getstate()
+    for n_vars in (0, 5, -1):
+        with pytest.raises(ValueError, match="n_vars must be between 1 and 4"):
+            random_zero_dimensional_map(rng, n_vars)
+    assert rng.getstate() == state
+
+
 # ---------------------------------------------------------------- hitchin
 
 

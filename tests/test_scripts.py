@@ -114,6 +114,19 @@ def test_jet_regression_rejects_a_nonpositive_cap_before_writing(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv", [("--max-order", "0"), ("--max-order", "-3"), ("--max-n", "1"), ("--max-n", "0")]
+)
+def test_jet_regression_rejects_an_empty_sweep_before_writing(tmp_path, capsys, argv):
+    script = load_script("jet_regression")
+    out = tmp_path / "archive.json"
+    assert script.main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--max-order must be at least 1" in err
+    assert "Gr(" not in err  # no row was computed
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [("--max-n", "10", "--max-order", "13"), ("--max-order", "65")])
 def test_jet_regression_rejects_an_oversized_sweep_before_any_row(tmp_path, capsys, argv):
     script = load_script("jet_regression")
