@@ -25,6 +25,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 from typing import Iterable, Mapping
 
 from .groebner import (
@@ -72,6 +73,10 @@ __all__ = [
 # the largest accepted weight list takes about 2 s to print as JSON
 # (2-vCPU host, Python 3.11); a longer one is refused before any work
 MAX_HITCHIN_WEIGHTS = 4_000_000
+# the largest accepted weight ratio takes about 2 s to print (2-vCPU host,
+# Python 3.11): 1/(1 - t)^4499 from 4500 domain weights 1; a larger sum
+# is refused before any work
+MAX_EQUIVARIANT_DEGREE = 4500
 
 # build_quotient raises the staircase error unchanged; the basis rides along
 # so degenerate (non-finite) inputs can still be analyzed by ideal queries.
@@ -234,13 +239,22 @@ def equivariant_multiplicity(
 
     For a finite quotient of a quasi-homogeneous map this equals the
     Poincare polynomial; for a degenerate map it stays a genuine series.
+    Raises ValueError, before any work, unless both multisets are nonempty
+    lists of positive integers whose sums are at most
+    MAX_EQUIVARIANT_DEGREE, which bounds the degree of either side.
     """
-    dom = tuple(int(w) for w in domain)
-    cod = tuple(int(d) for d in codomain)
+    try:
+        dom = tuple(map(index, domain))
+        cod = tuple(map(index, codomain))
+    except TypeError as e:
+        raise ValueError(f"weights must be integers: {e}") from None
     if not dom or not cod:
         raise ValueError("weight multisets must be nonempty")
     if any(w <= 0 for w in dom + cod):
         raise ValueError("weights must be positive")
+    degree = max(sum(cod), sum(dom))
+    if degree > MAX_EQUIVARIANT_DEGREE:
+        raise ValueError(f"the weights sum to {degree}, over the cap of {MAX_EQUIVARIANT_DEGREE}")
     return RationalSeries.from_weight_ratio(cod, dom)
 
 
@@ -475,7 +489,9 @@ def verify_structure_theorem(
     except ValueError:
         per_degree = ()
         pairing_perfect = False
-    equivariant = equivariant_multiplicity(m.grading.weights, m.degrees)
+    # the map's own validated weights and degrees, which the quotient built
+    # above already bounds: MAX_EQUIVARIANT_DEGREE caps free-standing input
+    equivariant = RationalSeries.from_weight_ratio(m.degrees, m.grading.weights)
 
     clauses = {
         "degree_zero_dim1": sum(1 for d in q.degrees if d == 0) == 1,

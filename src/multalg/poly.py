@@ -26,6 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import index
 from typing import Iterable, Mapping
 
 from .orders import WeightedGrevlex
@@ -328,7 +329,10 @@ class WeightedGrading:
     weights: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+        try:
+            object.__setattr__(self, "weights", tuple(map(index, self.weights)))
+        except TypeError as e:
+            raise PolynomialError(f"weights must be integers: {e}") from None
         if not self.weights:
             raise PolynomialError("grading needs at least one weight")
         if any(w <= 0 for w in self.weights):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import index
 from typing import Any
 
 from .groebner import Ideal
@@ -54,7 +55,10 @@ class PresentedRing:
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+        try:
+            object.__setattr__(self, "weights", tuple(map(index, self.weights)))
+        except TypeError as e:
+            raise PolynomialError(f"weights must be integers: {e}") from None
         object.__setattr__(self, "relations", tuple(self.relations))
         if len(self.weights) != len(self.variables):
             raise PolynomialError("one weight per variable required")

@@ -8,12 +8,20 @@ power-series convention, under which products of (1 - t^w) stay printed
 as such instead of being flipped to (t^w - 1).
 
 Everything here stays in Z.  Exact division is integer long division,
-and the gcd that reduces a series is a primitive pseudo-remainder
+and the gcd that reduces a general series is a primitive pseudo-remainder
 sequence; by Gauss's lemma the quotients by a primitive gcd are integral.
+A weight ratio prod(1 - t^d) / prod(1 - t^w) needs no gcd: its reduced
+form is read off by counting cyclotomic factors, and each side is built
+by multiplying and dividing by binomials 1 - t^f, one pass over the
+coefficients per factor.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import accumulate
+from math import isqrt
+from operator import index, sub
 from typing import Iterable, Sequence
 
 from .linalg import primitive
@@ -34,7 +42,10 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = [int(c) for c in coeffs]
+        try:
+            cs = list(map(index, coeffs))
+        except TypeError as e:
+            raise ValueError(f"coefficients must be integers: {e}") from None
         object.__setattr__(self, "coeffs", _trim(cs))
 
     @classmethod
@@ -194,10 +205,62 @@ def one_minus_power(d: int) -> UniPoly:
 
 def weight_denominator(weights: Iterable[int]) -> UniPoly:
     """Product of (1 - t^w) over a weight multiset."""
-    out = UniPoly.one()
+    return UniPoly(_binomial_product(weights))
+
+
+def _binomial_product(weights: Iterable[int]) -> list[int]:
+    """Coefficients of prod(1 - t^w): each factor is one pass that
+    subtracts the coefficients shifted up by w."""
+    weights = tuple(weights)
+    if any(w <= 0 for w in weights):
+        raise ValueError("power must be positive")
+    out = [1] + [0] * sum(weights)
+    top = 0
     for w in weights:
-        out = out * one_minus_power(w)
+        top += w
+        out[w : top + 1] = map(sub, out[w : top + 1], out)
     return out
+
+
+def _divide_binomials(coeffs: list[int], weights: Iterable[int]) -> list[int]:
+    """coeffs / prod(1 - t^w), in place: dividing by 1 - t^w is a running
+    sum of stride w, q[i] = p[i] + q[i - w], and it is exact when the top
+    w sums vanish.  Raises ValueError when a division is not exact."""
+    for w in weights:
+        for r in range(w):
+            coeffs[r::w] = accumulate(coeffs[r::w])
+        cut = max(len(coeffs) - w, 0)
+        if any(coeffs[cut:]):
+            raise ValueError("inexact polynomial division")
+        del coeffs[cut:]
+    return coeffs
+
+
+def _divisors(n: int) -> list[int]:
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in small if d * d != n]
+
+
+def _mobius_terms(e: int) -> list[tuple[int, int]]:
+    """(e // s, mu(s)) for every squarefree divisor s of e."""
+    out, m, p = [(e, 1)], e, 2
+    while p * p <= m:
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            out += [(f // p, -mu) for f, mu in out]
+        p += 1
+    if m > 1:
+        out += [(f // m, -mu) for f, mu in out]
+    return out
+
+
+def _binomial_ratio(exponents: dict[int, int]) -> UniPoly:
+    """prod (1 - t^f)^x over f -> x, a polynomial: multiply first, then
+    divide, so that every division is exact."""
+    ups = [f for f, x in exponents.items() for _ in range(x)]
+    downs = [f for f, x in exponents.items() for _ in range(-x)]
+    return UniPoly(_divide_binomials(_binomial_product(ups), downs))
 
 
 def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -256,8 +319,40 @@ class RationalSeries:
     def from_weight_ratio(
         cls, codomain_degrees: Iterable[int], domain_weights: Iterable[int]
     ) -> "RationalSeries":
-        """prod(1 - t^d) over codomain degrees / prod(1 - t^w) over weights."""
-        return cls(weight_denominator(codomain_degrees), weight_denominator(domain_weights))
+        """prod(1 - t^d) over codomain degrees / prod(1 - t^w) over weights.
+
+        Reduced without a gcd.  Write Psi_1 = 1 - t and Psi_e = Phi_e, the
+        e-th cyclotomic polynomial, for e > 1; then 1 - t^n is the product
+        of Psi_e over e | n.  The Psi_e are distinct irreducibles, so with
+        c_e = #{d : e | d} - #{w : e | w} the reduced ratio is the product
+        of Psi_e^c_e over c_e > 0 divided by that of Psi_e^-c_e over
+        c_e < 0.  By Mobius inversion Psi_e is the product of
+        (1 - t^f)^mu(e/f) over f | e, which builds the numerator from
+        binomials; the denominator is the numerator over the unreduced
+        ratio.  Both have constant term 1, so they are in the canonical
+        form: content 1 (Gauss's lemma) and a positive lowest denominator
+        coefficient.
+        """
+        net = Counter(codomain_degrees)  # f -> exponent of 1 - t^f in the ratio
+        net.subtract(domain_weights)
+        if any(n <= 0 for n in net):
+            raise ValueError("power must be positive")
+        count: Counter[int] = Counter()  # e -> c_e
+        for n, m in net.items():
+            if m:
+                for e in _divisors(n):
+                    count[e] += m
+        numerator: Counter[int] = Counter()  # f -> exponent of 1 - t^f
+        for e, c in count.items():
+            if c > 0:
+                for f, mu in _mobius_terms(e):
+                    numerator[f] += c * mu
+        denominator = numerator.copy()
+        denominator.subtract(net)
+        out = object.__new__(cls)
+        object.__setattr__(out, "numerator", _binomial_ratio(numerator))
+        object.__setattr__(out, "denominator", _binomial_ratio(denominator))
+        return out
 
     def is_polynomial(self) -> bool:
         return self.denominator == UniPoly.one()

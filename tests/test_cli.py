@@ -14,7 +14,7 @@ import multalg
 from multalg.cli import build_parser, main
 from multalg.grassmann import MAX_GAUSSIAN_DEGREE, MAX_MULTIPLICITY_DEGREE, grassmann_presentation
 from multalg.jets import MAX_JET_VARIABLES
-from multalg.multiplicity import MAX_HITCHIN_WEIGHTS
+from multalg.multiplicity import MAX_EQUIVARIANT_DEGREE, MAX_HITCHIN_WEIGHTS
 from multalg.rings import PresentedRing
 
 
@@ -300,6 +300,8 @@ def test_nonpositive_cap_exits_2(capsys):
         ("multiplicity", "-n", "2", "-m", str(MAX_MULTIPLICITY_DEGREE + 1)),
         ("jet", "-d", str(MAX_JET_VARIABLES // 3 + 1), "-"),  # on Gr(1,3), from stdin
         ("jet", "-d", "100000", "-"),
+        ("equivariant", "--domain", "1", "--codomain", f"{MAX_EQUIVARIANT_DEGREE},1"),
+        ("equivariant", "--domain", ",".join(["1"] * 200), "--codomain", ",".join(["300"] * 200)),
     ],
     ids=lambda argv: "-".join(argv[:1] + argv[2::2]),
 )
@@ -308,6 +310,14 @@ def test_oversized_output_exits_2_before_any_work(capsys, monkeypatch, argv):
     started = time.perf_counter()
     rc, out, err = run(capsys, *argv, "--json")
     assert time.perf_counter() - started < 1
+    assert rc == 2 and out == "" and "over the cap" in err
+
+
+def test_closure_over_the_strata_cap_exits_2_quickly(capsys):
+    # (40, 0, ..., 0) has 37,338 strata; the walk stops at the cap
+    started = time.perf_counter()
+    rc, out, err = run(capsys, "closure", ",".join(["40"] + ["0"] * 39))
+    assert time.perf_counter() - started < 2
     assert rc == 2 and out == "" and "over the cap" in err
 
 

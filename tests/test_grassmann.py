@@ -68,6 +68,21 @@ def test_gaussian_shape():
             assert all(c > 0 for c in g.coeffs)
 
 
+def test_gaussian_matches_q_pascal_recurrence():
+    # [n k] = [n-1 k-1] + t^k [n-1 k], built up from [0 0] = 1
+    row = [UniPoly.one()]
+    for n in range(1, 31):
+        row = [UniPoly.one()] + [
+            row[k - 1] + UniPoly.term(1, k) * row[k] for k in range(1, n)
+        ] + [UniPoly.one()]
+        assert [gaussian_binomial(n, k) for k in range(n + 1)] == row
+
+
+def test_gaussian_at_the_degree_cap_counts_subsets():
+    assert 60 * 60 == MAX_GAUSSIAN_DEGREE
+    assert gaussian_binomial(120, 60)(1) == comb(120, 60)
+
+
 def test_gaussian_rejects_bad_input():
     with pytest.raises(ValueError):
         gaussian_binomial(2, 3)

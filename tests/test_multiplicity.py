@@ -13,6 +13,7 @@ from multalg.groebner import groebner_basis, Ideal, normal_form
 from multalg.linalg import nullspace, rank, rref
 from multalg.orders import EliminationOrder, Lex, WeightedGrevlex
 from multalg.multiplicity import (
+    MAX_EQUIVARIANT_DEGREE,
     MAX_HITCHIN_WEIGHTS,
     FiniteGradedAlgebra,
     build_quotient,
@@ -35,7 +36,7 @@ from multalg.poly import (
     monomials_of_weighted_degree,
     parse_polynomial,
 )
-from multalg.series import RationalSeries, UniPoly
+from multalg.series import RationalSeries, UniPoly, one_minus_power
 
 
 def P(text, vs):
@@ -564,6 +565,29 @@ def test_equivariant_validates_inputs():
         equivariant_multiplicity((0, 1), (1, 2))
     with pytest.raises(ValueError):
         equivariant_multiplicity((1,), (-2,))
+
+
+@pytest.mark.parametrize(
+    "domain, codomain",
+    [((1.5,), (3,)), ((1,), (Fraction(3, 1),)), (("2",), (2,)), ((1, 2), (3, 0.5))],
+)
+def test_equivariant_rejects_non_integer_weights(domain, codomain):
+    # int() would truncate (1.5,) to (1,) silently, giving 1 + t + t^2
+    with pytest.raises(ValueError, match="must be integers"):
+        equivariant_multiplicity(domain, codomain)
+
+
+def test_equivariant_cap_accepts_its_bound():
+    # the largest accepted sum on either side, then one over it
+    cap = MAX_EQUIVARIANT_DEGREE
+    assert equivariant_multiplicity((cap,), (cap,)) == 1
+    assert equivariant_multiplicity((1,), (cap - 1, 1)) == one_minus_power(cap - 1)
+    for domain, codomain in [((cap + 1,), (1,)), ((1,), (cap, 1)), ((1,) * 200, (300,) * 200)]:
+        with pytest.raises(ValueError, match="over the cap"):
+            equivariant_multiplicity(domain, codomain)
+    # a structure report reads the series of its own map, past the cap too
+    heavy = PolynomialMap.build((P("x", ("x",)),), WeightedGrading((cap + 1,)))
+    assert verify_structure_theorem(heavy).equivariant == 1
 
 
 # ------------------------------------------------------------------ report

@@ -247,6 +247,13 @@ def test_quasi_homogeneity_witness_none_for_homogeneous():
     assert quasi_homogeneity_witness(parse_polynomial("x^2 + y", XY), g) is None
 
 
+@pytest.mark.parametrize("weights", [(1.7, 2), (Fraction(3, 2),), ("2",), (1, 2.0)])
+def test_grading_rejects_non_integer_weights(weights):
+    # int() would truncate (1.7, 2) to (1, 2) silently
+    with pytest.raises(PolynomialError, match="must be integers"):
+        WeightedGrading(weights)
+
+
 def test_grading_rejects_nonpositive_weights():
     with pytest.raises(ValueError):
         WeightedGrading((1, 0))

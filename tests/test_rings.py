@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -39,6 +40,13 @@ def test_ring_validation():
         PresentedRing(VS, (1, 1), (P("y - x^2", VS),))
     ring = sample_ring()
     assert ring.provenance == "custom"
+
+
+@pytest.mark.parametrize("weights", [(1.7, 2), (1, Fraction(5, 2)), ("1", 2)])
+def test_ring_rejects_non_integer_weights(weights):
+    # int() would truncate (1.7, 2) to (1, 2) silently
+    with pytest.raises(PolynomialError, match="must be integers"):
+        PresentedRing(VS, weights, ())
 
 
 def test_zero_relation_allowed_but_pruned_from_ideal():

@@ -25,6 +25,13 @@ def to_sympy(p: UniPoly):
     return sympy.Poly(list(reversed(p.coeffs)) or [0], t)
 
 
+@pytest.mark.parametrize("coeffs", [[0.5, 1.9], [Fraction(3, 2)], ["7"], [1, 2.0]])
+def test_construction_rejects_non_integer_coefficients(coeffs):
+    # int() would truncate these silently: [0.5, 1.9] printed as t
+    with pytest.raises(ValueError, match="must be integers"):
+        UniPoly(coeffs)
+
+
 def test_construction_trims_and_compares():
     assert UniPoly([1, 2, 0, 0]) == UniPoly([1, 2])
     assert UniPoly([]).is_zero()
@@ -164,6 +171,47 @@ def test_from_weight_ratio():
     # degrees {1,2} over weights {1,1}: (1-t)(1-t^2)/(1-t)^2 = 1 + t
     s = RationalSeries.from_weight_ratio((1, 2), (1, 1))
     assert s.is_polynomial() and s.as_polynomial() == UniPoly([1, 1])
+
+
+@pytest.mark.parametrize(
+    "codomain, domain, numerator, denominator",
+    [
+        ((6, 2, 3), (3, 6, 2), UniPoly.one(), UniPoly.one()),  # reduces to 1
+        ((), (), UniPoly.one(), UniPoly.one()),
+        ((4, 3), (1, 2), UniPoly([1, 1, 2, 1, 1]), UniPoly.one()),  # a polynomial, [4 2]
+        ((2,), (), one_minus_power(2), UniPoly.one()),
+        ((5,), (5, 1, 1), UniPoly.one(), one_minus_power(1) ** 2),  # 1/(1 - t)^k
+        ((2, 3), (1, 3, 1, 1, 2), UniPoly.one(), one_minus_power(1) ** 3),
+        ((), (1,) * 4, UniPoly.one(), one_minus_power(1) ** 4),
+        ((1,), (2,), UniPoly.one(), UniPoly([1, 1])),  # 1/(1 + t): Phi_2 alone
+        ((12,), (4, 6), UniPoly([1, 0, -1, 0, 1]), weight_denominator((2,))),
+    ],
+)
+def test_from_weight_ratio_reduced_forms(codomain, domain, numerator, denominator):
+    s = RationalSeries.from_weight_ratio(codomain, domain)
+    assert (s.numerator, s.denominator) == (numerator, denominator)
+
+
+def test_from_weight_ratio_matches_euclidean_reduction():
+    # the cyclotomic count against the gcd route on 2,000 seeded multisets;
+    # a narrow entry range makes repeated weights common
+    rng = random.Random(26)
+
+    def multiset() -> list[int]:
+        top = rng.randint(1, 14)
+        return rng.choices(range(1, top + 1), k=rng.randint(1, 7))
+
+    for _ in range(2000):
+        codomain, domain = multiset(), multiset()
+        s = RationalSeries.from_weight_ratio(codomain, domain)
+        euclid = RationalSeries(weight_denominator(codomain), weight_denominator(domain))
+        assert (s.numerator, s.denominator) == (euclid.numerator, euclid.denominator)
+
+
+def test_from_weight_ratio_rejects_nonpositive_weights():
+    for codomain, domain in [((0,), (1,)), ((1,), (2, -1))]:
+        with pytest.raises(ValueError, match="power must be positive"):
+            RationalSeries.from_weight_ratio(codomain, domain)
 
 
 def test_pseudo_remainder_scales_only_where_lc_does_not_divide():

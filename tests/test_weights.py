@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from multalg.weights import (
+    MAX_STRATA,
     DominantWeight,
     dominance_leq,
     fundamental_decomposition,
@@ -109,6 +110,15 @@ def test_lower_set_is_downward_closed():
 def test_lower_set_with_negative_entries():
     got = lower_set(W(1, -1))
     assert [w.entries for w in got] == [(1, -1), (0, 0)]
+
+
+def test_lower_set_stops_past_the_strata_cap():
+    # the closure of (k, 0, ..., 0) holds the p(k) partitions of k:
+    # p(25) = 1,958 and p(26) = 2,436 fit under the cap, p(27) = 3,010 does not
+    for k, size in [(25, 1958), (26, 2436)]:
+        assert len(lower_set(fundamental_weight(k, 1, scale=k))) == size <= MAX_STRATA
+    with pytest.raises(ValueError, match="over the cap"):
+        lower_set(fundamental_weight(27, 1, scale=27))
 
 
 # ------------------------------------------------------------------ orbits
