@@ -42,9 +42,9 @@ __all__ = [
 # Output-degree caps: a larger input is refused before any work.  Through
 # the CLI (2-vCPU host, Python 3.11) the largest accepted multiplicity,
 # `multiplicity -n 2 -m 2400`, takes 1.4-2.8 s, and the largest accepted
-# Gaussian binomial, `gaussian -n 120 -k 60`, takes 0.3 s (0.06 s of it
-# in `gaussian_binomial`); the multiplicity's coefficients grow with its
-# degree, so its cap is lower.
+# Gaussian binomial, `gaussian -n 120 -k 60`, takes 0.3 s (0.02-0.04 s
+# of it in `gaussian_binomial`); the multiplicity's coefficients grow with
+# its degree, so its cap is lower.
 MAX_GAUSSIAN_DEGREE = 3600
 MAX_MULTIPLICITY_DEGREE = 2400
 

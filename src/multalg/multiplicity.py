@@ -239,8 +239,8 @@ def equivariant_multiplicity(
 
     For a finite quotient of a quasi-homogeneous map this equals the
     Poincare polynomial; for a degenerate map it stays a genuine series.
-    Raises ValueError, before any work, unless both multisets are nonempty
-    lists of positive integers whose sums are at most
+    Raises ValueError, before any work, unless both multisets are nonempty,
+    hold positive integers only and each sum to at most
     MAX_EQUIVARIANT_DEGREE, which bounds the degree of either side.
     """
     try:

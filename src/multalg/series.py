@@ -333,7 +333,7 @@ class RationalSeries:
         form: content 1 (Gauss's lemma) and a positive lowest denominator
         coefficient.
         """
-        net = Counter(codomain_degrees)  # f -> exponent of 1 - t^f in the ratio
+        net = Counter(codomain_degrees)  # n -> exponent of 1 - t^n, unreduced
         net.subtract(domain_weights)
         if any(n <= 0 for n in net):
             raise ValueError("power must be positive")
