@@ -15,6 +15,9 @@ in a fresh interpreter with the tree's `src` on the path:
   - `verify`, by default and with `--include-negative-controls --seed 7`:
     the exit code, then stdout;
   - `scripts/structure_sweep.py`, text and `--json`;
+  - `gaussian`, `multiplicity`, `equivariant` and `closure`, text and
+    `--json`, on fixed inputs up to `gaussian -n 120 -k 60`,
+    `multiplicity -n 2 -m 2400` and `closure 25,0,...,0` (1,958 strata);
   - each row of `scripts/jet_regression.py --max-n 5` without its
     `seconds`, and the rest of that archive.
 
@@ -102,6 +105,21 @@ def entries() -> Iterator[tuple[str, Callable[[], str]]]:
         yield " ".join(("structure_sweep", *flags)), lambda flags=flags: run(
             ["scripts/structure_sweep.py", *flags]
         )[1]
+    compact = [
+        ("gaussian", "-n", "6", "-k", "3"),
+        ("gaussian", "-n", "120", "-k", "60"),
+        ("multiplicity", "-n", "4", "-m", "1,0,2"),
+        ("multiplicity", "-n", "6", "-m", "40,20,10,20,40"),
+        ("multiplicity", "-n", "2", "-m", "2400"),
+        ("equivariant", "--domain", "1,2,3", "--codomain", "4,6,8"),
+        ("equivariant", "--domain", "2,3", "--codomain", "6"),
+        ("closure", "4,2,1,0"),
+        ("closure", ",".join(["12"] + ["0"] * 11)),
+        ("closure", ",".join(["25"] + ["0"] * 24)),
+    ]
+    for argv in compact:
+        for flags in ((), ("--json",)):
+            yield " ".join((*argv, *flags)), lambda argv=argv, flags=flags: stdout_of(*argv, *flags)
 
 
 def digest(text: str) -> str:

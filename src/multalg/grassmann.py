@@ -18,14 +18,14 @@ GL_n weight and attaches these multiplicity polynomials to its strata.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import cache, partial
-from typing import Callable
+from operator import index
 
 from .groebner import DEFAULT_LIMITS, ReductionLimits, hilbert_series
 from .poly import Polynomial
 from .rings import PresentedRing
-from .series import RationalSeries, UniPoly, _binomial_product, _divide_binomials
+from .series import RationalSeries, UniPoly, _binomial_ratio
 from .weights import DominantWeight, fundamental_decomposition, lower_set
 
 __all__ = [
@@ -41,17 +41,18 @@ __all__ = [
 
 # Output-degree caps: a larger input is refused before any work.  Through
 # the CLI (2-vCPU host, Python 3.11) the largest accepted multiplicity,
-# `multiplicity -n 2 -m 2400`, takes 1.4-2.8 s, and the largest accepted
-# Gaussian binomial, `gaussian -n 120 -k 60`, takes 0.3 s (0.02-0.04 s
-# of it in `gaussian_binomial`); the multiplicity's coefficients grow with
-# its degree, so its cap is lower.
+# `multiplicity -n 2 -m 2400`, takes 1.2-1.3 s, and the largest accepted
+# Gaussian binomial, `gaussian -n 120 -k 60`, takes 0.12-0.14 s (0.02-0.03
+# s of it in `gaussian_binomial`); the multiplicity's coefficients grow
+# with its degree, so its cap is lower.
 MAX_GAUSSIAN_DEGREE = 3600
 MAX_MULTIPLICITY_DEGREE = 2400
 
 
 def gaussian_binomial(n: int, k: int) -> UniPoly:
-    """[n k]_t = prod_{i=1}^{k} (1 - t^(n-i+1)) / (1 - t^i), by exact division:
-    one pass over the coefficients per binomial factor.
+    """[n k]_t = prod_{i=1}^{k} (1 - t^(n-i+1)) / (1 - t^i): the factors
+    shared by both sides cancel, then one pass over the coefficients per
+    binomial factor left.
 
     Degree k(n-k); value C(n,k) at t=1.  Raises ValueError when the
     degree exceeds MAX_GAUSSIAN_DEGREE.
@@ -61,9 +62,9 @@ def gaussian_binomial(n: int, k: int) -> UniPoly:
     degree = k * (n - k)
     if degree > MAX_GAUSSIAN_DEGREE:
         raise ValueError(f"[{n} {k}]_t has degree {degree}, over the cap of {MAX_GAUSSIAN_DEGREE}")
-    k = min(k, n - k)  # [n k] = [n n-k], and the numerator's degree stays under 1.5 k(n-k)
-    numerator = _binomial_product(range(n - k + 1, n + 1))
-    return UniPoly(_divide_binomials(numerator, range(1, k + 1)))
+    net = Counter(range(n - k + 1, n + 1))  # f -> exponent of 1 - t^f
+    net.subtract(range(1, k + 1))
+    return _binomial_ratio(net)
 
 
 def grassmann_presentation(n: int, k: int) -> PresentedRing:
@@ -104,7 +105,11 @@ class DivisorData:
     m: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "m", tuple(int(x) for x in self.m))
+        try:
+            object.__setattr__(self, "n", index(self.n))
+            object.__setattr__(self, "m", tuple(map(index, self.m)))
+        except TypeError as e:
+            raise ValueError(f"rank and multiplicities must be integers: {e}") from None
         if self.n < 1:
             raise ValueError("rank must be positive")
         if len(self.m) != self.n - 1:
@@ -116,22 +121,22 @@ class DivisorData:
 def grassmann_multiplicity(d: DivisorData) -> UniPoly:
     """prod_i [n i]_t^(m_i): the multiplicity polynomial of the divisor data.
 
-    At t=1 this is prod_i C(n,i)^(m_i), the expected point count.  Raises
-    ValueError when its degree exceeds MAX_MULTIPLICITY_DEGREE.
+    At t=1 this is prod_i C(n,i)^(m_i), the expected point count.  It is
+    one weight ratio: [n i]_t^(m_i) puts m_i on each 1 - t^f with
+    n-i < f <= n and -m_i on each with f <= i, so shared factors cancel
+    before any pass.  Raises ValueError when its degree exceeds
+    MAX_MULTIPLICITY_DEGREE.
     """
-    return _multiplicity(d, partial(gaussian_binomial, d.n))
-
-
-def _multiplicity(d: DivisorData, binomial: Callable[[int], UniPoly]) -> UniPoly:
-    """prod_i binomial(i)^(m_i), where binomial(i) is [n i]_t."""
     degree = sum(mult * i * (d.n - i) for i, mult in enumerate(d.m, start=1))
     if degree > MAX_MULTIPLICITY_DEGREE:
         raise ValueError(f"the product has degree {degree}, over the cap of {MAX_MULTIPLICITY_DEGREE}")
-    out = UniPoly.one()
+    net: Counter[int] = Counter()  # f -> exponent of 1 - t^f
     for i, mult in enumerate(d.m, start=1):
         if mult:
-            out = out * binomial(i) ** mult
-    return out
+            for f in range(1, i + 1):
+                net[d.n + 1 - f] += mult
+                net[f] -= mult
+    return _binomial_ratio(net)
 
 
 def product_hilbert(
@@ -180,18 +185,17 @@ def closure_vs_grassmann_dimensions(mu: DominantWeight) -> ClosureReport:
     Multiplicity-free strata (all fundamental coefficients alpha_1..alpha_(n-1)
     in {0,1}) get the product of Gaussian binomials for their divisor data;
     other strata have no closed formula here and are annotated, including the
-    jet-ring pointer when exactly one coefficient exceeds 1.  Each [n i]_t
-    is computed once per call.  Raises ValueError when the closure has
-    over MAX_STRATA strata (`weights.lower_set`).
+    jet-ring pointer when exactly one coefficient exceeds 1.  Raises
+    ValueError when the closure has over MAX_STRATA strata
+    (`weights.lower_set`).
     """
     n = len(mu)
-    binomial = cache(partial(gaussian_binomial, n))
     strata = []
     for lam in lower_set(mu):
         alpha, _ = fundamental_decomposition(lam)
         inner = alpha[: n - 1]
         if all(a in (0, 1) for a in inner):
-            poly = _multiplicity(DivisorData(n, inner), binomial)
+            poly = grassmann_multiplicity(DivisorData(n, inner))
             note = "central" if not any(inner) else ""
             strata.append(
                 StratumReport(

@@ -935,14 +935,13 @@ def _monomial_numerator(pk: _Packing, images: Iterable[int], weights: tuple[int,
     top = max(counts, default=0)
     if top < 2:
         # pairwise disjoint supports (no generator or one included): the
-        # quotient is a tensor product, prod(1 - t^deg u)
-        out = [1]
-        for u in gens:
-            degree = sum(s * ((u >> pos) & mask) // w for s, (pos, w) in zip(weights, cells))
-            out += [0] * degree
-            for k in range(len(out) - 1, degree - 1, -1):
-                out[k] -= out[k - degree]
-        return UniPoly(out)
+        # quotient is a tensor product, prod(1 - t^deg u); the unit ideal,
+        # generated by 1 of degree 0, has the zero numerator
+        if gens == [0]:
+            return UniPoly()
+        return weight_denominator(
+            sum(s * ((u >> pos) & mask) // w for s, (pos, w) in zip(weights, cells)) for u in gens
+        )
     # split along the pivot x_v^e, e a median exponent of x_v among the
     # generators:  N(I) = N(I + (x_v^e)) + t^(e w_v) N(I : x_v^e)
     v = counts.index(top)

@@ -198,9 +198,7 @@ class UniPoly:
 
 def one_minus_power(d: int) -> UniPoly:
     """1 - t^d."""
-    if d <= 0:
-        raise ValueError("power must be positive")
-    return UniPoly([1] + [0] * (d - 1) + [-1])
+    return weight_denominator((d,))
 
 
 def weight_denominator(weights: Iterable[int]) -> UniPoly:

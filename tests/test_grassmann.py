@@ -1,4 +1,6 @@
 import itertools
+import random
+from fractions import Fraction
 from math import comb, prod
 
 import pytest
@@ -8,12 +10,14 @@ from multalg.grassmann import (
     MAX_GAUSSIAN_DEGREE,
     MAX_MULTIPLICITY_DEGREE,
     DivisorData,
+    closure_vs_grassmann_dimensions,
     gaussian_binomial,
     grassmann_multiplicity,
     grassmann_presentation,
     product_hilbert,
 )
 from multalg.series import UniPoly
+from multalg.weights import DominantWeight
 
 
 def count_subspaces_brute(n: int, k: int, q: int) -> int:
@@ -150,14 +154,67 @@ def test_divisor_data_validation():
         DivisorData(0, ())
 
 
+@pytest.mark.parametrize(
+    "n, m",
+    [(3, (1.9, 0.5)), (3, (1, 0.0)), (3.0, (1, 0)), (2, ("1",)), (2, (Fraction(3, 2),)), (2, (None,))],
+)
+def test_divisor_data_rejects_non_integers(n, m):
+    # int() would truncate (1.9, 0.5) to (1, 0), whose multiplicity is 1 + t + t^2
+    with pytest.raises(ValueError, match="must be integers"):
+        DivisorData(n, m)
+
+
+def dense_multiplicity(n: int, m: tuple[int, ...]) -> UniPoly:
+    """prod_i [n i]_t^(m_i) by dense `UniPoly` powers and products."""
+    out = UniPoly.one()
+    for i, mult in enumerate(m, start=1):
+        out = out * gaussian_binomial(n, i) ** mult
+    return out
+
+
+def test_multiplicity_matches_dense_product():
+    rng = random.Random(27)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        m = tuple(rng.randint(0, 3) for _ in range(n - 1))
+        assert grassmann_multiplicity(DivisorData(n, m)) == dense_multiplicity(n, m), (n, m)
+
+
+@pytest.mark.parametrize(
+    "entries", [(8,) + (0,) * 7, (5, 3, 1, 0, 0, 0), (2, 2, 1, 1, 0, 0, 0, 0), (4, 3, 3, 2, 1, 1, 0), (3, 1, 1)]
+)
+def test_closure_strata_match_dense_product(entries):
+    n = len(entries)
+    report = closure_vs_grassmann_dimensions(DominantWeight(entries))
+    strata = [s for s in report.strata if s.status == "multiplicity"]
+    assert strata
+    for s in strata:
+        dense = dense_multiplicity(n, s.alpha[: n - 1])
+        assert (s.polynomial, s.point_count) == (str(dense), dense(1)), s.weight
+
+
+def test_closure_makes_no_dense_product(monkeypatch):
+    calls = []
+    mul = UniPoly.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(UniPoly, "__mul__", counted)
+    report = closure_vs_grassmann_dimensions(DominantWeight((12,) + (0,) * 11))
+    assert sum(s.status == "multiplicity" for s in report.strata) > 1
+    assert calls == []
+
+
 def test_grassmann_multiplicity_products():
     assert grassmann_multiplicity(DivisorData(2, (2,))) == UniPoly([1, 2, 1])
     assert grassmann_multiplicity(DivisorData(4, (0, 0, 0))) == UniPoly([1])
 
 
 def test_output_degree_caps_accept_their_bound():
-    # degree exactly at each cap; the second binomial is the first by
-    # symmetry, so its numerator is built from one factor, not n - 1
+    # degree exactly at each cap; in [n n-1]_t the factors 1 - t^2 ..
+    # 1 - t^(n-1) cancel, so like [n 1]_t it is (1 - t^n) / (1 - t)
     n = MAX_GAUSSIAN_DEGREE + 1
     assert gaussian_binomial(n, 1) == gaussian_binomial(n, n - 1) == UniPoly([1] * n)
     n = MAX_MULTIPLICITY_DEGREE + 1

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -47,6 +48,13 @@ def test_weight_validation():
     assert W(3, 1).entries == (3, 1)
     assert str(W(2, 1, 0)) == "(2,1,0)"
     assert W(2, -1).total == 1
+
+
+@pytest.mark.parametrize("entries", [(1.7, 0.2), (2, 1.0), ("3", "1"), (Fraction(1, 2),), (None,)])
+def test_weight_rejects_non_integers(entries):
+    # int() would truncate (1.7, 0.2) to (1, 0)
+    with pytest.raises(ValueError, match="must be integers"):
+        DominantWeight(entries)
 
 
 def test_fundamental_weight():
