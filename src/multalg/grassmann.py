@@ -41,12 +41,20 @@ __all__ = [
 
 # Output-degree caps: a larger input is refused before any work.  Through
 # the CLI (2-vCPU host, Python 3.11) the largest accepted multiplicity,
-# `multiplicity -n 2 -m 2400`, takes 1.2-1.3 s, and the largest accepted
-# Gaussian binomial, `gaussian -n 120 -k 60`, takes 0.12-0.14 s (0.02-0.03
-# s of it in `gaussian_binomial`); the multiplicity's coefficients grow
-# with its degree, so its cap is lower.
+# `multiplicity -n 2 -m 2400`, takes 0.56-0.57 s (1.1-1.3 s while the
+# binomial ratio still multiplied every factor before dividing), and the
+# largest accepted Gaussian binomial, `gaussian -n 120 -k 60`, takes
+# 0.12-0.13 s (0.01-0.02 s of it in `gaussian_binomial`); the
+# multiplicity's coefficients grow with its degree, so its cap is lower.
 MAX_GAUSSIAN_DEGREE = 3600
 MAX_MULTIPLICITY_DEGREE = 2400
+# Presentation-size cap: n relations of at most min(k, n-k) + 1 terms, each
+# an exponent n-tuple, so at most n^2 (min(k, n-k) + 1) exponent entries; a
+# larger presentation is refused before any is built.  Through the CLI
+# (2-vCPU host, Python 3.11) the largest accepted shapes take 1.8-2.3 s,
+# `grassmann -n 2000 -k 1` (8,000,000 entries), and 0.8-1.7 s,
+# `grassmann -n 250 -k 125` (7,875,000).
+MAX_PRESENTATION_ENTRIES = 8_000_000
 
 
 def gaussian_binomial(n: int, k: int) -> UniPoly:
@@ -62,15 +70,25 @@ def gaussian_binomial(n: int, k: int) -> UniPoly:
     degree = k * (n - k)
     if degree > MAX_GAUSSIAN_DEGREE:
         raise ValueError(f"[{n} {k}]_t has degree {degree}, over the cap of {MAX_GAUSSIAN_DEGREE}")
-    net = Counter(range(n - k + 1, n + 1))  # f -> exponent of 1 - t^f
-    net.subtract(range(1, k + 1))
+    net = dict.fromkeys(range(n - k + 1, n + 1), 1)  # f -> exponent of 1 - t^f
+    for f in range(1, k + 1):
+        net[f] = net.get(f, 0) - 1
     return _binomial_ratio(net)
 
 
 def grassmann_presentation(n: int, k: int) -> PresentedRing:
-    """Presented cohomology ring of the Grassmannian of k-planes in n-space."""
+    """Presented cohomology ring of the Grassmannian of k-planes in n-space.
+
+    Raises ValueError when its n^2 (min(k, n-k) + 1) exponent entries
+    exceed MAX_PRESENTATION_ENTRIES.
+    """
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got n={n}, k={k}")
+    entries = n * n * (min(k, n - k) + 1)
+    if entries > MAX_PRESENTATION_ENTRIES:
+        raise ValueError(
+            f"Gr({k},{n}) has {entries} exponent entries, over the cap of {MAX_PRESENTATION_ENTRIES}"
+        )
     variables = tuple(f"p{i}" for i in range(1, k + 1)) + tuple(
         f"q{j}" for j in range(1, n - k + 1)
     )

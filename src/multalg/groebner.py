@@ -74,9 +74,9 @@ subtracting (c/gcd(a, c))*(m/lm)*g.  Every intermediate is then a positive
 multiple of the one that division over Q gives, so leading monomials,
 divisor choices and processed pairs are those of a `Fraction` kernel; each
 remainder is made primitive once (`linalg.primitive`).  `Fraction`s are
-made only at the API edge: when the reduced basis is made monic, and when
-`normal_form` divides its integer remainder by the product of its scale
-factors.
+made only at the API edge: when the reduced basis is made monic, on the
+first read of `GroebnerBasis.basis`, and when `normal_form` divides its
+integer remainder by the product of its scale factors.
 
 The construction uses the two classical pair-discarding criteria (coprime
 leading monomials, and the chain criterion in its order-safe form: a pair
@@ -110,16 +110,22 @@ deferred pair stays pending, so the chain criterion never counts on it.
 Exactness rests on two checks.  When a pair of a higher degree comes up,
 every lower degree is finished, and under the hypothesis it matches H; one
 that differs disproves it, the criterion turns off and the deferred pairs
-go back on the heap.  When only deferred pairs are left, they are dropped
-only if the Hilbert series of R/<LT(G)> is H, a polynomial: the staircase
-is finite, of size H(1) = prod d / prod w.  R/I is then Artinian, so the n
-forms are a regular sequence, dim R/I = H(1), and the staircase of in(I),
-inside that of <LT(G)> and of the same size, equals it: in(I) = <LT(G)> and
-G is a Groebner basis.  Otherwise the deferred pairs go back and the loop
-goes on without the criterion.  Reduced bases are unique, so every result
-is the one the loop gives without it.  The count costs one Hilbert
-numerator of a colon ideal per leading monomial, so it grows with the
-basis, not with H(1).
+go back on the heap.  And the loop stops as soon as the Hilbert series of
+R/<LT(G)> is H, a polynomial: the staircase is finite, of size H(1) =
+prod d / prod w.  R/I is then Artinian, so the n forms are a regular
+sequence, dim R/I = H(1), and the staircase of in(I), inside that of
+<LT(G)> and of the same size, equals it: in(I) = <LT(G)> and G is a
+Groebner basis, whatever pairs are still queued or deferred.  The count
+is checked after each new leading monomial, the only step that changes
+it, and once more when only deferred pairs are left (the input's own
+leading monomials may already complete it).  A complete count leaves
+every degree full, so no pair left would be reduced: stopping changes
+neither the processed pairs nor the basis.  A count still incomplete
+when only deferred pairs are left disproves the hypothesis: the deferred
+pairs go back and the loop goes on without the criterion.  Reduced bases
+are unique, so every result is the one the loop gives without it.  The
+count costs one Hilbert numerator of a colon ideal per leading monomial,
+so it grows with the basis, not with H(1).
 
 Every run is bounded by an explicit cap on processed S-pair reductions;
 exceeding it raises ResourceLimitExceeded rather than returning anything.
@@ -408,10 +414,14 @@ class GroebnerBasis:
 
     The packed divisors (`_packed`: packing, leading monomials, their
     images, primitive integer elements, reaches) are made once, on first
-    use or by `buchberger`, and take no part in equality or hashing.
+    use or by `buchberger`, and take no part in equality or hashing.  A
+    basis from `buchberger` starts with the packed elements only: `basis`
+    divides each primitive element by its leading coefficient on first
+    read, so callers that only reduce, walk the staircase or count never
+    make its `Fraction`s.
     """
 
-    __slots__ = ("variables", "order", "basis", "leading", "source", "_packed")
+    __slots__ = ("variables", "order", "_basis", "leading", "source", "_packed")
 
     def __init__(
         self,
@@ -434,8 +444,18 @@ class GroebnerBasis:
     def __setattr__(self, name, value):
         raise AttributeError("GroebnerBasis is immutable")
 
+    @property
+    def basis(self) -> tuple[Polynomial, ...]:
+        """The monic elements, made from the packed primitive ones on first read."""
+        got = self._basis
+        if got is None:
+            pk, lms, _, polys, _ = self._packed
+            got = tuple(_from_int(pk, self.variables, g, g[lm]) for lm, g in zip(lms, polys))
+            object.__setattr__(self, "_basis", got)
+        return got
+
     def __len__(self) -> int:
-        return len(self.basis)
+        return len(self.leading)
 
     def __eq__(self, other) -> bool:
         return (
@@ -449,7 +469,7 @@ class GroebnerBasis:
         return hash((self.variables, self.order, self.basis))
 
     def __repr__(self) -> str:
-        return f"GroebnerBasis({len(self.basis)} elements over {self.variables})"
+        return f"GroebnerBasis({len(self.leading)} elements over {self.variables})"
 
 
 def leading_exponents(p: Polynomial, order: MonomialOrder) -> Exponents:
@@ -773,6 +793,8 @@ def _buchberger(
         lcms = [pk.lcm(images[i2], u) for i2 in range(t)]
         if count is not None:
             count.add(u, lcms)
+            if count.complete():
+                break  # the basis is complete, whatever is still queued
         for i2, big in enumerate(lcms):
             pending.add((i2, t))
             heappush(queue, (big, i2, t))
@@ -789,7 +811,7 @@ def _reduce_basis(
     ideal: Ideal,
     order: MonomialOrder,
 ) -> GroebnerBasis:
-    """Minimal, tail-reduced and monic, sorted by leading monomial."""
+    """Minimal and tail-reduced, sorted by leading monomial; `basis` makes it monic."""
     guards = pk.guards
     kept: list[int] = []
     for i in sorted(range(len(work)), key=lms.__getitem__):
@@ -800,19 +822,17 @@ def _reduce_basis(
     images = [images[i] for i in kept]
     polys = [work[i] for i in kept]
     reach = [reach[i] for i in kept]
-    # tail-reduce each element against the others, then make it monic;
-    # a kept leading monomial divides no other, so it stays leading
-    out: list[Polynomial] = []
+    # tail-reduce each element against the others; a kept leading monomial
+    # divides no other, so it stays leading
     for i, lm in enumerate(lms):
         others = [seq[:i] + seq[i + 1 :] for seq in (lms, images, polys, reach)]
         r, _ = _nf_terms(dict(polys[i]), *others, pk)
-        out.append(_from_int(pk, ideal.variables, r, r[lm]))
         polys[i] = _int_terms(r, lm)
         reach[i] = pk.reach(r, images[i])
     gb = GroebnerBasis.__new__(GroebnerBasis)
     leading = tuple(pk.unpack(lm) for lm in lms)
     packed = (pk, lms, images, polys, reach)
-    gb._set(ideal.variables, order, tuple(out), leading, ideal.generators, packed)
+    gb._set(ideal.variables, order, None, leading, ideal.generators, packed)  # monic on first read
     return gb
 
 
@@ -901,6 +921,9 @@ def standard_monomials(gb: GroebnerBasis) -> list[Exponents]:
     pk, _, images, _, _ = _divisors(gb, _width(gb.order, len(gb.variables), corner))
     guards = pk.guards
     box = pk.image(pk.pack(corner[0]))
+    # every variable of a standard monomial is standard, so the walk steps
+    # only by the variables that no leading monomial divides
+    units = [x for x in pk.units if all((pk.image(x) - u) & guards for u in images)]
     seen = {0}
     queue = [0]
     found: list[int] = []
@@ -910,7 +933,7 @@ def standard_monomials(gb: GroebnerBasis) -> list[Exponents]:
         if any(not (t - u) & guards for u in images):
             continue
         found.append(m)
-        for unit in pk.units:
+        for unit in units:
             nxt = m + unit
             if nxt not in seen and not (box - pk.image(nxt)) & guards:
                 seen.add(nxt)

@@ -113,6 +113,12 @@ class FiniteGradedAlgebra:
     widens the packing as far as the monomial needs.  The socle and the
     Jacobian's coordinates, which several clauses of the structure report
     read, are memoised too.
+
+    A variable is either standard or a leading monomial of the reduced
+    basis (a divisor of x_v is 1 or x_v).  The cached coordinates of a
+    leading variable x_v are NF(x_v), which `socle` reads to check that it
+    is homogeneous of degree w_v; the socle then multiplies by the
+    standard variables only, and the staircase is walked by them only.
     """
 
     __slots__ = (
@@ -261,17 +267,28 @@ def equivariant_multiplicity(
 def socle(q: FiniteGradedAlgebra) -> tuple[Polynomial, ...]:
     """Basis of ann(maximal ideal) = intersection of kernels of all x_v.
 
+    Only the standard variables need a kernel.  A variable x_v that is a
+    leading monomial equals NF(x_v) in Q, a combination of standard
+    monomials of degree w_v > 0, each with a standard variable as a
+    factor; so x_v kills whatever every standard variable kills, and the
+    kernels of the standard variables alone meet in the socle.
+
     Multiplication by x_v maps Q^k into Q^(k+w_v), so the socle splits by
     degree: socle intersect Q^k is the kernel of one small block whose rows are
-    the coordinates of degree k+w_v for each v, and whose columns are the
-    basis monomials of degree k.  These are the diagonal blocks of the
-    stacked multiplication matrices, so the vectors are those of the
-    stacked nullspace: one per free column, that column = 1, listed in
-    increasing free column over the whole basis.
+    the coordinates of degree k+w_v for each standard v, and whose columns
+    are the basis monomials of degree k.  These are the diagonal blocks of
+    the stacked multiplication matrices, and equal kernels have one RREF,
+    so the vectors are those of the nullspace stacked over all variables:
+    one per free column, that column = 1, listed in increasing free column
+    over the whole basis.
 
-    Raises ValueError when some x_v * b_j has a coordinate outside degree
-    deg(b_j) + w_v, i.e. the ideal is not homogeneous for the grading.
-    The result is memoised on q.
+    Raises ValueError when the ideal is not homogeneous for the grading:
+    when NF(x_v) of a leading variable has a coordinate outside degree
+    w_v, or x_v * b_j of a standard one outside degree deg(b_j) + w_v.
+    The argument above needs the first check; together they hold exactly
+    when every x_v * b_j stays in degree deg(b_j) + w_v, so they refuse
+    the same algebras as a check over all variables.  The result is
+    memoised on q.
     """
     got = q._memo.get("socle")
     if got is None:
@@ -281,13 +298,23 @@ def socle(q: FiniteGradedAlgebra) -> tuple[Polynomial, ...]:
 
 def _graded_socle(q: FiniteGradedAlgebra) -> tuple[Polynomial, ...]:
     pk, basis = q._walk[:2]
+    packed = set(basis)
+    standard = []  # (v, w_v, x_v) of the standard variables
+    for v, (w, unit) in enumerate(zip(q.grading.weights, pk.units)):
+        if unit in packed:
+            standard.append((v, w, unit))
+        elif any(q.degrees[i] != w for i in q._coords(unit)[0]):
+            raise ValueError(
+                f"{q.variables[v]} * 1 leaves degree {w}: "
+                "the ideal is not homogeneous for the grading"
+            )
     by_degree: dict[int, list[int]] = {}
     for i, d in enumerate(q.degrees):
         by_degree.setdefault(d, []).append(i)
     found: list[tuple[int, Polynomial]] = []
     for k, cols in by_degree.items():
-        images = []  # images[v][c]: integer coordinates of x_v * b_cols[c]
-        for v, (w, unit) in enumerate(zip(q.grading.weights, pk.units)):
+        images = []  # images[s][c]: integer coordinates of x_v * b_cols[c], x_v standard[s]
+        for v, w, unit in standard:
             images.append([q._coords(basis[j] + unit) for j in cols])
             for j, (num, _) in zip(cols, images[-1]):
                 if any(q.degrees[i] != k + w for i in num):
@@ -299,7 +326,7 @@ def _graded_socle(q: FiniteGradedAlgebra) -> tuple[Polynomial, ...]:
         # its kernel is diag(L) times that of the integer N, rescaled so free = 1
         scales = [lcm(*(row[c][1] for row in images)) for c in range(len(cols))]
         block: list[list[int]] = []
-        for w, row in zip(q.grading.weights, images):
+        for (_, w, _), row in zip(standard, images):
             factors = [s // den for s, (_, den) in zip(scales, row)]
             block.extend(
                 [num.get(i, 0) * f for (num, _), f in zip(row, factors)]

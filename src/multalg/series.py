@@ -254,11 +254,31 @@ def _mobius_terms(e: int) -> list[tuple[int, int]]:
 
 
 def _binomial_ratio(exponents: dict[int, int]) -> UniPoly:
-    """prod (1 - t^f)^x over f -> x, a polynomial: multiply first, then
-    divide, so that every division is exact."""
-    ups = [f for f, x in exponents.items() for _ in range(x)]
-    downs = [f for f, x in exponents.items() for _ in range(-x)]
-    return UniPoly(_divide_binomials(_binomial_product(ups), downs))
+    """prod (1 - t^f)^x over f -> x, a polynomial.
+
+    Each factor with x > 0 is taken together with the largest pending
+    factor 1 - t^g with x < 0 and g | f, if there is one: the ratio
+    (1 - t^f) / (1 - t^g) is a polynomial, and multiplying by it is one
+    pass, a running sum of stride g over the product with 1 - t^f cut at
+    the new length, so the coefficient list never outgrows the product of
+    the ratios taken so far.  The pending factors left are divided out at
+    the end, exactly, since the whole ratio is a polynomial.
+    """
+    pending = {g: -x for g, x in exponents.items() if x < 0}
+    out = [1]
+    for f, x in exponents.items():
+        for _ in range(x):
+            g = max((g for g, left in pending.items() if left and not f % g), default=0)
+            if not g:
+                out += [0] * f
+                out[f:] = map(sub, out[f:], out)
+                continue
+            pending[g] -= 1
+            out += [0] * (f - g)
+            step = out[:f] + list(map(sub, out[f:], out))
+            for r in range(g):
+                out[r::g] = accumulate(step[r::g])
+    return UniPoly(_divide_binomials(out, [g for g, left in pending.items() for _ in range(left)]))
 
 
 def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:

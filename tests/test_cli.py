@@ -298,6 +298,8 @@ def test_nonpositive_cap_exits_2(capsys):
         ("gaussian", "-n", str(MAX_GAUSSIAN_DEGREE + 2), "-k", "1"),
         ("gaussian", "-n", str(MAX_GAUSSIAN_DEGREE + 2), "-k", str(MAX_GAUSSIAN_DEGREE + 1)),
         ("multiplicity", "-n", "2", "-m", str(MAX_MULTIPLICITY_DEGREE + 1)),
+        ("grassmann", "-n", "2001", "-k", "1"),  # the cap is Gr(1,2000)'s 2000^2 * 2 entries
+        ("grassmann", "-n", "1000", "-k", "500"),  # 501,000,000 entries; ran out of memory
         ("jet", "-d", str(MAX_JET_VARIABLES // 3 + 1), "-"),  # on Gr(1,3), from stdin
         ("jet", "-d", "100000", "-"),
         ("equivariant", "--domain", "1", "--codomain", f"{MAX_EQUIVARIANT_DEGREE},1"),

@@ -9,6 +9,7 @@ import sympy
 from multalg.grassmann import (
     MAX_GAUSSIAN_DEGREE,
     MAX_MULTIPLICITY_DEGREE,
+    MAX_PRESENTATION_ENTRIES,
     DivisorData,
     closure_vs_grassmann_dimensions,
     gaussian_binomial,
@@ -221,6 +222,15 @@ def test_output_degree_caps_accept_their_bound():
     assert grassmann_multiplicity(DivisorData(n, (1,) + (0,) * (n - 2))) == UniPoly([1] * n)
     with pytest.raises(ValueError, match="over the cap"):
         grassmann_multiplicity(DivisorData(n + 1, (1,) + (0,) * (n - 1)))
+
+
+def test_presentation_cap_accepts_its_bound():
+    # n^2 (min(k, n-k) + 1) exponent entries: Gr(1,2000) has exactly the cap
+    assert 2000 * 2000 * 2 == MAX_PRESENTATION_ENTRIES
+    assert len(grassmann_presentation(2000, 1).relations) == 2000
+    for n, k in ((2001, 1), (2001, 2000), (1000, 500)):
+        with pytest.raises(ValueError, match="over the cap"):
+            grassmann_presentation(n, k)
 
 
 def test_expected_point_count_is_value_at_one():

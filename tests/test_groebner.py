@@ -10,6 +10,7 @@ against exponent-tuple arithmetic and the order keys.  Everything runs
 over exact rationals.
 """
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -202,7 +203,8 @@ def test_zero_and_unit_ideals():
 
 
 def test_buchberger_makes_fractions_only_for_the_basis(monkeypatch):
-    # the kernel runs over int; Fractions appear when the kept elements are made monic
+    # the kernel runs over int; Fractions appear when the kept elements are
+    # made monic, on the first read of the basis and only then
     ideal = _map_ideal(grassmann_presentation(8, 4))
     made = 0
     fraction_new = Fraction.__new__
@@ -214,7 +216,11 @@ def test_buchberger_makes_fractions_only_for_the_basis(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     gb = buchberger(ideal, ideal.default_order(), DEFAULT_LIMITS)
-    assert 0 < made <= 2 * sum(len(g.terms) for g in gb.basis)
+    assert made == 0
+    basis = gb.basis
+    first = made
+    assert 0 < first <= 2 * sum(len(g.terms) for g in basis)
+    assert gb.basis is basis and made == first
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -474,6 +480,38 @@ def test_staircase_walk_stays_below_the_corner(monkeypatch):
     got = standard_monomials(groebner_basis(I(XYZ, "x^3", "x*y^2")))
     box = {(a, b, 0) for a in range(3) for b in range(3)} - {(1, 2, 0), (2, 2, 0)}
     assert len(got) == 7 and set(got) == box
+
+
+def _seeded_zero_dimensional_ideals():
+    """Pure powers of every variable with random polynomials and, half of the
+    time, a random linear form, so that some variables are leading."""
+    rng = random.Random(31)
+    for _ in range(24):
+        vs = (XY, XYZ, WXYZ)[rng.randrange(3)]
+        n = len(vs)
+        gens = [Polynomial(vs, {tuple(rng.randint(2, 4) * (j == i) for j in range(n)): 1}) for i in range(n)]
+        gens += _random_ideal(rng, vs, max_terms=3, max_deg=2, count=2).generators
+        if rng.random() < 0.5:
+            gens.append(Polynomial(vs, {tuple(int(j == i) for j in range(n)): rng.randint(-2, 2) for i in range(n)}))
+        yield Ideal(vs, tuple(g for g in gens if not g.is_zero()), WeightedGrading.units(n))
+
+
+def test_standard_monomials_match_a_box_enumeration():
+    # the walk steps by standard variables only; the oracle lists every
+    # monomial below the corner of the leading monomials and keeps those
+    # that no leading monomial divides
+    leading = 0
+    for ideal in _seeded_zero_dimensional_ideals():
+        n = len(ideal.variables)
+        orders = (ideal.default_order(), Lex(), EliminationOrder(block=1))
+        for order in orders:
+            gb = groebner_basis(ideal, order)
+            corner = tuple(map(max, zip(*gb.leading)))
+            box = itertools.product(*(range(c + 1) for c in corner))
+            expected = [m for m in box if not any(all(map(le, lm, m)) for lm in gb.leading)]
+            assert standard_monomials(gb) == sorted(expected, key=order.key), order
+            leading += sum(tuple(int(u == v) for u in range(n)) in gb.leading for v in range(n))
+    assert leading >= 20
 
 
 def test_standard_monomial_count_is_bezout_product():
@@ -871,11 +909,13 @@ _CRITERION_FAMILIES = {
 def _criterion_log(monkeypatch):
     """Record each check of the criterion's count: ("start", degree, agrees)
     when a degree is taken up, ("full", degree, full) when a pair is weighed
-    for deferral, ("complete", None, complete) when only deferred pairs are
-    left."""
+    for deferral, ("probe", degree, complete) right after a new leading
+    monomial of that degree is counted, and ("complete", None, complete)
+    when only deferred pairs are left."""
     log = []
     count = groebner._HilbertCount
-    start, full, complete = count.start, count.full, count.complete
+    start, full, add, complete = count.start, count.full, count.add, count.complete
+    added = []  # the degree of a leading monomial counted and not yet probed
 
     def logged_start(self, d):
         out = start(self, d)
@@ -887,13 +927,18 @@ def _criterion_log(monkeypatch):
         log.append(("full", self.degree, out))
         return out
 
+    def logged_add(self, u, lcms):
+        add(self, u, lcms)
+        added.append(u >> self.shift)
+
     def logged_complete(self):
         out = complete(self)
-        log.append(("complete", None, out))
+        log.append(("probe", added.pop(), out) if added else ("complete", None, out))
         return out
 
     monkeypatch.setattr(count, "start", logged_start)
     monkeypatch.setattr(count, "full", logged_full)
+    monkeypatch.setattr(count, "add", logged_add)
     monkeypatch.setattr(count, "complete", logged_complete)
     return log
 
@@ -959,8 +1004,10 @@ def test_hilbert_criterion_falls_back_when_the_input_is_no_complete_intersection
         log.clear()
         bases.append(buchberger(ideal))
         assert _deferred(log)
-        disproofs = [kind for kind, _, out in log if kind != "full" and not out]
+        disproofs = [kind for kind, _, out in log if kind in ("start", "complete") and not out]
         assert disproofs == ["complete" if final else "start"]
+        # neither ideal is a complete intersection, so no probe finds the count complete
+        assert not any(out for kind, _, out in log if kind == "probe")
     _criterion_off(monkeypatch)
     assert [gb.basis for gb in bases] == [buchberger(ideal).basis for ideal in (jets, late)]
 
@@ -975,8 +1022,40 @@ def test_hilbert_criterion_counts_instead_of_listing_the_staircase(monkeypatch):
     began = time.perf_counter()
     gb = buchberger(ideal)
     assert time.perf_counter() - began < 2
-    assert ("complete", None, True) in log
+    # the third leading monomial completes the count, and the loop stops there
+    assert ("probe", 1001, True) in log and ("complete", None, True) not in log
     assert gb.leading == ((999, 1), (1000, 0), (0, 1001))
     assert hilbert_series(ideal) == RationalSeries.from_weight_ratio((1000, 1000), (1, 1))
     _criterion_off(monkeypatch)
     assert buchberger(ideal).basis == gb.basis
+
+
+def test_no_pair_is_popped_once_the_count_is_complete(monkeypatch):
+    # a complete count proves the basis complete, so the loop stops at the
+    # leading monomial that completes it, with pairs still queued
+    count = groebner._HilbertCount
+    add, complete, pop = count.add, count.complete, groebner.heappop
+    closed, late = [], []
+
+    def watched_add(self, u, lcms):
+        add(self, u, lcms)
+        closed.append(complete(self))
+
+    def watched_pop(queue):
+        late.append(any(closed))
+        return pop(queue)
+
+    monkeypatch.setattr(count, "add", watched_add)
+    monkeypatch.setattr(groebner, "heappop", watched_pop)
+    families = ("grassmannians", "complete_intersections", "random_maps")
+    ideals = [ideal for family in families for ideal in _CRITERION_FAMILIES[family]()]
+    bases, stopped = [], 0
+    for ideal in ideals:
+        closed.clear()
+        late.clear()
+        bases.append(buchberger(ideal))
+        assert not any(late)
+        stopped += any(closed)
+    assert stopped >= 20
+    _criterion_off(monkeypatch)
+    assert [gb.basis for gb in bases] == [buchberger(ideal).basis for ideal in ideals]
