@@ -41,11 +41,10 @@ __all__ = [
 
 # Output-degree caps: a larger input is refused before any work.  Through
 # the CLI (2-vCPU host, Python 3.11) the largest accepted multiplicity,
-# `multiplicity -n 2 -m 2400`, takes 0.56-0.57 s (1.1-1.3 s while the
-# binomial ratio still multiplied every factor before dividing), and the
-# largest accepted Gaussian binomial, `gaussian -n 120 -k 60`, takes
-# 0.12-0.13 s (0.01-0.02 s of it in `gaussian_binomial`); the
-# multiplicity's coefficients grow with its degree, so its cap is lower.
+# `multiplicity -n 2 -m 2400`, takes 0.56-0.57 s, and the largest accepted
+# Gaussian binomial, `gaussian -n 120 -k 60`, takes 0.12-0.13 s (0.01-0.02
+# s of it in `gaussian_binomial`); the multiplicity's coefficients grow
+# with its degree, so its cap is lower.
 MAX_GAUSSIAN_DEGREE = 3600
 MAX_MULTIPLICITY_DEGREE = 2400
 # Presentation-size cap: n relations of at most min(k, n-k) + 1 terms, each

@@ -341,10 +341,29 @@ def reference_algebras():
     return algebras
 
 
+def algebras_with_leading_variables():
+    """Every Gr(k,n) with n <= 7, and seeded complete intersections with a
+    linear generator: quotients where some variables are leading monomials."""
+    algebras = [
+        build_quotient(grassmann_presentation(n, k).as_map()) for n in range(2, 8) for k in range(1, n)
+    ]
+    rng = random.Random(11)
+    shapes = (((1, 1, 1), (1, 2, 3)), ((1, 1, 1, 2), (1, 2, 3, 4)), ((1, 1, 1, 1), (1, 1, 3, 3)), ((1, 2, 1), (1, 4, 3)))
+    for weights, degrees in shapes * 2:
+        algebras.append(complete_intersection(rng, weights, degrees))
+    return algebras
+
+
 def test_graded_socle_matches_dense_reference():
-    for q in reference_algebras():
+    # the socle multiplies by the standard variables only, the reference by
+    # every variable; the second list has variables that are leading monomials
+    leading = 0
+    for q in [*reference_algebras(), *algebras_with_leading_variables()]:
+        n = len(q.variables)
+        leading += sum(tuple(int(u == v) for u in range(n)) in q.gb.leading for v in range(n))
         got = [[s.terms.get(b, Fraction(0)) for b in q.basis] for s in socle(q)]
         assert got == dense_socle_reference(q)
+    assert leading >= 60
     assert [str(s) for s in socle(fat_point())] == ["y", "x"]
 
 
@@ -393,53 +412,22 @@ def test_deep_staircase_is_walked_without_recursion():
 
 
 def test_socle_rejects_grading_the_ideal_does_not_respect():
-    vs = ("x", "y")
-    ideal = Ideal(vs, (P("x^2 - y", vs), P("y^2", vs)), WeightedGrading.units(2))
-    q = FiniteGradedAlgebra(groebner_basis(ideal), WeightedGrading.units(2))
-    with pytest.raises(ValueError, match="not homogeneous"):
-        socle(q)
-
-
-@pytest.mark.parametrize(
-    "gens, weights, leading",
-    [  # x is leading and NF(x) = y has degree 1, not 2; y alone is standard
+    cases = [
+        # x and y are standard, and x * x = y
+        (("x^2 - y", "y^2"), (1, 1), None),
+        # x is leading and NF(x) = y has degree 1, not 2; y alone is standard
         (("x - y", "y^3"), (2, 1), (1, 0)),
         # x is leading with NF(x) = z of degree 1; the standard z has z * z = y
         (("x - z", "z^2 - y", "y^2"), (1, 1, 1), (1, 0, 0)),
-    ],
-)
-def test_socle_rejects_inhomogeneity_in_leading_and_standard_variables(gens, weights, leading):
-    vs = ("x", "y", "z")[: len(weights)]
-    grading = WeightedGrading(weights)
-    q = FiniteGradedAlgebra(groebner_basis(Ideal(vs, tuple(P(g, vs) for g in gens), grading)), grading)
-    assert leading in q.gb.leading
-    with pytest.raises(ValueError, match="not homogeneous"):
-        socle(q)
-
-
-def algebras_with_leading_variables():
-    """Every Gr(k,n) with n <= 7, and seeded complete intersections with a
-    linear generator: quotients where some variables are leading monomials."""
-    algebras = [
-        build_quotient(grassmann_presentation(n, k).as_map()) for n in range(2, 8) for k in range(1, n)
     ]
-    rng = random.Random(11)
-    shapes = (((1, 1, 1), (1, 2, 3)), ((1, 1, 1, 2), (1, 2, 3, 4)), ((1, 1, 1, 1), (1, 1, 3, 3)), ((1, 2, 1), (1, 4, 3)))
-    for weights, degrees in shapes * 2:
-        algebras.append(complete_intersection(rng, weights, degrees))
-    return algebras
-
-
-def test_socle_over_standard_variables_matches_all_variables():
-    # the socle multiplies by the standard variables only; the oracle
-    # stacks the normal forms of x_v * b_j over every variable
-    leading = 0
-    for q in algebras_with_leading_variables():
-        n = len(q.variables)
-        leading += sum(tuple(int(u == v) for u in range(n)) in q.gb.leading for v in range(n))
-        got = [[s.terms.get(b, Fraction(0)) for b in q.basis] for s in socle(q)]
-        assert got == dense_socle_reference(q)
-    assert leading >= 60
+    for gens, weights, leading in cases:
+        vs = ("x", "y", "z")[: len(weights)]
+        grading = WeightedGrading(weights)
+        ideal = Ideal(vs, tuple(P(g, vs) for g in gens), grading)
+        q = FiniteGradedAlgebra(groebner_basis(ideal), grading)
+        assert leading is None or leading in q.gb.leading
+        with pytest.raises(ValueError, match="not homogeneous"):
+            socle(q)
 
 
 def test_structure_report_computes_each_artefact_once(monkeypatch):
