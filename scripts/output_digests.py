@@ -7,6 +7,12 @@ byte-identical, so a change that claims identical outputs is checked with
     python3 scripts/output_digests.py > after.txt   # in each tree
     diff before.txt after.txt
 
+The listing is committed as `scripts/output_digests.txt`, and CI diffs a
+fresh one against it, so an output change that is not declared fails.
+Regenerate that file only together with a declared output change:
+
+    python3 scripts/output_digests.py > scripts/output_digests.txt
+
 Every output is made by the tree's own `multalg` CLI or scripts, each run
 in a fresh interpreter with the tree's `src` on the path:
 

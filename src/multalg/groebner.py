@@ -49,6 +49,28 @@ I + (p) appends e*u(x_v), I : p subtracts min(e, e_v)*u(x_v) from each
 image, and the exponents a leaf's degree needs are its fields over their
 packing weights.
 
+The staircase of a zero-dimensional basis (`_Staircase`) is walked once,
+by the first `standard_monomials`, and kept on the basis.  It also gives
+the coordinates of any monomial m in the sorted standard monomials b_0 <
+b_1 < ..., built from those of smaller monomials, as in the
+multiplication-table step of FGLM, so no monomial is reduced from scratch:
+  - a standard monomial b_i is the unit vector e_i;
+  - a leading monomial lm(g) is -tail(g), since the basis is reduced and
+    monic, so the tail of g is already standard;
+  - any other m is x_v * m' with x_v dividing m / lm for the first leading
+    monomial lm dividing m, and NF(m) = sum_j c_j NF(x_v b_j) where c =
+    NF(m').
+Every monomial on the right is smaller than m in the basis's order, so
+this terminates under any monomial order; it is walked with an explicit
+stack.  Coordinates are integer numerators over one denominator,
+({index: numerator}, den) with den > 0 and no factor common to den and
+every numerator, each new vector combined over the lcm of its parts'
+denominators and reduced by one gcd.  They are cached on the staircase,
+keyed by the packed monomial, and x_v is the lowest nonzero field of u(m)
+- u(lm).  The staircase keeps the packing it was walked at, wide enough
+for a product of two standard monomials, whatever width `normal_form`
+later moves the basis's divisors to.
+
 Width and overflow.  The field width is derived from the input: the
 smallest with 2^(bits-1) above twice the largest field value of any input
 monomial, and at least 8 bits.  Every path detects a field that outgrows
@@ -414,14 +436,15 @@ class GroebnerBasis:
 
     The packed divisors (`_packed`: packing, leading monomials, their
     images, primitive integer elements, reaches) are made once, on first
-    use or by `buchberger`, and take no part in equality or hashing.  A
+    use or by `buchberger`, and the staircase (`_stairs`) by the first
+    `standard_monomials`; neither takes part in equality or hashing.  A
     basis from `buchberger` starts with the packed elements only: `basis`
     divides each primitive element by its leading coefficient on first
     read, so callers that only reduce, walk the staircase or count never
     make its `Fraction`s.
     """
 
-    __slots__ = ("variables", "order", "_basis", "leading", "source", "_packed")
+    __slots__ = ("variables", "order", "_basis", "leading", "source", "_packed", "_stairs")
 
     def __init__(
         self,
@@ -437,7 +460,7 @@ class GroebnerBasis:
 
     def _set(self, variables, order, basis, leading, source, packed) -> None:
         for name, value in zip(
-            self.__slots__, (variables, order, basis, leading, source, packed)
+            self.__slots__, (variables, order, basis, leading, source, packed, None)
         ):
             object.__setattr__(self, name, value)
 
@@ -910,36 +933,106 @@ def is_zero_dimensional(gb: GroebnerBasis) -> bool:
 def standard_monomials(gb: GroebnerBasis) -> list[Exponents]:
     """All monomials outside the leading-term ideal, sorted by the order.
 
+    The staircase is walked once per basis and kept on it (see `_Staircase`).
     Raises NotZeroDimensional when the staircase is infinite.
     """
     if not is_zero_dimensional(gb):
         raise NotZeroDimensional(gb)
-    # the leading monomials include a pure power of each variable, so each
-    # standard monomial and its neighbours divide their field-wise max, the
-    # corner; the walk stays in that box whatever the check above said
-    corner = [tuple(map(max, zip(*gb.leading)))]
-    pk, _, images, _, _ = _divisors(gb, _width(gb.order, len(gb.variables), corner))
-    guards = pk.guards
-    box = pk.image(pk.pack(corner[0]))
-    # every variable of a standard monomial is standard, so the walk steps
-    # only by the variables that no leading monomial divides
-    units = [x for x in pk.units if all((pk.image(x) - u) & guards for u in images)]
-    seen = {0}
-    queue = [0]
-    found: list[int] = []
-    while queue:
-        m = queue.pop()
-        t = pk.image(m)
-        if any(not (t - u) & guards for u in images):
-            continue
-        found.append(m)
-        for unit in units:
-            nxt = m + unit
-            if nxt not in seen and not (box - pk.image(nxt)) & guards:
-                seen.add(nxt)
-                queue.append(nxt)
-    found.sort()
-    return [pk.unpack(m) for m in found]
+    stairs = gb._stairs or _Staircase(gb)
+    return list(map(stairs.pk.unpack, stairs.basis))
+
+
+class _Staircase:
+    """The sorted packed standard monomials b_0 < b_1 < ... of a
+    zero-dimensional basis, walked once and kept on the basis, with the
+    coordinate walk over them (see the module docstring).  Coordinates are
+    ({index: numerator}, den), cached and shared: callers must not modify
+    them."""
+
+    __slots__ = ("pk", "basis", "cache", "images", "units")
+
+    def __init__(self, gb: GroebnerBasis):
+        # the leading monomials include a pure power of each variable, so each
+        # standard monomial and its neighbours divide their field-wise max, the
+        # corner; the walk stays in that box whatever the zero-dimensional check said
+        corner = [tuple(map(max, zip(*gb.leading)))]
+        pk, lms, images, elements, _ = _divisors(gb, _width(gb.order, len(gb.variables), corner))
+        guards = pk.guards
+        box = pk.image(pk.pack(corner[0]))
+        # every variable of a standard monomial is standard, so the walk steps
+        # only by the variables that no leading monomial divides
+        units = [x for x in pk.units if all((pk.image(x) - u) & guards for u in images)]
+        seen = {0}
+        queue = [0]
+        found: list[int] = []
+        while queue:
+            m = queue.pop()
+            t = pk.image(m)
+            if any(not (t - u) & guards for u in images):
+                continue
+            found.append(m)
+            for unit in units:
+                nxt = m + unit
+                if nxt not in seen and not (box - pk.image(nxt)) & guards:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        found.sort()
+        where = {m: i for i, m in enumerate(found)}
+        cache = {m: ({i: 1}, 1) for m, i in where.items()}
+        for lm, g in zip(lms, elements):  # g is primitive with g[lm] > 0
+            cache[lm] = ({where[e]: -c for e, c in g.items() if e != lm}, g[lm])
+        self.pk, self.basis, self.cache, self.images = pk, found, cache, images
+        # the packed variable of each field
+        self.units = {pos // pk.bits: unit for (pos, _), unit in zip(pk.cells, pk.units)}
+        object.__setattr__(gb, "_stairs", self)
+
+    def products(self, i: int, cols: Iterable[int]) -> list[tuple[IntTerms, int]]:
+        """The coordinates of b_i * b_j for each j in cols."""
+        return self._row(self.basis[i], cols)
+
+    def times(self, v: int, cols: Iterable[int]) -> list[tuple[IntTerms, int]]:
+        """The coordinates of x_v * b_j for each j in cols."""
+        return self._row(self.pk.units[v], cols)
+
+    def _row(self, m: int, cols: Iterable[int]) -> list[tuple[IntTerms, int]]:
+        basis, get = self.basis, self.cache.get
+        return [get(basis[j] + m) or self.coords(basis[j] + m) for j in cols]
+
+    def coords(self, target: int) -> tuple[IntTerms, int]:
+        """The coordinates of a monomial packed on `pk`."""
+        pk, basis, cache, images, units = self.pk, self.basis, self.cache, self.images, self.units
+        offset, guards, bits = pk.offset, pk.guards, pk.bits
+        stack = [target]
+        while stack:
+            m = stack[-1]
+            if m in cache:  # known, or pushed more than once
+                stack.pop()
+                continue
+            # m is neither standard nor leading, so some lm divides it properly
+            t = (m + offset) ^ offset
+            diff = next(t - u for u in images if not (t - u) & guards)
+            unit = units[((diff & -diff).bit_length() - 1) // bits]
+            smaller = cache.get(m - unit)
+            if smaller is None:
+                stack.append(m - unit)
+                continue
+            coeffs, den = smaller
+            steps = [basis[j] + unit for j in coeffs]
+            missing = [s for s in steps if s not in cache]
+            if missing:
+                stack.extend(missing)
+                continue
+            parts = [cache[s] for s in steps]
+            scale = lcm(*(d for _, d in parts))
+            out: dict[int, int] = {}
+            for c, (vec, d) in zip(coeffs.values(), parts):
+                c *= scale // d
+                for i, x in vec.items():
+                    out[i] = out.get(i, 0) + c * x
+            den *= scale
+            g = gcd(den, *out.values())
+            cache[stack.pop()] = ({i: x // g for i, x in out.items() if x}, den // g)
+        return cache[target]
 
 
 def _monomial_numerator(pk: _Packing, images: Iterable[int], weights: tuple[int, ...]) -> UniPoly:

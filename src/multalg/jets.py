@@ -47,11 +47,14 @@ GRADING_ASSUMPTION = (
 # A jet ring of more variables (n base variables times order d) is refused
 # before any work.  At the cap the order-42 jets of Gr(1,3) build in 0.1 s
 # and the order-128 jets of (x^2) in 0.2-0.3 s (2-vCPU host, Python 3.11).
-# The cap bounds n*d only, not the number of terms, which also grows with
-# the base's exponents: (x^30) at order 30 has 30 jet variables and 23,025
-# terms, and takes 10-15 s.  Counting the jet relations' terms up front is
-# ROADMAP item 7's follow-up.
 MAX_JET_VARIABLES = 128
+# The variable cap does not bound the number of terms ((x^30) at order 30
+# has 23,025, and took 8 s), so the work of a jet ring, counted before any
+# polynomial is built (`_jet_work`), is capped too.  The slowest inputs found
+# just under it take 1.3-1.9 s through the CLI: the order-20 jets of (x^100)
+# 1.9 s, those of (x^21 + y^21) at order 21 1.4 s and of (x^24) at order 24
+# 1.3 s (2-vCPU host, Python 3.11).
+MAX_JET_WORK = 80_000_000
 
 
 def _jet_names(variables: tuple[str, ...], d: int) -> list[list[str]]:
@@ -76,17 +79,18 @@ class JetPresentation:
 def jet_presentation(base: PresentedRing, d: int) -> JetPresentation:
     """The order-d jet ring of `base` (see module docstring for conventions).
 
-    Raises ValueError, before building any polynomial, when d < 1 or when
-    the jet ring's n*d variables exceed MAX_JET_VARIABLES.  That cap bounds
-    the number of variables, not the number of terms: a base relation of
-    high degree can still take long at an order under it ((x^25) at order
-    25 takes about 3 s, (x^30) at order 30 10-15 s).
+    Raises ValueError, before building any polynomial, when d < 1, when
+    the jet ring's n*d variables exceed MAX_JET_VARIABLES, or when its work
+    (`_jet_work`) exceeds MAX_JET_WORK.
     """
     if d < 1:
         raise ValueError("jet order must be at least 1")
     size = len(base.variables) * d
     if size > MAX_JET_VARIABLES:
         raise ValueError(f"order-{d} jets have {size} variables, over the cap of {MAX_JET_VARIABLES}")
+    work = _jet_work(base, d)
+    if work > MAX_JET_WORK:
+        raise ValueError(f"order-{d} jets take {work} units of work, over the cap of {MAX_JET_WORK}")
     groups = _jet_names(base.variables, d)
     jet_vars = tuple(name for group in groups for name in group)
     jet_weights = tuple(
@@ -144,6 +148,43 @@ def jet_presentation(base: PresentedRing, d: int) -> JetPresentation:
         provenance=f"jet({base.provenance}, {d})",
     )
     return JetPresentation(base, d, ring)
+
+
+def _jet_work(base: PresentedRing, d: int) -> int:
+    """The cost of `jet_presentation` at order d, from the input alone: n*d
+    exponents for each pair of terms that its truncated products meet, and
+    twenty times that for each term of the result, which is also made a
+    `Polynomial` and printed (a fit of CLI times within about a third).
+
+    The coefficient of z^j in (x^(0) + x^(1) z + ... + x^(d-1) z^(d-1))^e
+    has one term per partition of j into at most e parts, so the size of
+    every truncated power, and of every product of powers in distinct
+    variables, is a count of partitions.
+    """
+    # parts[k][j]: the partitions of j < d into at most k parts; k = d - 1
+    # stands for every larger k too
+    parts = [[1] + [0] * (d - 1)]
+    for k in range(1, d):
+        row = parts[-1][:]
+        for j in range(k, d):
+            row[j] += row[j - k]
+        parts.append(row)
+    sizes = [sum(row) for row in parts]
+    top = [0] * len(base.variables)  # the highest power of each variable
+    work = 0
+    for rel in base.relations:
+        for exps in rel.terms:
+            levels = [1] + [0] * (d - 1)  # terms of each level of the product so far
+            for i, e in enumerate(exps):
+                if e:
+                    row = parts[min(e, d - 1)]
+                    work += sum(levels) * sizes[min(e, d - 1)]
+                    levels = [sum(levels[a] * row[j - a] for a in range(j + 1)) for j in range(d)]
+                    top[i] = max(top[i], e)
+            work += 20 * sum(levels)
+    for e in top:  # power e is power e - 1 times the d terms of the image
+        work += d * (sum(sizes[: min(e, d)]) + max(0, e - d) * sizes[-1])
+    return work * len(base.variables) * d
 
 
 def apply_substitution(ideal: Ideal, assignment: Mapping[str, Polynomial]) -> Ideal:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import index
 from typing import Iterable, Mapping
 
@@ -34,7 +34,6 @@ from .groebner import (
     Ideal,
     NotZeroDimensional,
     ReductionLimits,
-    _divisors,
     groebner_basis,
     normal_form,
     standard_monomials,
@@ -86,36 +85,17 @@ NotFinite = NotZeroDimensional
 class FiniteGradedAlgebra:
     """Zero-dimensional graded quotient with its standard-monomial basis.
 
-    The coordinates of a monomial m in the basis are built from those of
-    smaller monomials, as in the multiplication-table step of FGLM, so no
-    monomial is reduced from scratch:
-
-      - a standard monomial b_i is the unit vector e_i;
-      - a leading monomial lm(g) is -tail(g), since the basis is reduced
-        and monic, so the tail of g is already standard;
-      - any other m is x_v * m' with x_v dividing m / lm for the first
-        leading monomial lm dividing m, and NF(m) = sum_j c_j NF(x_v b_j)
-        where c = NF(m').
-
-    Every monomial on the right is smaller than m in the basis's order, so
-    this terminates under any monomial order; it is walked with an explicit
-    stack.  Coordinates are integer numerators over one denominator:
-    `_coords` returns ({index: numerator}, den) with den > 0 and no factor
-    common to den and every numerator, each new vector combined over the
-    lcm of its parts' denominators and reduced by one gcd.  They are cached
-    per algebra, keyed by the monomial packed on the basis's own `_Packing`
-    (see `groebner`): `+` multiplies, `-` divides, guard bits test
-    divisibility, and x_v is the lowest nonzero field of u(m) - u(lm).
-    The walk is built once, with the algebra, at the packing that
-    `standard_monomials` chose, wide enough for a product of two standard
-    monomials.  `vector` reads the `Fraction` coordinates of any monomial,
-    as a sparse {index: coefficient} dict, off its normal form, which
-    widens the packing as far as the monomial needs.  The socle and the
-    Jacobian's coordinates, which several clauses of the structure report
-    read, are memoised too.
+    The coordinates of b_i * b_j and x_v * b_j come from the basis's
+    staircase walk, which `standard_monomials` makes once per basis and
+    which the algebra keeps (see `groebner`'s module docstring).  `vector`
+    reads the `Fraction` coordinates of any monomial, as a sparse {index:
+    coefficient} dict, off its normal form, which widens the basis's
+    packing as far as the monomial needs.  The socle and the Jacobian's
+    coordinates, which several clauses of the structure report read, are
+    memoised, and the basis indices are grouped by degree once.
 
     A variable is either standard or a leading monomial of the reduced
-    basis (a divisor of x_v is 1 or x_v).  The cached coordinates of a
+    basis (a divisor of x_v is 1 or x_v).  The coordinates of x_v * 1 for a
     leading variable x_v are NF(x_v), which `socle` reads to check that it
     is homogeneous of degree w_v; the socle then multiplies by the
     standard variables only, and the staircase is walked by them only.
@@ -123,7 +103,7 @@ class FiniteGradedAlgebra:
 
     __slots__ = (
         "gb", "grading", "variables", "basis", "degrees", "index", "source_map",
-        "_walk", "_memo",
+        "_by_degree", "_stairs", "_memo",
     )
 
     def __init__(
@@ -135,22 +115,19 @@ class FiniteGradedAlgebra:
         if len(grading.weights) != len(gb.variables):
             raise PolynomialError("grading length does not match the variable count")
         basis = tuple(standard_monomials(gb))  # raises NotZeroDimensional
+        degrees = tuple(grading.degree(b) for b in basis)
+        by_degree: dict[int, list[int]] = {}
+        for i, d in enumerate(degrees):
+            by_degree.setdefault(d, []).append(i)
         object.__setattr__(self, "gb", gb)
         object.__setattr__(self, "grading", grading)
         object.__setattr__(self, "variables", gb.variables)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "degrees", tuple(grading.degree(b) for b in basis))
+        object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "index", {b: i for i, b in enumerate(basis)})
         object.__setattr__(self, "source_map", source_map)
-        # (packing, packed basis, coordinate cache, divisor images, unit of each field)
-        pk, lms, images, elements, _ = _divisors(gb, 0)
-        packed = [pk.pack(b) for b in basis]
-        where = {m: i for i, m in enumerate(packed)}
-        cache = {m: ({i: 1}, 1) for m, i in where.items()}
-        for lm, g in zip(lms, elements):  # g is primitive with g[lm] > 0
-            cache[lm] = ({where[e]: -c for e, c in g.items() if e != lm}, g[lm])
-        units = {pos // pk.bits: unit for (pos, _), unit in zip(pk.cells, pk.units)}
-        object.__setattr__(self, "_walk", (pk, packed, cache, images, units))
+        object.__setattr__(self, "_by_degree", by_degree)
+        object.__setattr__(self, "_stairs", gb._stairs)
         object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
@@ -162,7 +139,7 @@ class FiniteGradedAlgebra:
 
     @property
     def top_degree(self) -> int:
-        return max(self.degrees, default=0)
+        return max(self._by_degree, default=0)
 
     def basis_monomial(self, i: int) -> str:
         return monomial_to_text(self.basis[i], self.variables)
@@ -175,45 +152,6 @@ class FiniteGradedAlgebra:
         about a second, and the cost grows steeply with the exponent.
         """
         return _coordinates(self, Polynomial(self.variables, {target: 1}))
-
-    def _coords(self, target: int) -> tuple[dict[int, int], int]:
-        """Cached integer coordinates of a monomial on the walk's packing; do not modify."""
-        pk, basis, cache, images, units = self._walk
-        got = cache.get(target)
-        if got is not None:
-            return got
-        offset, guards, bits = pk.offset, pk.guards, pk.bits
-        stack = [target]
-        while stack:
-            m = stack[-1]
-            if m in cache:  # pushed more than once
-                stack.pop()
-                continue
-            # m is neither standard nor leading, so some lm divides it properly
-            t = (m + offset) ^ offset
-            diff = next(t - u for u in images if not (t - u) & guards)
-            unit = units[((diff & -diff).bit_length() - 1) // bits]
-            smaller = cache.get(m - unit)
-            if smaller is None:
-                stack.append(m - unit)
-                continue
-            coeffs, den = smaller
-            steps = [basis[j] + unit for j in coeffs]
-            missing = [s for s in steps if s not in cache]
-            if missing:
-                stack.extend(missing)
-                continue
-            parts = [cache[s] for s in steps]
-            scale = lcm(*(d for _, d in parts))
-            out: dict[int, int] = {}
-            for c, (vec, d) in zip(coeffs.values(), parts):
-                c *= scale // d
-                for i, x in vec.items():
-                    out[i] = out.get(i, 0) + c * x
-            den *= scale
-            g = gcd(den, *out.values())
-            cache[stack.pop()] = ({i: x // g for i, x in out.items() if x}, den // g)
-        return cache[target]
 
 
 def build_quotient(
@@ -232,10 +170,7 @@ def build_quotient(
 
 def poincare_polynomial(q: FiniteGradedAlgebra) -> UniPoly:
     """Coefficient of t^k = number of standard monomials of weighted degree k."""
-    counts = [0] * (q.top_degree + 1)
-    for d in q.degrees:
-        counts[d] += 1
-    return UniPoly(counts)
+    return UniPoly([len(q._by_degree.get(k, ())) for k in range(q.top_degree + 1)])
 
 
 def equivariant_multiplicity(
@@ -297,25 +232,23 @@ def socle(q: FiniteGradedAlgebra) -> tuple[Polynomial, ...]:
 
 
 def _graded_socle(q: FiniteGradedAlgebra) -> tuple[Polynomial, ...]:
-    pk, basis = q._walk[:2]
-    packed = set(basis)
-    standard = []  # (v, w_v, x_v) of the standard variables
-    for v, (w, unit) in enumerate(zip(q.grading.weights, pk.units)):
-        if unit in packed:
-            standard.append((v, w, unit))
-        elif any(q.degrees[i] != w for i in q._coords(unit)[0]):
+    stairs, n = q._stairs, len(q.variables)
+    standard = []  # (v, w_v) of the standard variables
+    for v, w in enumerate(q.grading.weights):
+        if tuple(int(u == v) for u in range(n)) in q.index:
+            standard.append((v, w))
+        # NF(x_v) of a leading x_v is x_v * b_0, b_0 = 1 unless the basis is empty
+        elif q.dimension and any(q.degrees[i] != w for i in stairs.times(v, [0])[0][0]):
             raise ValueError(
                 f"{q.variables[v]} * 1 leaves degree {w}: "
                 "the ideal is not homogeneous for the grading"
             )
-    by_degree: dict[int, list[int]] = {}
-    for i, d in enumerate(q.degrees):
-        by_degree.setdefault(d, []).append(i)
+    by_degree = q._by_degree
     found: list[tuple[int, Polynomial]] = []
     for k, cols in by_degree.items():
         images = []  # images[s][c]: integer coordinates of x_v * b_cols[c], x_v standard[s]
-        for v, w, unit in standard:
-            images.append([q._coords(basis[j] + unit) for j in cols])
+        for v, w in standard:
+            images.append(stairs.times(v, cols))
             for j, (num, _) in zip(cols, images[-1]):
                 if any(q.degrees[i] != k + w for i in num):
                     raise ValueError(
@@ -326,7 +259,7 @@ def _graded_socle(q: FiniteGradedAlgebra) -> tuple[Polynomial, ...]:
         # its kernel is diag(L) times that of the integer N, rescaled so free = 1
         scales = [lcm(*(row[c][1] for row in images)) for c in range(len(cols))]
         block: list[list[int]] = []
-        for (_, w, _), row in zip(standard, images):
+        for (_, w), row in zip(standard, images):
             factors = [s // den for s, (_, den) in zip(scales, row)]
             block.extend(
                 [num.get(i, 0) * f for (num, _), f in zip(row, factors)]
@@ -414,23 +347,21 @@ def pairing_matrices(q: FiniteGradedAlgebra) -> PairingReport:
             scale = Fraction(1) / jac
             normalized = True
 
-    basis, coords = q._walk[1], q._coords
-    top, bottom = scale.numerator, scale.denominator
+    stairs, top, bottom = q._stairs, scale.numerator, scale.denominator
 
-    def ell(i: int, j: int) -> Fraction:
-        num, den = coords(basis[i] + basis[j])
+    def ell(num: dict[int, int], den: int) -> Fraction:  # of a product, given its coordinates
         return Fraction(num.get(slot, 0) * top, den * bottom)
 
     m = q.top_degree
     by_deg: list[DegreePairing] = []
     all_perfect = True
     for k in range(m + 1):
-        rows_idx = [i for i, d in enumerate(q.degrees) if d == k]
-        cols_idx = [j for j, d in enumerate(q.degrees) if d == m - k]
+        rows_idx = q._by_degree.get(k, [])
+        cols_idx = q._by_degree.get(m - k, [])
         if m - k < k:
             matrix, r = tuple(zip(*by_deg[m - k].matrix)), by_deg[m - k].rank
         else:
-            matrix = tuple(tuple(ell(i, j) for j in cols_idx) for i in rows_idx)
+            matrix = tuple(tuple(ell(*c) for c in stairs.products(i, cols_idx)) for i in rows_idx)
             r = rank([list(row) for row in matrix])
         perfect = len(rows_idx) == len(cols_idx) and r == len(rows_idx)
         by_deg.append(DegreePairing(k, m - k, matrix, r, perfect))
@@ -521,7 +452,7 @@ def verify_structure_theorem(
     equivariant = RationalSeries.from_weight_ratio(m.degrees, m.grading.weights)
 
     clauses = {
-        "degree_zero_dim1": sum(1 for d in q.degrees if d == 0) == 1,
+        "degree_zero_dim1": len(q._by_degree.get(0, ())) == 1,
         "gorenstein_socle_dim1": gorenstein,
         "socle_in_top_degree": gorenstein and socle_degree == expected_top,
         "socle_is_jacobian": jacobian_spans_socle(q),

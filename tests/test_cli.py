@@ -315,6 +315,15 @@ def test_oversized_output_exits_2_before_any_work(capsys, monkeypatch, argv):
     assert rc == 2 and out == "" and "over the cap" in err
 
 
+def test_jet_over_the_work_cap_exits_2_quickly(capsys, monkeypatch):
+    # 30 jet variables, under their cap, but 23,025 terms: it ran 8 s
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"variables": ["x"], "generators": ["x^30"]}'))
+    started = time.perf_counter()
+    rc, out, err = run(capsys, "jet", "-", "-d", "30")
+    assert time.perf_counter() - started < 1
+    assert rc == 2 and out == "" and "over the cap" in err
+
+
 def test_closure_over_the_strata_cap_exits_2_quickly(capsys):
     # (40, 0, ..., 0) has 37,338 strata; the walk stops at the cap
     started = time.perf_counter()

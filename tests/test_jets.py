@@ -3,7 +3,7 @@ import random
 import pytest
 import sympy
 
-from multalg import groebner
+from multalg import groebner, jets
 from multalg.grassmann import grassmann_presentation
 from multalg.groebner import (
     Ideal,
@@ -17,6 +17,7 @@ from multalg.groebner import (
 from multalg.jets import (
     GRADING_ASSUMPTION,
     MAX_JET_VARIABLES,
+    MAX_JET_WORK,
     apply_substitution,
     jet_invariants,
     jet_presentation,
@@ -180,6 +181,36 @@ def test_jet_order_cap_counts_jet_variables():
         jet_presentation(line, MAX_JET_VARIABLES + 1)
     with pytest.raises(ValueError, match="over the cap"):
         jet_presentation(gr21_ring(), MAX_JET_VARIABLES // 2 + 1)
+
+
+def test_jet_work_counts_term_pairs_and_terms():
+    # (x^2) at order 2, by hand: the powers of x0 + x1*z take 1*2 and 2*2
+    # term pairs, the term x^2 takes 1*2 more, and the result has the 2
+    # terms x0^2 and 2*x0*x1; each counts n*d = 2 exponents, a term 20 times
+    base = fat_point("x", 2)
+    assert jets._jet_work(base, 2) == 2 * (2 + 4 + 2 + 20 * 2)
+    # a result term is never free: the work is at least 20*n*d per term
+    for e in range(1, 6):
+        for d in range(1, 9):
+            terms = sum(len(r.terms) for r in jet_presentation(fat_point("a", e), d).ring.relations)
+            assert jets._jet_work(fat_point("a", e), d) >= 20 * d * terms
+
+
+def test_jet_work_cap_accepts_its_bound(monkeypatch):
+    base = fat_point("a", 5)
+    work = jets._jet_work(base, 6)
+    monkeypatch.setattr(jets, "MAX_JET_WORK", work)
+    assert len(jet_presentation(base, 6).ring.relations) == 6
+    monkeypatch.setattr(jets, "MAX_JET_WORK", work - 1)
+    with pytest.raises(ValueError, match="over the cap"):
+        jet_presentation(base, 6)
+
+
+def test_every_grassmannian_fits_the_jet_work_cap():
+    # at the largest order the variable cap allows
+    for n in range(2, 9):
+        for k in range(1, n):
+            assert jets._jet_work(grassmann_presentation(n, k), MAX_JET_VARIABLES // n) <= MAX_JET_WORK
 
 
 def test_counts_scale_with_order():

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ import multalg.groebner
 import multalg.linalg
 import multalg.multiplicity
 from multalg.grassmann import grassmann_presentation
-from multalg.groebner import groebner_basis, Ideal, normal_form
+from multalg.groebner import buchberger, groebner_basis, Ideal, normal_form, standard_monomials
 from multalg.linalg import nullspace, rank, rref
 from multalg.orders import EliminationOrder, Lex, WeightedGrevlex
 from multalg.multiplicity import (
@@ -214,8 +215,9 @@ def sparse_normal_form(q, m):
 
 
 def walked(q, m):
-    """{index: coefficient} of the monomial m, read by the algebra's coordinate walk."""
-    num, den = q._coords(q._walk[0].pack(m))
+    """{index: coefficient} of the monomial m, read by the walk on the basis's staircase."""
+    stairs = q.gb._stairs
+    num, den = stairs.coords(stairs.pk.pack(m))
     return {i: Fraction(c, den) for i, c in num.items()}
 
 
@@ -241,10 +243,10 @@ def test_coordinates_of_monomials_past_the_product_width():
     others = [q for q in reference_algebras() if not isinstance(q.gb.order, WeightedGrevlex)]
     for q in [build_quotient(gr21_map()), *others]:
         n = len(q.variables)
-        narrow = q._walk[0].bits
+        narrow = q.gb._stairs.pk.bits
         for far in ((300,) * n, tuple(150 * (v + 1) for v in range(n))):
             assert q.vector(far) == sparse_normal_form(q, far)
-        assert q.gb._packed[0].bits > narrow == q._walk[0].bits
+        assert q.gb._packed[0].bits > narrow == q.gb._stairs.pk.bits
         # the walk still gives every product
         for i in range(q.dimension):
             product = mono_mul(q.basis[i], q.basis[-1])
@@ -409,6 +411,40 @@ def test_deep_staircase_is_walked_without_recursion():
     assert q.dimension == 1500
     assert walked(q, (3000,)) == {}
     assert walked(q, (1499,)) == {1499: Fraction(1)}
+
+
+def test_an_algebra_walks_no_second_staircase(monkeypatch):
+    walked_bases = []
+    init = multalg.groebner._Staircase.__init__
+
+    def counting_init(self, gb):
+        walked_bases.append(gb)
+        init(self, gb)
+
+    monkeypatch.setattr(multalg.groebner._Staircase, "__init__", counting_init)
+    grading = WeightedGrading.units(2)
+    vs = ("p1", "q1")
+    ideal = Ideal(vs, (P("p1 + q1", vs), P("p1*q1", vs)), grading)
+    # a basis whose staircase was listed first, and a fresh one
+    listed, fresh = buchberger(ideal), buchberger(ideal)
+    basis = standard_monomials(listed)
+    assert walked_bases == [listed]
+    q = FiniteGradedAlgebra(listed, grading)
+    assert walked_bases == [listed] and list(q.basis) == basis
+    FiniteGradedAlgebra(fresh, grading)
+    FiniteGradedAlgebra(fresh, grading)
+    assert walked_bases == [listed, fresh]
+    assert pairing_matrices(q).perfect
+
+
+def test_long_single_variable_staircase_is_quick():
+    # one basis monomial per degree: grouping the basis by degree once keeps
+    # the pairing linear in the top degree (about 4 s before, on 8000)
+    m = PolynomialMap.build((P("x^8000", ("x",)),), WeightedGrading((1,)))
+    started = time.perf_counter()
+    report = verify_structure_theorem(m)
+    assert time.perf_counter() - started < 1
+    assert report.all_true() and report.dimension == 8000
 
 
 def test_socle_rejects_grading_the_ideal_does_not_respect():
