@@ -161,6 +161,80 @@ def test_jet_invariants_json(capsys, tmp_path):
     assert "z carries weight 1" in data["invariants"]["grading_assumption"]
 
 
+_GR_4_2_TEXT = """\
+variables: p1 p2 q1 q2
+weights:   1 2 1 2
+relations:
+  [degree 1] p1 + q1
+  [degree 2] p1*q1 + p2 + q2
+  [degree 3] p2*q1 + p1*q2
+  [degree 4] p2*q2
+"""
+
+_GRADING_ASSUMPTION = (
+    "grading_assumption: weight(x_i^(j)) = weight(x_i) + j"
+    " (z carries weight 1 on top of the base scaling)\n"
+)
+
+_JET_INVARIANTS_TEXT = {
+    "1": """\
+variables: p1_0 q1_0 q2_0
+weights:   1 1 2
+relations:
+  [degree 1] p1_0 + q1_0
+  [degree 2] p1_0*q1_0 + q2_0
+  [degree 3] p1_0*q2_0
+krull_dimension: 0
+hilbert_series: 1 + t + t^2
+series_weights: 1 1 2
+dimension: 3
+""" + _GRADING_ASSUMPTION,
+    "2": """\
+variables: p1_0 p1_1 q1_0 q1_1 q2_0 q2_1
+weights:   1 2 1 2 2 3
+relations:
+  [degree 1] p1_0 + q1_0
+  [degree 2] p1_1 + q1_1
+  [degree 2] p1_0*q1_0 + q2_0
+  [degree 3] p1_1*q1_0 + p1_0*q1_1 + q2_1
+  [degree 3] p1_0*q2_0
+  [degree 4] p1_1*q2_0 + p1_0*q2_1
+krull_dimension: 1
+hilbert_series: (1 + t^2 - t^3)/(1 - t)
+series_weights: 1 2 1 2 2 3
+""" + _GRADING_ASSUMPTION,
+}
+
+_INFINITE_ANALYZE_TEXT = (
+    "finite_dimensional: false\n"
+    "(the quotient has positive Krull dimension; no multiplicity data)\n"
+)
+
+
+def test_grassmann_text(capsys):
+    assert run(capsys, "grassmann", "-n", "4", "-k", "2") == (0, _GR_4_2_TEXT, "")
+
+
+@pytest.mark.parametrize("order", sorted(_JET_INVARIANTS_TEXT))
+def test_jet_invariants_text(capsys, tmp_path, order):
+    # the ring, then the invariants read off the Hilbert series; order 1 is
+    # Gr(1, 3) itself, finite, and order 2 has Krull dimension 1
+    path = write_fixture(tmp_path, grassmann_presentation(3, 1))
+    expected = _JET_INVARIANTS_TEXT[order]
+    assert run(capsys, "jet", path, "-d", order, "--invariants") == (0, expected, "")
+
+
+def test_analyze_text_of_an_infinite_quotient(capsys, tmp_path):
+    # the order-2 jets of Gr(1, 3), and (x^2, x*y), whose line x = 0 is not a point
+    path = write_fixture(tmp_path, grassmann_presentation(3, 1))
+    _, out, _ = run(capsys, "jet", path, "-d", "2", "--json")
+    jets = write_fixture(tmp_path, PresentedRing.loads(out), "jet.json")
+    text = '{"variables": ["x", "y"], "generators": ["x^2", "x*y"]}'
+    monomials = write_fixture(tmp_path, PresentedRing.loads(text), "monomials.json")
+    for path in (jets, monomials):
+        assert run(capsys, "analyze", path) == (0, _INFINITE_ANALYZE_TEXT, "")
+
+
 def test_jet_of_a_high_power(capsys, monkeypatch):
     # the truncated powers of x0 + x1*z are built in a loop, so an exponent
     # far above the recursion limit is no RecursionError

@@ -624,6 +624,66 @@ def test_hilbert_series_counts_standard_monomials():
     assert dims == {0, 1, 2, 3}
 
 
+def _numerator_layouts(rng, n):
+    """(order, weights asked of the numerator, weights they stand for): the
+    packing's own weights (the criterion's count and `hilbert_series`), unit
+    weights on a weighted packing (`krull_dimension`), a lex block, and two
+    graded blocks of an elimination order."""
+    w = tuple(rng.choice((1, 2, 3)) for _ in range(n))
+    yield WeightedGrevlex(w), None, w
+    yield WeightedGrevlex(w), (1,) * n, (1,) * n
+    yield Lex(), w, w
+    yield EliminationOrder(block=1, first=WeightedGrevlex(w[:1]), rest=WeightedGrevlex(w[1:])), w, w
+
+
+def test_monomial_numerator_counts_standard_monomials(monkeypatch):
+    # oracle for the numerator alone: N / prod(1 - t^w) expanded to degree 8
+    # against the monomials of each degree outside the ideal, counted by
+    # brute force, on seeded monomial ideals in 1-4 variables whose supports
+    # often overlap (so the pivot recursion runs), the zero ideal and the
+    # unit ideal
+    numerator = groebner._monomial_numerator
+    depth = recursed = 0
+
+    def spy(pk, images, weights=None):
+        nonlocal depth, recursed
+        recursed += depth > 0
+        depth += 1
+        try:
+            return numerator(pk, images, weights)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(groebner, "_monomial_numerator", spy)
+    rng = random.Random(32)
+    shapes = {"zero": 0, "unit": 0}
+    for trial in range(80):
+        n = rng.randint(1, 4)
+        gens = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(0, 5))]
+        if trial % 20 == 0:
+            gens.append((0,) * n)
+        shapes["zero"] += not gens
+        shapes["unit"] += (0,) * n in gens
+        for order, weights, degrees in _numerator_layouts(rng, n):
+            pk = groebner._packing(order, n, 8)
+            got = spy(pk, [pk.image(pk.pack(e)) for e in gens], weights)
+            assert not got or got[-1], got  # trimmed
+            series = (got + [0] * 9)[:9]
+            for w in degrees:  # times 1 / (1 - t^w)
+                for k in range(w, 9):
+                    series[k] += series[k - w]
+            counts = [
+                sum(
+                    1
+                    for e in monomials_of_weighted_degree(degrees, d)
+                    if not any(all(map(le, g, e)) for g in gens)
+                )
+                for d in range(9)
+            ]
+            assert series == counts, (order, weights, gens)
+    assert shapes["zero"] and shapes["unit"] and recursed >= 100
+
+
 # ------------------------------------------------------------------- krull
 
 
@@ -823,6 +883,29 @@ def test_pair_selection_does_not_rekey_pending_pairs(monkeypatch):
     monkeypatch.setattr(WeightedGrevlex, "key", counting_key)
     buchberger(ideal, ideal.default_order(), DEFAULT_LIMITS)
     assert calls < 20_000
+
+
+def test_pair_lcms_are_batched_and_the_count_builds_no_series(monkeypatch):
+    # a new element's lcms with every earlier one come from one batched
+    # pass, and the count's numerators are integer lists: one pair at a
+    # time and one UniPoly per numerator make 2,016 lcm calls and 57 UniPolys
+    ideal = _map_ideal(grassmann_presentation(8, 4))
+    buchberger(ideal)  # warms the cached weight ratio, which builds series
+    calls = {"lcm": 0, "UniPoly": 0}
+    lcm, init = groebner._Packing.lcm, UniPoly.__init__
+
+    def counting_lcm(self, x, y):
+        calls["lcm"] += 1
+        return lcm(self, x, y)
+
+    def counting_init(self, *args):
+        calls["UniPoly"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(groebner._Packing, "lcm", counting_lcm)
+    monkeypatch.setattr(UniPoly, "__init__", counting_init)
+    buchberger(ideal)
+    assert calls["lcm"] < 100 and calls["UniPoly"] == 0, calls
 
 
 def test_cache_returns_identical_object():
