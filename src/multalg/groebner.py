@@ -877,12 +877,14 @@ def _reduce_basis(
     # tail-reduce each element against the others; a kept leading monomial
     # divides no other, so it stays leading.  The loop reduced each element
     # it made by every divisor made before it, so such an element changes
-    # only where a later one divides one of its terms
+    # only where a later one divides one of its terms, which needs an image
+    # no larger than the term's
     inputs, offset = len(ideal.generators), pk.offset
     for i, lm in enumerate(lms):
         if kept[i] >= inputs:
-            later = [u for u, k in zip(images, kept) if k > kept[i]]
             terms = [(m + offset) ^ offset for m in polys[i]]
+            top = max(terms)
+            later = [u for u, k in zip(images, kept) if k > kept[i] and u <= top]
             if all((t - u) & guards for u in later for t in terms):
                 continue
         others = [seq[:i] + seq[i + 1 :] for seq in (lms, images, polys, reach)]
