@@ -18,6 +18,9 @@ in a fresh interpreter with the tree's `src` on the path:
 
   - `analyze` text and `--json` on every Gr(k,n), n <= 7;
   - `jet -d 1|2|3 --invariants --json` on every Gr(k,n), n <= 5;
+  - `jet`, text and `--json`, on (x^100) at order 20 and on
+    (x^7*y^3 - 2*z^10 + x*y*z^8) at order 9, whose powers have exponents
+    above and below the order;
   - `verify`, by default and with `--include-negative-controls --seed 7`:
     the exit code, then stdout;
   - `scripts/structure_sweep.py`, text and `--json`;
@@ -103,6 +106,12 @@ def entries() -> Iterator[tuple[str, Callable[[], str]]]:
         for d in ("1", "2", "3"):
             argv = ("jet", "-", "-d", d, "--invariants", "--json")
             yield f"jet -d {d} Gr({k},{n})", lambda k=k, n=n, argv=argv: stdout_of(*argv, stdin=fixture(k, n))
+    powers = [("x", "x^100", "20"), ("x,y,z", "x^7*y^3 - 2*z^10 + x*y*z^8", "9")]
+    for variables, relation, d in powers:
+        ring = json.dumps({"variables": variables.split(","), "generators": [relation]})
+        for flags in ((), ("--json",)):
+            name = " ".join(("jet -d", d, *flags, f"({relation.replace(' ', '')})"))
+            yield name, lambda ring=ring, d=d, flags=flags: stdout_of("jet", "-", "-d", d, *flags, stdin=ring)
     yield "verify", verify_text
     yield "verify --include-negative-controls --seed 7", lambda: verify_text(
         "--include-negative-controls", "--seed", "7"

@@ -149,11 +149,13 @@ sequence, dim R/I = H(1), and the staircase of in(I), inside that of
 <LT(G)> and of the same size, equals it: in(I) = <LT(G)> and G is a
 Groebner basis, whatever pairs are still queued or deferred.  The count
 is checked after each new leading monomial, the only step that changes
-it, and once more when only deferred pairs are left (the input's own
-leading monomials may already complete it).  A complete count leaves
-every degree full, so no pair left would be reduced: stopping changes
-neither the processed pairs nor the basis.  A count still incomplete
-when only deferred pairs are left disproves the hypothesis: the deferred
+it.  A complete count leaves every degree full, so no pair left would be
+reduced: stopping changes neither the processed pairs nor the basis.  A
+count already complete on the input needs no check: R/<LT(G)> is then
+finite, so the n leading monomials are pure powers of the n distinct
+variables, pairwise coprime, and every pair falls to the coprime
+criterion before any is deferred.  So when only deferred pairs are left
+the count is incomplete, which disproves the hypothesis: the deferred
 pairs go back and the loop goes on without the criterion.  Reduced bases
 are unique, so every result is the one the loop gives without it.  The
 count costs one Hilbert numerator of a colon ideal per leading monomial,
@@ -792,10 +794,8 @@ def _buchberger(
     held: list[tuple[int, int, int]] = []  # deferred pairs; they stay pending
     processed = 0
     while queue or held:
-        if not queue:  # only deferred pairs are left
-            if count.complete():
-                break  # R/<LT(G)> has the Hilbert series H: the basis is complete
-            # the complete intersection is disproved: the deferred pairs go back
+        if not queue:  # only deferred pairs are left, so the count is incomplete
+            # and the complete intersection is disproved: the deferred pairs go back
             count, queue, held = None, held, []
             heapify(queue)
         big, i, j = heappop(queue)
@@ -899,8 +899,12 @@ def _reduce_basis(
 
 
 @lru_cache(maxsize=256)
-def _cached_basis(ideal: Ideal, order: MonomialOrder, limits: ReductionLimits) -> GroebnerBasis:
-    return buchberger(ideal, order, limits)
+def _cached_basis(
+    variables: tuple[str, ...], generators: tuple[Polynomial, ...], order: MonomialOrder, limits: ReductionLimits
+) -> GroebnerBasis:
+    # keyed without the grading, which `buchberger` reads only to pick a
+    # default order, so ideals that differ only there share one basis
+    return buchberger(Ideal(variables, generators), order, limits)
 
 
 def groebner_basis(
@@ -911,7 +915,7 @@ def groebner_basis(
     """Cached front end to `buchberger` (ideals and orders are value types)."""
     if order is None:
         order = ideal.default_order()
-    return _cached_basis(ideal, order, limits)
+    return _cached_basis(ideal.variables, ideal.generators, order, limits)
 
 
 def clear_cache() -> None:

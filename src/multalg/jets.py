@@ -48,13 +48,13 @@ GRADING_ASSUMPTION = (
 # before any work.  At the cap the order-42 jets of Gr(1,3) build in 0.1 s
 # and the order-128 jets of (x^2) in 0.2-0.3 s (2-vCPU host, Python 3.11).
 MAX_JET_VARIABLES = 128
-# The variable cap does not bound the number of terms ((x^30) at order 30
-# has 23,025, and took 8 s), so the work of a jet ring, counted before any
+# The variable cap does not bound the number of terms ((x^40) at order 40
+# has 177,970, and takes 5 s), so the work of a jet ring, counted before any
 # polynomial is built (`_jet_work`), is capped too.  The slowest inputs found
-# just under it take 1.3-1.9 s through the CLI: the order-20 jets of (x^100)
-# 1.9 s, those of (x^21 + y^21) at order 21 1.4 s and of (x^24) at order 24
-# 1.3 s (2-vCPU host, Python 3.11).
-MAX_JET_WORK = 80_000_000
+# under it, one high power of one variable, take about 2 s through the CLI:
+# the order-35 jets of (x^35) (48.7 M units) 1.8-2.0 s, and those of (x^34)
+# or (x^60) at order 34 (38.5 M) 1.4-1.9 s (2-vCPU host, Python 3.11).
+MAX_JET_WORK = 50_000_000
 
 
 def _jet_names(variables: tuple[str, ...], d: int) -> list[list[str]]:
@@ -79,6 +79,10 @@ class JetPresentation:
 def jet_presentation(base: PresentedRing, d: int) -> JetPresentation:
     """The order-d jet ring of `base` (see module docstring for conventions).
 
+    Each truncated power of a variable's image is listed term by term from
+    the multinomial formula, so the work follows the size of the result and
+    not the base exponents.
+
     Raises ValueError, before building any polynomial, when d < 1, when
     the jet ring's n*d variables exceed MAX_JET_VARIABLES, or when its work
     (`_jet_work`) exceeds MAX_JET_WORK.
@@ -97,7 +101,9 @@ def jet_presentation(base: PresentedRing, d: int) -> JetPresentation:
         w + j for w, group in zip(base.weights, groups) for j in range(d)
     )
     # a truncated series in z is one term dict keyed by (level, jet
-    # exponents), the level being the power of z; products drop level >= d
+    # exponents), the level being the power of z; products drop level >= d.
+    # Only series in distinct variables are multiplied, so no two pairs of
+    # terms meet in one jet monomial
     unit = (0,) * size
 
     def product(a: dict, b: dict) -> dict:
@@ -105,26 +111,32 @@ def jet_presentation(base: PresentedRing, d: int) -> JetPresentation:
         for (i, ma), ca in a.items():
             for (j, mb), cb in b.items():
                 if i + j < d:
-                    key = (i + j, mono_mul(ma, mb))
-                    out[key] = out.get(key, 0) + ca * cb
+                    out[i + j, mono_mul(ma, mb)] = ca * cb
         return out
 
-    # image of base variable i: x_i^(0) + x_i^(1) z + ... + x_i^(d-1) z^(d-1)
-    images = [
-        {(j, unit[: i * d + j] + (1,) + unit[i * d + j + 1 :]): 1 for j in range(d)}
-        for i in range(len(groups))
-    ]
-
-    # truncated powers of the images, shared by every relation: powers[i][e]
-    # is the e-th, each made from the one before (a loop, not a recursion,
-    # so an exponent of any size fits the stack)
-    powers: list[list[dict]] = [[{(0, unit): 1}] for _ in images]
+    # truncated powers of the image x_i^(0) + x_i^(1) z + ... + x_i^(d-1) z^(d-1)
+    # of base variable i, one per (i, e), shared by every relation.  The z^j
+    # coefficient of the e-th has one term per partition of j into at most e
+    # parts below d: with a_k parts of size k, and a_0 = e less the number of
+    # parts, it is e!/prod(a_k!) * prod (x_i^(k))^(a_k).  A stack (not a
+    # recursion) lists them, parts in increasing size; adding a part of size
+    # k moves one factor from a_0 to a_k, scaling the coefficient by
+    # a_0/(a_k + 1)
+    powers: dict[tuple[int, int], dict] = {}
 
     def power(i: int, e: int) -> dict:
-        row = powers[i]
-        while len(row) <= e:
-            row.append(product(row[-1], images[i]))
-        return row[e]
+        if (i, e) not in powers:
+            out = powers[i, e] = {}
+            stack = [((e,) + unit[1:d], 0, 1, 1)]  # a, level, smallest next part, coefficient
+            while stack:
+                a, j, low, c = stack.pop()
+                out[j, unit[: i * d] + a + unit[i * d + d :]] = c
+                if not a[0]:
+                    continue
+                for k in range(low, d - j):
+                    b = (a[0] - 1,) + a[1:k] + (a[k] + 1,) + a[k + 1 :]
+                    stack.append((b, j + k, k, c * a[0] // (a[k] + 1)))
+        return powers[i, e]
 
     relations: list[Polynomial] = []
     for rel in base.relations:
@@ -154,12 +166,14 @@ def _jet_work(base: PresentedRing, d: int) -> int:
     """The cost of `jet_presentation` at order d, from the input alone: n*d
     exponents for each pair of terms that its truncated products meet, and
     twenty times that for each term of the result, which is also made a
-    `Polynomial` and printed (a fit of CLI times within about a third).
+    `Polynomial` and printed.  Through the CLI an input of 10 M units or
+    more takes 16-48 ns per unit, a high power of one variable the most.
 
     The coefficient of z^j in (x^(0) + x^(1) z + ... + x^(d-1) z^(d-1))^e
     has one term per partition of j into at most e parts, so the size of
     every truncated power, and of every product of powers in distinct
-    variables, is a count of partitions.
+    variables, is a count of partitions.  Listing a power costs about one
+    pass over its terms, no more than the first product that reads it.
     """
     # parts[k][j]: the partitions of j < d into at most k parts; k = d - 1
     # stands for every larger k too
@@ -170,20 +184,16 @@ def _jet_work(base: PresentedRing, d: int) -> int:
             row[j] += row[j - k]
         parts.append(row)
     sizes = [sum(row) for row in parts]
-    top = [0] * len(base.variables)  # the highest power of each variable
     work = 0
     for rel in base.relations:
         for exps in rel.terms:
             levels = [1] + [0] * (d - 1)  # terms of each level of the product so far
-            for i, e in enumerate(exps):
+            for e in exps:
                 if e:
                     row = parts[min(e, d - 1)]
                     work += sum(levels) * sizes[min(e, d - 1)]
                     levels = [sum(levels[a] * row[j - a] for a in range(j + 1)) for j in range(d)]
-                    top[i] = max(top[i], e)
             work += 20 * sum(levels)
-    for e in top:  # power e is power e - 1 times the d terms of the image
-        work += d * (sum(sizes[: min(e, d)]) + max(0, e - d) * sizes[-1])
     return work * len(base.variables) * d
 
 

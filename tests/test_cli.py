@@ -390,10 +390,11 @@ def test_oversized_output_exits_2_before_any_work(capsys, monkeypatch, argv):
 
 
 def test_jet_over_the_work_cap_exits_2_quickly(capsys, monkeypatch):
-    # 30 jet variables, under their cap, but 23,025 terms: it ran 8 s
-    monkeypatch.setattr("sys.stdin", io.StringIO('{"variables": ["x"], "generators": ["x^30"]}'))
+    # 40 jet variables, under their cap, but 177,970 terms and 149 M units
+    # of work, three times the cap: it takes 5 s
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"variables": ["x"], "generators": ["x^40"]}'))
     started = time.perf_counter()
-    rc, out, err = run(capsys, "jet", "-", "-d", "30")
+    rc, out, err = run(capsys, "jet", "-", "-d", "40")
     assert time.perf_counter() - started < 1
     assert rc == 2 and out == "" and "over the cap" in err
 

@@ -766,6 +766,17 @@ def test_intersection_with_the_zero_ideal_is_zero():
         assert ideal_intersection(left, right) == zero
 
 
+def test_intersection_tags_past_taken_variable_names():
+    # t, s and u are all taken, so the tag variable is t0; the intersection
+    # of two monomial ideals is generated by the lcms of their generators
+    tsu = ("t", "s", "u")
+    assert groebner._fresh_name(tsu) == "t0"
+    assert groebner._fresh_name(tsu + ("t0", "t1")) == "t2"
+    meet = ideal_intersection(I(tsu, "t^2", "s"), I(tsu, "t", "u"))
+    assert meet.variables == tsu
+    assert ideal_equal(meet, I(tsu, "t^2", "s*t", "s*u"))
+
+
 def test_product_generators():
     prod = ideal_product(I(XY, "x", "y"), I(XY, "x", "y"))
     assert set(map(str, prod.generators)) == {"x^2", "x*y", "y^2"}
@@ -919,6 +930,19 @@ def test_cache_returns_identical_object():
     assert c is not a and c == a
 
 
+def test_cache_shares_one_basis_across_gradings():
+    # `buchberger` reads the grading only to pick a default order, so an
+    # ideal that differs only there, given the same order, reuses the basis
+    clear_cache()
+    units = I(XYZ, "x*y - z^2", "x^2 - y*z")
+    plain = Ideal(XYZ, units.generators)
+    weighted = Ideal(XYZ, units.generators, WeightedGrading((1, 1, 2)))
+    assert len({plain, units, weighted}) == 3
+    assert groebner_basis(plain) is groebner_basis(units)
+    order = WeightedGrevlex((1, 1, 1))
+    assert groebner_basis(weighted, order) is groebner_basis(plain)
+
+
 def test_buchberger_direct_raw_output_certifies():
     # the uncached engine also produces a certified basis
     ideal = I(XYZ, "x*y - z", "y*z - x")
@@ -992,12 +1016,14 @@ _CRITERION_FAMILIES = {
 def _criterion_log(monkeypatch):
     """Record each check of the criterion's count: ("start", degree, agrees)
     when a degree is taken up, ("full", degree, full) when a pair is weighed
-    for deferral, ("probe", degree, complete) right after a new leading
-    monomial of that degree is counted, and ("complete", None, complete)
-    when only deferred pairs are left."""
+    for deferral and ("probe", degree, complete) right after a new leading
+    monomial of that degree is counted.  Record the pair queue too:
+    ("queue", None, size) after each pop and push, and ("heapify", None,
+    size) when the queue is made and when deferred pairs go back on it."""
     log = []
     count = groebner._HilbertCount
     start, full, add, complete = count.start, count.full, count.add, count.complete
+    heapify, heappop, heappush = groebner.heapify, groebner.heappop, groebner.heappush
     added = []  # the degree of a leading monomial counted and not yet probed
 
     def logged_start(self, d):
@@ -1016,13 +1042,29 @@ def _criterion_log(monkeypatch):
 
     def logged_complete(self):
         out = complete(self)
-        log.append(("probe", added.pop(), out) if added else ("complete", None, out))
+        log.append(("probe", added.pop(), out))
         return out
+
+    def logged_heapify(queue):
+        heapify(queue)
+        log.append(("heapify", None, len(queue)))
+
+    def logged_heappop(queue):
+        out = heappop(queue)
+        log.append(("queue", None, len(queue)))
+        return out
+
+    def logged_heappush(queue, item):
+        heappush(queue, item)
+        log.append(("queue", None, len(queue)))
 
     monkeypatch.setattr(count, "start", logged_start)
     monkeypatch.setattr(count, "full", logged_full)
     monkeypatch.setattr(count, "add", logged_add)
     monkeypatch.setattr(count, "complete", logged_complete)
+    monkeypatch.setattr(groebner, "heapify", logged_heapify)
+    monkeypatch.setattr(groebner, "heappop", logged_heappop)
+    monkeypatch.setattr(groebner, "heappush", logged_heappush)
     return log
 
 
@@ -1076,8 +1118,7 @@ def test_hilbert_criterion_falls_back_when_the_input_is_no_complete_intersection
     # the order-2 jets of Gr(1,4) defer pairs until a finished degree has
     # more standard monomials than a complete intersection would; the
     # second ideal, (x + z/2, z^2, y*z) and positive-dimensional, defers a
-    # pair that only the final check of the Hilbert series sends back,
-    # after the queue has run out
+    # pair that goes back only when the queue has run out
     jets = _map_ideal(jet_presentation(grassmann_presentation(4, 1), 2).ring)
     vs = XYZ
     late = Ideal(vs, tuple(P(t, vs) for t in ("x^3 - x*y", "x^2 + x*z", "2*x + z")), WeightedGrading((1, 2, 1)))
@@ -1087,8 +1128,14 @@ def test_hilbert_criterion_falls_back_when_the_input_is_no_complete_intersection
         log.clear()
         bases.append(buchberger(ideal))
         assert _deferred(log)
-        disproofs = [kind for kind, _, out in log if kind in ("start", "complete") and not out]
-        assert disproofs == ["complete" if final else "start"]
+        disproofs = [kind for kind, _, out in log if kind == "start" and not out]
+        assert disproofs == ([] if final else ["start"])
+        # the deferred pairs go back once, the second ideal's only when the
+        # queue has run out (the first heapify makes the queue)
+        back = [k for k, (kind, _, _) in enumerate(log) if kind == "heapify"][1:]
+        assert len(back) == 1
+        queued = [size for kind, _, size in log[: back[0]] if kind == "queue"]
+        assert (queued[-1] == 0) == final
         # neither ideal is a complete intersection, so no probe finds the count complete
         assert not any(out for kind, _, out in log if kind == "probe")
     _criterion_off(monkeypatch)
@@ -1106,7 +1153,7 @@ def test_hilbert_criterion_counts_instead_of_listing_the_staircase(monkeypatch):
     gb = buchberger(ideal)
     assert time.perf_counter() - began < 2
     # the third leading monomial completes the count, and the loop stops there
-    assert ("probe", 1001, True) in log and ("complete", None, True) not in log
+    assert log[-1] == ("probe", 1001, True)
     assert gb.leading == ((999, 1), (1000, 0), (0, 1001))
     assert hilbert_series(ideal) == RationalSeries.from_weight_ratio((1000, 1000), (1, 1))
     _criterion_off(monkeypatch)

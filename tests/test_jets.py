@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 import sympy
@@ -135,6 +136,65 @@ def test_jet_relations_match_series_substitution_wider(make_base, d):
         assert sympy.expand(to_sympy(rel) - exp) == 0
 
 
+def jet_relations_by_products(base: PresentedRing, d: int):
+    """Reference route: the e-th truncated power of x_i^(0) + ... +
+    x_i^(d-1) z^(d-1) is the (e-1)-th times that series, and each base term
+    is the product of its variables' powers; one term dict per jet relation."""
+    unit = (0,) * (len(base.variables) * d)
+
+    def product(a, b):
+        out = {}
+        for (i, ma), ca in a.items():
+            for (j, mb), cb in b.items():
+                if i + j < d:
+                    key = (i + j, tuple(x + y for x, y in zip(ma, mb)))
+                    out[key] = out.get(key, 0) + ca * cb
+        return out
+
+    images = [
+        {(j, unit[: i * d + j] + (1,) + unit[i * d + j + 1 :]): 1 for j in range(d)}
+        for i in range(len(base.variables))
+    ]
+    powers = [[{(0, unit): 1}] for _ in images]
+    relations = []
+    for rel in base.relations:
+        levels = [{} for _ in range(d)]
+        for exps, c in rel.terms.items():
+            term = {(0, unit): c}
+            for i, e in enumerate(exps):
+                while len(powers[i]) <= e:
+                    powers[i].append(product(powers[i][-1], images[i]))
+                term = product(term, powers[i][e])
+            for (j, m), t in term.items():
+                levels[j][m] = levels[j].get(m, 0) + t
+        relations.extend({m: t for m, t in level.items() if t} for level in levels)
+    return relations
+
+
+def test_jet_powers_match_repeated_products():
+    # seeded forms in one to three variables, exponents 1-40, orders 1-12
+    rng = random.Random(33)
+    for _ in range(60):
+        vs = ("x", "y", "z")[: rng.randint(1, 3)]
+        degree = rng.randint(1, 40)
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            cuts = sorted(rng.randint(0, degree) for _ in vs[1:])
+            terms[tuple(b - a for a, b in zip([0, *cuts], [*cuts, degree]))] = rng.choice((1, -2, 3))
+        base = PresentedRing(vs, (1,) * len(vs), (Polynomial(vs, terms),))
+        d = rng.randint(1, 12)
+        got = [rel.terms for rel in jet_presentation(base, d).ring.relations]
+        assert got == jet_relations_by_products(base, d), (base, d)
+
+
+def test_order_20_jets_of_a_100th_power_build_quickly():
+    # the construction follows the 2,087 result terms, not the exponent 100
+    began = time.perf_counter()
+    jet = jet_presentation(fat_point("x", 100), 20)
+    assert time.perf_counter() - began < 0.1
+    assert sum(len(rel.terms) for rel in jet.ring.relations) == 2087
+
+
 def test_jet_presentation_builds_one_polynomial_per_relation(monkeypatch):
     base = gr24_ring()
     built = []
@@ -184,11 +244,11 @@ def test_jet_order_cap_counts_jet_variables():
 
 
 def test_jet_work_counts_term_pairs_and_terms():
-    # (x^2) at order 2, by hand: the powers of x0 + x1*z take 1*2 and 2*2
-    # term pairs, the term x^2 takes 1*2 more, and the result has the 2
-    # terms x0^2 and 2*x0*x1; each counts n*d = 2 exponents, a term 20 times
+    # (x^2) at order 2, by hand: the term x^2 meets the 2 terms of the
+    # power x0^2 + 2*x0*x1*z once, and the result has those 2 terms; each
+    # counts n*d = 2 exponents, a term 20 times
     base = fat_point("x", 2)
-    assert jets._jet_work(base, 2) == 2 * (2 + 4 + 2 + 20 * 2)
+    assert jets._jet_work(base, 2) == 2 * (2 + 20 * 2)
     # a result term is never free: the work is at least 20*n*d per term
     for e in range(1, 6):
         for d in range(1, 9):
