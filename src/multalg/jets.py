@@ -22,6 +22,7 @@ reports carry the assumption text.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import ClassVar, Mapping
 
 from .groebner import DEFAULT_LIMITS, Ideal, ReductionLimits, hilbert_series
@@ -51,9 +52,10 @@ MAX_JET_VARIABLES = 128
 # The variable cap does not bound the number of terms ((x^40) at order 40
 # has 177,970, and takes 5 s), so the work of a jet ring, counted before any
 # polynomial is built (`_jet_work`), is capped too.  The slowest inputs found
-# under it, one high power of one variable, take about 2 s through the CLI:
-# the order-35 jets of (x^35) (48.7 M units) 1.8-2.0 s, and those of (x^34)
-# or (x^60) at order 34 (38.5 M) 1.4-1.9 s (2-vCPU host, Python 3.11).
+# under it print in about 2 s or less through the CLI: the order-35 jets of
+# (x^35) (48.7 M units) in 1.4-2.5 s, those of x^20*y^20 at order 20 (46.8 M)
+# in 1.3-1.5 s and those of x^3*y^3*z^3 at order 16 (32.9 M) in 1.0-1.1 s
+# (2-vCPU host, Python 3.11).
 MAX_JET_WORK = 50_000_000
 
 
@@ -80,8 +82,10 @@ def jet_presentation(base: PresentedRing, d: int) -> JetPresentation:
     """The order-d jet ring of `base` (see module docstring for conventions).
 
     Each truncated power of a variable's image is listed term by term from
-    the multinomial formula, so the work follows the size of the result and
-    not the base exponents.
+    the multinomial formula, and a product of powers makes only the terms
+    below z^d, so the work follows the terms made and not the base
+    exponents.  Each term of a relation is the product of its variables'
+    powers, scaled once by its coefficient.
 
     Raises ValueError, before building any polynomial, when d < 1, when
     the jet ring's n*d variables exceed MAX_JET_VARIABLES, or when its work
@@ -100,18 +104,21 @@ def jet_presentation(base: PresentedRing, d: int) -> JetPresentation:
     jet_weights = tuple(
         w + j for w, group in zip(base.weights, groups) for j in range(d)
     )
-    # a truncated series in z is one term dict keyed by (level, jet
-    # exponents), the level being the power of z; products drop level >= d.
-    # Only series in distinct variables are multiplied, so no two pairs of
-    # terms meet in one jet monomial
+    # a truncated series in z is a list of d term dicts, one per level (the
+    # power of z), keyed by jet exponents.  A product pairs level i of one
+    # factor only with the levels below d - i of the other, so it meets no
+    # pair that truncation drops.  Only series in distinct variables are
+    # multiplied, so no two pairs of terms meet in one jet monomial
     unit = (0,) * size
 
-    def product(a: dict, b: dict) -> dict:
-        out: dict = {}
-        for (i, ma), ca in a.items():
-            for (j, mb), cb in b.items():
-                if i + j < d:
-                    out[i + j, mono_mul(ma, mb)] = ca * cb
+    def product(a: list[dict], b: list[dict]) -> list[dict]:
+        out: list[dict] = [{} for _ in range(d)]
+        for i, terms in enumerate(a):
+            for j, other in enumerate(b[: d - i]):
+                level = out[i + j]
+                for ma, ca in terms.items():
+                    for mb, cb in other.items():
+                        level[mono_mul(ma, mb)] = ca * cb
         return out
 
     # truncated powers of the image x_i^(0) + x_i^(1) z + ... + x_i^(d-1) z^(d-1)
@@ -122,15 +129,15 @@ def jet_presentation(base: PresentedRing, d: int) -> JetPresentation:
     # recursion) lists them, parts in increasing size; adding a part of size
     # k moves one factor from a_0 to a_k, scaling the coefficient by
     # a_0/(a_k + 1)
-    powers: dict[tuple[int, int], dict] = {}
+    powers: dict[tuple[int, int], list[dict]] = {}
 
-    def power(i: int, e: int) -> dict:
+    def power(i: int, e: int) -> list[dict]:
         if (i, e) not in powers:
-            out = powers[i, e] = {}
+            out = powers[i, e] = [{} for _ in range(d)]
             stack = [((e,) + unit[1:d], 0, 1, 1)]  # a, level, smallest next part, coefficient
             while stack:
                 a, j, low, c = stack.pop()
-                out[j, unit[: i * d] + a + unit[i * d + d :]] = c
+                out[j][unit[: i * d] + a + unit[i * d + d :]] = c
                 if not a[0]:
                     continue
                 for k in range(low, d - j):
@@ -145,12 +152,9 @@ def jet_presentation(base: PresentedRing, d: int) -> JetPresentation:
         # x_i, so distinct base terms never share a jet monomial
         levels: list[dict] = [{} for _ in range(d)]
         for exps, c in rel.terms.items():
-            term = {(0, unit): c}
-            for i, e in enumerate(exps):
-                if e:
-                    term = product(term, power(i, e))
-            for (j, m), t in term.items():
-                levels[j][m] = t
+            factors = [power(i, e) for i, e in enumerate(exps) if e] or [[{unit: 1}]]
+            for level, terms in zip(levels, reduce(product, factors)):
+                level.update((m, c * t) for m, t in terms.items())
         relations.extend(Polynomial(jet_vars, terms) for terms in levels)
 
     ring = PresentedRing(
@@ -164,16 +168,17 @@ def jet_presentation(base: PresentedRing, d: int) -> JetPresentation:
 
 def _jet_work(base: PresentedRing, d: int) -> int:
     """The cost of `jet_presentation` at order d, from the input alone: n*d
-    exponents for each pair of terms that its truncated products meet, and
-    twenty times that for each term of the result, which is also made a
-    `Polynomial` and printed.  Through the CLI an input of 10 M units or
-    more takes 16-48 ns per unit, a high power of one variable the most.
+    exponents for each term that a truncated power or a product of powers
+    makes, and twenty times that for each term of the result, which is
+    also made a `Polynomial` and printed.  Through the CLI an input of 10 M
+    units or more takes about 25-40 ns per unit, a high power of one
+    variable the most.
 
     The coefficient of z^j in (x^(0) + x^(1) z + ... + x^(d-1) z^(d-1))^e
     has one term per partition of j into at most e parts, so the size of
-    every truncated power, and of every product of powers in distinct
-    variables, is a count of partitions.  Listing a power costs about one
-    pass over its terms, no more than the first product that reads it.
+    every level of a truncated power, and of a product of powers in
+    distinct variables, is a count of partitions.  Each power is made once
+    per (variable, exponent), as `jet_presentation` memoises it.
     """
     # parts[k][j]: the partitions of j < d into at most k parts; k = d - 1
     # stands for every larger k too
@@ -183,17 +188,17 @@ def _jet_work(base: PresentedRing, d: int) -> int:
         for j in range(k, d):
             row[j] += row[j - k]
         parts.append(row)
-    sizes = [sum(row) for row in parts]
+    made: dict[tuple[int, int], list[int]] = {}  # the powers, each made once
     work = 0
     for rel in base.relations:
         for exps in rel.terms:
-            levels = [1] + [0] * (d - 1)  # terms of each level of the product so far
-            for e in exps:
-                if e:
-                    row = parts[min(e, d - 1)]
-                    work += sum(levels) * sizes[min(e, d - 1)]
-                    levels = [sum(levels[a] * row[j - a] for a in range(j + 1)) for j in range(d)]
+            rows = [made.setdefault((i, e), parts[min(e, d - 1)]) for i, e in enumerate(exps) if e]
+            levels = rows[0] if rows else [1]  # terms of each level of the product so far
+            for row in rows[1:]:
+                levels = [sum(levels[a] * row[j - a] for a in range(j + 1)) for j in range(d)]
+                work += sum(levels)
             work += 20 * sum(levels)
+    work += sum(map(sum, made.values()))
     return work * len(base.variables) * d
 
 

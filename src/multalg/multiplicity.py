@@ -440,13 +440,9 @@ def verify_structure_theorem(
     )
     gorenstein = len(soc) == 1
     socle_degree = socle_degrees[0] if len(socle_degrees) == 1 else None
-    try:
-        pairing = pairing_matrices(q)
-        per_degree = tuple(p.perfect for p in pairing.by_degree)
-        pairing_perfect = pairing.perfect
-    except ValueError:
-        per_degree = ()
-        pairing_perfect = False
+    pairing = pairing_matrices(q) if gorenstein else None
+    per_degree = tuple(p.perfect for p in pairing.by_degree) if pairing is not None else ()
+    pairing_perfect = pairing is not None and pairing.perfect
     # the map's own validated weights and degrees, which the quotient built
     # above already bounds: MAX_EQUIVARIANT_DEGREE caps free-standing input
     equivariant = RationalSeries.from_weight_ratio(m.degrees, m.grading.weights)

@@ -244,6 +244,14 @@ def test_jet_of_a_high_power(capsys, monkeypatch):
     assert json.loads(out)["generators"] == ["x0^1000", "1000*x0^999*x1"]
 
 
+
+def test_jet_text_prints_a_zero_relation_as_0(capsys, monkeypatch):
+    # each jet of the zero generator is a zero relation, kept in the listing
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"variables": ["x"], "generators": ["x^2", "0"]}'))
+    rc, out, _ = run(capsys, "jet", "-", "-d", "2")
+    assert rc == 0
+    assert out.splitlines()[-4:] == ["  [degree 2] x0^2", "  [degree 3] 2*x0*x1", "  0", "  0"]
+
 def test_dominance(capsys):
     rc, out, _ = run(capsys, "dominance", "1,1", "2,0")
     assert rc == 0 and out.strip() == "true"
@@ -334,6 +342,12 @@ def test_malformed_int_list_exits_2(capsys):
         rc, _, err = run(capsys, "equivariant", "--domain", domain, "--codomain", codomain)
         assert rc == 2 and "error:" in err, (domain, codomain)
 
+
+
+def test_empty_integer_list_exits_2(capsys):
+    rc, out, err = run(capsys, "equivariant", "--domain", "()", "--codomain", "2")
+    assert rc == 2 and out == ""
+    assert "--domain: expected a list of integers" in err
 
 def test_bad_weight_vector_exits_2(capsys):
     rc, _, err = run(capsys, "orbit", "1,2")

@@ -243,10 +243,10 @@ def test_jet_order_cap_counts_jet_variables():
         jet_presentation(gr21_ring(), MAX_JET_VARIABLES // 2 + 1)
 
 
-def test_jet_work_counts_term_pairs_and_terms():
-    # (x^2) at order 2, by hand: the term x^2 meets the 2 terms of the
-    # power x0^2 + 2*x0*x1*z once, and the result has those 2 terms; each
-    # counts n*d = 2 exponents, a term 20 times
+def test_jet_work_counts_made_and_result_terms():
+    # (x^2) at order 2, by hand: the power x0^2 + 2*x0*x1*z makes 2 terms,
+    # no product is taken, and the result has those 2 terms; each counts
+    # n*d = 2 exponents, a result term 20 times
     base = fat_point("x", 2)
     assert jets._jet_work(base, 2) == 2 * (2 + 20 * 2)
     # a result term is never free: the work is at least 20*n*d per term
@@ -254,6 +254,50 @@ def test_jet_work_counts_term_pairs_and_terms():
         for d in range(1, 9):
             terms = sum(len(r.terms) for r in jet_presentation(fat_point("a", e), d).ring.relations)
             assert jets._jet_work(fat_point("a", e), d) >= 20 * d * terms
+
+
+def test_jet_work_is_the_count_of_the_terms_the_build_makes(monkeypatch):
+    # seeded one-term relations in one to three variables, exponents 0-12,
+    # orders 1-10.  A product makes each of its terms with one mono_mul; a
+    # power of one variable makes as many terms as the jets of (a^e) have
+    made = []
+    mul = jets.mono_mul
+
+    def counting(a, b):
+        made.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(jets, "mono_mul", counting)
+    rng = random.Random(35)
+    for _ in range(60):
+        vs = ("x", "y", "z")[: rng.randint(1, 3)]
+        exps = tuple(rng.randint(0, 12) for _ in vs)
+        d = rng.randint(1, 10)
+        base = PresentedRing(vs, (1,) * len(vs), (Polynomial(vs, {exps: 1}),))
+        made.clear()
+        result = sum(len(rel.terms) for rel in jet_presentation(base, d).ring.relations)
+        products = len(made)
+        powers = sum(
+            len(rel.terms) for e in exps if e for rel in jet_presentation(fat_point("a", e), d).ring.relations
+        )
+        assert jets._jet_work(base, d) == len(vs) * d * (powers + products + 20 * result), (exps, d)
+
+
+@pytest.mark.parametrize(
+    "fixture, d, admitted",
+    [
+        ('{"variables": ["x", "y", "z"], "generators": ["x^3*y^3*z^3"]}', 16, True),
+        ('{"variables": ["x", "y"], "generators": ["x^20*y^20"]}', 20, True),
+        ('{"variables": ["x"], "generators": ["x^36"]}', 36, False),
+        ('{"variables": ["x"], "generators": ["x^40"]}', 40, False),
+    ],
+    ids=["x3y3z3-16", "x20y20-20", "x36-36", "x40-40"],
+)
+def test_jet_work_cap_admits_products_of_powers(fixture, d, admitted):
+    # counted without building: products across variables print in about
+    # 1-1.5 s through the CLI, the two high powers of one variable take 2.5 s
+    # and more
+    assert (jets._jet_work(PresentedRing.loads(fixture), d) <= MAX_JET_WORK) is admitted
 
 
 def test_jet_work_cap_accepts_its_bound(monkeypatch):

@@ -154,9 +154,39 @@ def test_bench_record_takes_workloads_from_benchmark_json(tmp_path, monkeypatch,
 
     def fake_run_once(checkout, workload, seed, seconds, trace):
         calls.append((checkout, workload, trace))
-        return {"trace": trace}
+        return {"trace": trace, "metrics": {}}
 
     monkeypatch.setattr(script, "run_once", fake_run_once)
     assert script.main(["--checkout", str(tmp_path), "--seed", "1", "--seconds", "1"]) == 0
-    assert calls == [(tmp_path, w, t) for w in ("first", "second") for t in (0, 1)]
+    assert calls == [(tmp_path, w, t) for w in ("first", "second") for t in (0, 1, 1, 1)]
     assert sorted(json.loads(capsys.readouterr().out)["runs"]) == ["first", "second"]
+
+
+def test_bench_record_keeps_the_median_of_three_traced_runs(tmp_path, monkeypatch, capsys):
+    script = load_script("bench_record")
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"workloads": [{"name": "only"}]}))
+    self_times = iter([0.030, 0.045, 0.031])
+
+    def fake_run_once(checkout, workload, seed, seconds, trace):
+        return {"metrics": {
+            "a.calls": {"value": 7, "unit": "count"},
+            "a.self_s": {"value": next(self_times) if trace else 0.5, "unit": "s"},
+        }}
+
+    monkeypatch.setattr(script, "run_once", fake_run_once)
+    assert script.main(["--checkout", str(tmp_path), "--seed", "1", "--seconds", "1"]) == 0
+    runs = json.loads(capsys.readouterr().out)["runs"]["only"]
+    assert runs["trace1"]["metrics"] == {
+        "a.calls": {"value": 7, "unit": "count"},
+        "a.self_s": {"value": 0.031, "unit": "s"},
+    }
+    assert runs["trace0"]["metrics"]["a.self_s"]["value"] == 0.5
+    # a count that moves between the traced runs is an error, not a median
+    counts = iter([7, 7, 8])
+
+    def moving_count(checkout, workload, seed, seconds, trace):
+        return {"metrics": {"a.calls": {"value": next(counts) if trace else 7, "unit": "count"}}}
+
+    monkeypatch.setattr(script, "run_once", moving_count)
+    assert script.main(["--checkout", str(tmp_path), "--seed", "1", "--seconds", "1"]) == 1
+    assert "a.calls differs between the traced runs: [7, 7, 8]" in capsys.readouterr().err
