@@ -23,7 +23,8 @@ in a fresh interpreter with the tree's `src` on the path:
     above and below the order;
   - `verify`, by default and with `--include-negative-controls --seed 7`:
     the exit code, then stdout;
-  - `scripts/structure_sweep.py`, text and `--json`;
+  - `scripts/structure_sweep.py`, text and `--json`, by default and with
+    `--seed 4 --random 60`, whose random maps reach dimension 200;
   - `gaussian`, `multiplicity`, `equivariant` and `closure`, text and
     `--json`, on fixed inputs up to `gaussian -n 120 -k 60`,
     `multiplicity -n 2 -m 2400` and `closure 25,0,...,0` (1,958 strata);
@@ -116,10 +117,11 @@ def entries() -> Iterator[tuple[str, Callable[[], str]]]:
     yield "verify --include-negative-controls --seed 7", lambda: verify_text(
         "--include-negative-controls", "--seed", "7"
     )
-    for flags in ((), ("--json",)):
-        yield " ".join(("structure_sweep", *flags)), lambda flags=flags: run(
-            ["scripts/structure_sweep.py", *flags]
-        )[1]
+    for args in ((), ("--seed", "4", "--random", "60")):
+        for flags in ((), ("--json",)):
+            yield " ".join(("structure_sweep", *args, *flags)), lambda argv=(*args, *flags): run(
+                ["scripts/structure_sweep.py", *argv]
+            )[1]
     compact = [
         ("gaussian", "-n", "6", "-k", "3"),
         ("gaussian", "-n", "120", "-k", "60"),

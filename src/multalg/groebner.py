@@ -81,6 +81,16 @@ keyed by the packed monomial, and x_v is the lowest nonzero field of u(m)
 for a product of two standard monomials, whatever width `normal_form`
 later moves the basis's divisors to.
 
+The same walk, on a second cache, gives the residues of the coordinates
+mod the prime p of `linalg` (read at each call): the image of the exact
+walk under Z_(p) -> F_p, whose rank certificates `multiplicity` reads.
+Its seeds are those of the exact cache mod p, each tail times the
+inverse of its leading coefficient, and a combination sums its parts and
+reduces once.  Every denominator of the walk is a product of leading
+coefficients, so when p divides none the residues are those of the
+exact coordinates; when p divides one, the staircase has no residue
+image and callers take the exact path.
+
 Width and overflow.  The field width is derived from the input: the
 smallest with 2^(bits-1) above twice the largest field value of any input
 monomial, and at least 8 bits.  Every path detects a field that outgrows
@@ -179,13 +189,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from heapq import heapify, heappop, heappush
 from itertools import zip_longest
 from math import gcd, lcm
 from operator import mul, or_
 from typing import Callable, Iterable, Mapping, Sequence
 
+from . import linalg
 from .linalg import primitive
 from .orders import EliminationOrder, Lex, MonomialOrder, WeightedGrevlex
 from .poly import (
@@ -199,6 +210,7 @@ from .poly import (
 from .series import RationalSeries, UniPoly, _binomial_product, weight_denominator
 
 IntTerms = dict[int, int]
+Coords = tuple[IntTerms, int]  # ({index: numerator}, den) on a staircase
 
 __all__ = [
     "GroebnerError",
@@ -990,9 +1002,10 @@ class _Staircase:
     zero-dimensional basis, walked once and kept on the basis, with the
     coordinate walk over them (see the module docstring).  Coordinates are
     ({index: numerator}, den), cached and shared: callers must not modify
-    them."""
+    them.  Their residues mod `linalg._PRIME` come from the same walk on a
+    second cache, as ({index: residue}, 1)."""
 
-    __slots__ = ("pk", "basis", "cache", "images", "units")
+    __slots__ = ("pk", "basis", "lms", "cache", "images", "units", "residues")
 
     def __init__(self, gb: GroebnerBasis):
         # the leading monomials include a pure power of each variable, so each
@@ -1024,27 +1037,66 @@ class _Staircase:
         cache = {m: ({i: 1}, 1) for m, i in where.items()}
         for lm, g in zip(lms, elements):  # g is primitive with g[lm] > 0
             cache[lm] = ({where[e]: -c for e, c in g.items() if e != lm}, g[lm])
-        self.pk, self.basis, self.cache, self.images = pk, found, cache, images
+        self.pk, self.basis, self.lms, self.cache, self.images = pk, found, lms, cache, images
         # the packed variable of each field
         self.units = {pos // pk.bits: unit for (pos, _), unit in zip(pk.cells, pk.units)}
+        self.residues: tuple[int, dict | None] | None = None  # (p, residue cache) once asked
         object.__setattr__(gb, "_stairs", self)
 
-    def products(self, i: int, cols: Iterable[int]) -> list[tuple[IntTerms, int]]:
+    def products(self, i: int, cols: Iterable[int]) -> list[Coords]:
         """The coordinates of b_i * b_j for each j in cols."""
-        return self._row(self.basis[i], cols)
+        return self._row(self.basis[i], cols, self.cache, _combine)
 
-    def times(self, v: int, cols: Iterable[int]) -> list[tuple[IntTerms, int]]:
+    def times(self, v: int, cols: Iterable[int]) -> list[Coords]:
         """The coordinates of x_v * b_j for each j in cols."""
-        return self._row(self.pk.units[v], cols)
+        return self._row(self.pk.units[v], cols, self.cache, _combine)
 
-    def _row(self, m: int, cols: Iterable[int]) -> list[tuple[IntTerms, int]]:
-        basis, get = self.basis, self.cache.get
-        return [get(basis[j] + m) or self.coords(basis[j] + m) for j in cols]
+    def residue_products(self, i: int, cols: Iterable[int]) -> list[Coords] | None:
+        """The residues of `products`, or None when the staircase has no residue image."""
+        return self._residue_row(self.basis[i], cols)
 
-    def coords(self, target: int) -> tuple[IntTerms, int]:
+    def residue_times(self, v: int, cols: Iterable[int]) -> list[Coords] | None:
+        """The residues of `times`, or None when the staircase has no residue image."""
+        return self._residue_row(self.pk.units[v], cols)
+
+    def tails(self) -> list[tuple[Exponents, Iterable[int]]]:
+        """Each reduced element's leading monomial, with the indices of the
+        standard monomials in its tail."""
+        return [(self.pk.unpack(lm), self.cache[lm][0].keys()) for lm in self.lms]
+
+    def coords(self, target: int) -> Coords:
         """The coordinates of a monomial packed on `pk`."""
-        pk, basis, cache, images, units = self.pk, self.basis, self.cache, self.images, self.units
-        offset, guards, bits = pk.offset, pk.guards, pk.bits
+        return self._walk(target, self.cache, _combine)
+
+    def _residue_row(self, m: int, cols: Iterable[int]) -> list[Coords] | None:
+        # the prime is read at each call, and the cache seeded again when it moved
+        p = linalg._PRIME
+        if self.residues is None or self.residues[0] != p:
+            self.residues = (p, self._residue_seeds(p))
+        cache = self.residues[1]
+        return None if cache is None else self._row(m, cols, cache, partial(_residue_combine, p))
+
+    def _residue_seeds(self, p: int) -> dict | None:
+        """The exact seeds mod p: unit vectors, and each tail times the inverse
+        of its leading coefficient; None when p divides a leading coefficient."""
+        cache = {}
+        for m in (*self.basis, *self.lms):
+            num, den = self.cache[m]
+            if not den % p:
+                return None
+            inv = pow(den, -1, p)
+            cache[m] = ({i: r for i, c in num.items() if (r := c * inv % p)}, 1)
+        return cache
+
+    def _row(self, m: int, cols: Iterable[int], cache: dict, combine: Callable) -> list:
+        basis, get = self.basis, cache.get
+        return [get(basis[j] + m) or self._walk(basis[j] + m, cache, combine) for j in cols]
+
+    def _walk(self, target: int, cache: dict, combine: Callable) -> Coords:
+        """The entry of a monomial in `cache`, made by the walk: `combine`
+        sums the entries of the x_v * b_j with the coefficients of m / x_v."""
+        basis, images, units = self.basis, self.images, self.units
+        offset, guards, bits = self.pk.offset, self.pk.guards, self.pk.bits
         stack = [target]
         while stack:
             m = stack[-1]
@@ -1059,23 +1111,68 @@ class _Staircase:
             if smaller is None:
                 stack.append(m - unit)
                 continue
-            coeffs, den = smaller
-            steps = [basis[j] + unit for j in coeffs]
+            steps = [basis[j] + unit for j in smaller[0]]
             missing = [s for s in steps if s not in cache]
             if missing:
                 stack.extend(missing)
                 continue
-            parts = [cache[s] for s in steps]
-            scale = lcm(*(d for _, d in parts))
-            out: dict[int, int] = {}
-            for c, (vec, d) in zip(coeffs.values(), parts):
-                c *= scale // d
-                for i, x in vec.items():
-                    out[i] = out.get(i, 0) + c * x
-            den *= scale
-            g = gcd(den, *out.values())
-            cache[stack.pop()] = ({i: x // g for i, x in out.items() if x}, den // g)
+            cache[stack.pop()] = combine(smaller, [cache[s] for s in steps])
         return cache[target]
+
+
+def _combine(smaller: Coords, parts: list[Coords]) -> Coords:
+    """Exact coordinates: the parts over the lcm of their denominators, reduced by one gcd."""
+    coeffs, den = smaller
+    scale = lcm(*(d for _, d in parts))
+    out: dict[int, int] = {}
+    for c, (vec, d) in zip(coeffs.values(), parts):
+        c *= scale // d
+        for i, x in vec.items():
+            out[i] = out.get(i, 0) + c * x
+    den *= scale
+    g = gcd(den, *out.values())
+    return ({i: x // g for i, x in out.items() if x}, den // g)
+
+
+def _residue_combine(p: int, smaller: Coords, parts: list[Coords]) -> Coords:
+    """Residues mod p, reduced once at the end."""
+    out: dict[int, int] = {}
+    for c, (vec, _) in zip(smaller[0].values(), parts):
+        for i, x in vec.items():
+            out[i] = out.get(i, 0) + c * x
+    return ({i: r for i, x in out.items() if (r := x % p)}, 1)
+
+
+def _minimal(pk: _Packing, images: Iterable[int]) -> list[int]:
+    """The sorted images of the minimal generators of the monomial ideal of
+    these images: one pass over them keeps each that no kept one divides
+    (see the module docstring).  The kept pure powers lie in distinct
+    fields (the smaller of two in one field divides the larger), so one
+    subtraction tests them all: with S their exponent fields summed, (u |
+    guards) - S = u + (guards - S) borrows and carries across no field, and
+    keeps the guard bit of field v set iff u's field v is at least S's,
+    that is iff the pure power there divides u.  `preset` is guards - S,
+    and `fields` the guard bits of the kept pure powers.
+    """
+    guards, lows, high = pk.guards, pk.lows, pk.bits - 1
+    gens: list[int] = []
+    mixed: list[int] = []  # the kept images with no or several exponent fields
+    preset, fields = guards, 0
+    for u in sorted(set(images)):
+        if (u + preset) & fields:
+            continue
+        for h in mixed:
+            if not (u - h) & guards:
+                break
+        else:
+            gens.append(u)
+            support = (u + lows) & guards  # a guard bit per exponent field of u
+            if support and not support & (support - 1):
+                preset -= u & ((support << 1) - (support >> high))  # that field alone
+                fields |= support
+            else:
+                mixed.append(u)
+    return gens
 
 
 def _monomial_numerator(
@@ -1087,13 +1184,7 @@ def _monomial_numerator(
     packing's own, those of a lone graded block, whose degree is the
     image's degree field."""
     guards, lows, mask, cells = pk.guards, pk.lows, pk.mask, pk.cells
-    gens: list[int] = []
-    for u in sorted(set(images)):  # a proper divisor comes first
-        for h in gens:
-            if not (u - h) & guards:
-                break
-        else:
-            gens.append(u)
+    gens = _minimal(pk, images)
     seen = 0
     for u in gens:
         support = (u + lows) & guards  # a guard bit per exponent field of u

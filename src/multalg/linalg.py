@@ -6,12 +6,16 @@ elimination: it runs on integer rows, fraction-free, clears every other
 row and divides the pivots out once at the end.  `rank` and `nullspace`
 read its result.
 
-Before eliminating, `rref` counts pivots modulo the prime p = 2^61 - 1.
-A minor that is nonzero mod p is a nonzero integer minor of the
-integer-scaled rows, so the rank mod p is a lower bound for the rank over
-Q.  When it reaches every column, it is the exact rank, and no elimination
-is needed: the RREF of full column rank is the identity over zero rows.
-Otherwise the exact elimination decides.
+Before eliminating, `rref` counts pivots modulo the prime p = 2^30 - 35,
+the largest prime below 2^30, so that a residue is one 30-bit digit of a
+CPython int and a product of two residues is two.  A minor that is nonzero
+mod p is a nonzero integer minor of the integer-scaled rows, so the rank
+mod p is a lower bound for the rank over Q.  When it reaches every column,
+it is the exact rank, and no elimination is needed: the RREF of full
+column rank is the identity over zero rows.  Otherwise the exact
+elimination decides.  `multiplicity` certifies its socle and pairing
+blocks the same way, on the residues mod p that the staircase walk makes
+(see `groebner`), and builds an exact block only where a certificate fails.
 
 `primitive` is the one place that picks the primitive integer
 representative of a rational vector; `rref`, the Groebner content
@@ -22,13 +26,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 __all__ = ["primitive", "rref", "rank", "nullspace"]
 
 Matrix = list[list[Fraction | int]]
 
-_PRIME = (1 << 61) - 1
+_PRIME = (1 << 30) - 35
 
 
 def primitive(row: Sequence[Fraction | int]) -> list[int]:
@@ -69,7 +73,7 @@ def _echelon(rows: Matrix) -> tuple[list[list[int]], list[int]]:
     return m, pivots
 
 
-def _rank_mod_prime(rows: Matrix, want: int) -> int:
+def _rank_mod_prime(rows: Iterable[Sequence[Fraction | int]], want: int) -> int:
     """Rank of the rows mod `_PRIME`, counting at most `want` pivots and reducing each row only
     when it is reached; a denominator divisible by p ends the count early (a lower bound still)."""
     p = _PRIME

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from fractions import Fraction
 from math import lcm
 from operator import index
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .groebner import (
     DEFAULT_LIMITS,
@@ -38,7 +39,7 @@ from .groebner import (
     normal_form,
     standard_monomials,
 )
-from .linalg import nullspace, rank
+from .linalg import _rank_mod_prime, nullspace, rank
 from .orders import WeightedGrevlex
 from .poly import (
     Exponents,
@@ -85,19 +86,18 @@ NotFinite = NotZeroDimensional
 class FiniteGradedAlgebra:
     """Zero-dimensional graded quotient with its standard-monomial basis.
 
-    The coordinates of b_i * b_j and x_v * b_j come from the basis's
-    staircase walk, which `standard_monomials` makes once per basis and
-    which the algebra keeps (see `groebner`'s module docstring).  `vector`
-    reads the `Fraction` coordinates of any monomial, as a sparse {index:
-    coefficient} dict, off its normal form, which widens the basis's
-    packing as far as the monomial needs.  The socle and the Jacobian's
-    coordinates, which several clauses of the structure report read, are
-    memoised, and the basis indices are grouped by degree once.
+    The coordinates of b_i * b_j and x_v * b_j, exact or mod a prime, come
+    from the basis's staircase walk, which `standard_monomials` makes once
+    per basis and which the algebra keeps (see `groebner`'s module
+    docstring).  `vector` reads the `Fraction` coordinates of any monomial,
+    as a sparse {index: coefficient} dict, off its normal form, which
+    widens the basis's packing as far as the monomial needs.  The socle and
+    the Jacobian's coordinates, which several clauses of the structure
+    report read, are memoised, and the basis indices are grouped by degree
+    once.
 
     A variable is either standard or a leading monomial of the reduced
-    basis (a divisor of x_v is 1 or x_v).  The coordinates of x_v * 1 for a
-    leading variable x_v are NF(x_v), which `socle` reads to check that it
-    is homogeneous of degree w_v; the socle then multiplies by the
+    basis (a divisor of x_v is 1 or x_v); the socle multiplies by the
     standard variables only, and the staircase is walked by them only.
     """
 
@@ -215,15 +215,21 @@ def socle(q: FiniteGradedAlgebra) -> tuple[Polynomial, ...]:
     the stacked multiplication matrices, and equal kernels have one RREF,
     so the vectors are those of the nullspace stacked over all variables:
     one per free column, that column = 1, listed in increasing free column
-    over the whole basis.
+    over the whole basis.  A block with no rows leaves all of Q^k in the
+    socle, with no walk.  Any other block is first ranked on the residues
+    of its coordinates mod the prime of `linalg`: full column rank there is
+    a nonzero minor, so degree k has no socle.  Only a block that this
+    certificate does not settle (or a basis with no residue image) is built
+    exactly and its nullspace taken.
 
-    Raises ValueError when the ideal is not homogeneous for the grading:
-    when NF(x_v) of a leading variable has a coordinate outside degree
-    w_v, or x_v * b_j of a standard one outside degree deg(b_j) + w_v.
-    The argument above needs the first check; together they hold exactly
-    when every x_v * b_j stays in degree deg(b_j) + w_v, so they refuse
-    the same algebras as a check over all variables.  The result is
-    memoised on q.
+    Raises ValueError when the ideal is not homogeneous for the grading,
+    checked once on the reduced basis: every element must be homogeneous.
+    Then normal forms keep degrees, which the argument above and the
+    degree blocks need.  Conversely, if every x_v * b_j stays in degree
+    deg(b_j) + w_v and NF(x_v) in degree w_v, induction over m = x_v * m'
+    puts NF(m) in degree deg(m) for every monomial m, and a reduced monic
+    element is lm - NF(lm); so this refuses the same algebras as checking
+    every product.  The result is memoised on q.
     """
     got = q._memo.get("socle")
     if got is None:
@@ -233,38 +239,38 @@ def socle(q: FiniteGradedAlgebra) -> tuple[Polynomial, ...]:
 
 def _graded_socle(q: FiniteGradedAlgebra) -> tuple[Polynomial, ...]:
     stairs, n = q._stairs, len(q.variables)
+    for lead, tail in stairs.tails():
+        d = q.grading.degree(lead)
+        if any(q.degrees[i] != d for i in tail):
+            raise ValueError(
+                f"the basis element led by {monomial_to_text(lead, q.variables)} leaves degree {d}: "
+                "the ideal is not homogeneous for the grading"
+            )
     standard = []  # (v, w_v) of the standard variables
     for v, w in enumerate(q.grading.weights):
         if tuple(int(u == v) for u in range(n)) in q.index:
             standard.append((v, w))
-        # NF(x_v) of a leading x_v is x_v * b_0, b_0 = 1 unless the basis is empty
-        elif q.dimension and any(q.degrees[i] != w for i in stairs.times(v, [0])[0][0]):
-            raise ValueError(
-                f"{q.variables[v]} * 1 leaves degree {w}: "
-                "the ideal is not homogeneous for the grading"
-            )
     by_degree = q._by_degree
     found: list[tuple[int, Polynomial]] = []
     for k, cols in by_degree.items():
-        images = []  # images[s][c]: integer coordinates of x_v * b_cols[c], x_v standard[s]
-        for v, w in standard:
-            images.append(stairs.times(v, cols))
-            for j, (num, _) in zip(cols, images[-1]):
-                if any(q.degrees[i] != k + w for i in num):
-                    raise ValueError(
-                        f"{q.variables[v]} * {q.basis_monomial(j)} leaves degree {k + w}: "
-                        "the ideal is not homogeneous for the grading"
-                    )
+        rows = [by_degree.get(k + w, ()) for _, w in standard]  # the row indices of each x_v
+        if not any(rows):
+            found.extend((j, Polynomial(q.variables, {q.basis[j]: Fraction(1)})) for j in cols)
+            continue
+        residues = [stairs.residue_times(v, cols) for v, _ in standard]
+        if None not in residues:
+            rows_mod_p = ([num.get(i, 0) for num, _ in row] for row, idx in zip(residues, rows) for i in idx)
+            if _rank_mod_prime(rows_mod_p, len(cols)) == len(cols):
+                continue
+        # images[s][c]: integer coordinates of x_v * b_cols[c], x_v standard[s]
+        images = [stairs.times(v, cols) for v, _ in standard]
         # column c of the block is N_c / L_c, L_c the lcm of its denominators, so
         # its kernel is diag(L) times that of the integer N, rescaled so free = 1
         scales = [lcm(*(row[c][1] for row in images)) for c in range(len(cols))]
         block: list[list[int]] = []
-        for (_, w), row in zip(standard, images):
+        for row, idx in zip(images, rows):
             factors = [s // den for s, (_, den) in zip(scales, row)]
-            block.extend(
-                [num.get(i, 0) * f for (num, _), f in zip(row, factors)]
-                for i in by_degree.get(k + w, ())
-            )
+            block.extend([num.get(i, 0) * f for (num, _), f in zip(row, factors)] for i in idx)
         for vec in nullspace(block, len(cols)):
             free = max(c for c, x in enumerate(vec) if x)  # pivots lie left of it
             terms = {q.basis[cols[c]]: x * scales[c] / scales[free] for c, x in enumerate(vec) if x}
@@ -305,11 +311,19 @@ def jacobian_spans_socle(q: FiniteGradedAlgebra) -> bool:
 
 @dataclass(frozen=True)
 class DegreePairing:
+    """The pairing block Q^k x Q^(m-k): its rank, whether it is perfect, and
+    `matrix`, the exact entries ell(b_i * b_j), made on first read (equality
+    and repr leave it out)."""
+
     degree: int
     complementary_degree: int
-    matrix: tuple[tuple[Fraction, ...], ...]
     rank: int
     perfect: bool
+    _entries: Callable[[], tuple[tuple[Fraction, ...], ...]] = field(repr=False, compare=False)
+
+    @cached_property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        return self._entries()
 
 
 @dataclass(frozen=True)
@@ -325,11 +339,17 @@ def pairing_matrices(q: FiniteGradedAlgebra) -> PairingReport:
 
     ell is the coefficient functional of the socle generator, scaled so
     that ell(Jacobian) = 1 when the map is available and the Jacobian has
-    a nonzero socle coefficient (perfection does not depend on the scale).
+    a nonzero socle coefficient (neither rank nor perfection depends on
+    the scale).  Each block with k <= m/2 is first ranked on the residues,
+    mod the prime of `linalg`, of the socle coefficient of every b_i * b_j:
+    full rank there is a nonzero minor, so the rank over Q is full too.
+    Only a block that this certificate does not settle (or a basis with no
+    residue image) is built exactly and ranked by `linalg.rank`.
     b_i*b_j and b_j*b_i are one packed monomial, so for k > m/2 the block
-    is the transpose of the block of degree m - k, read once, with its rank.
-    (A one-dimensional socle makes dim Q^k = dim Q^(m-k), so the shapes
-    agree even where a block is empty.)
+    is the transpose of the block of degree m - k, with its rank.  (A
+    one-dimensional socle makes dim Q^k = dim Q^(m-k), so the shapes agree
+    even where a block is empty.)  Each block's exact `matrix` is made on
+    its first read, if the rank did not already need it.
     Raises ValueError when the socle is not one-dimensional.
     """
     soc = socle(q)
@@ -349,8 +369,12 @@ def pairing_matrices(q: FiniteGradedAlgebra) -> PairingReport:
 
     stairs, top, bottom = q._stairs, scale.numerator, scale.denominator
 
-    def ell(num: dict[int, int], den: int) -> Fraction:  # of a product, given its coordinates
-        return Fraction(num.get(slot, 0) * top, den * bottom)
+    def entries(rows_idx: list[int], cols_idx: list[int]) -> tuple[tuple[Fraction, ...], ...]:
+        """ell(b_i * b_j), read off the exact coordinates of the products."""
+        return tuple(
+            tuple(Fraction(num.get(slot, 0) * top, den * bottom) for num, den in row)
+            for row in (stairs.products(i, cols_idx) for i in rows_idx)
+        )
 
     m = q.top_degree
     by_deg: list[DegreePairing] = []
@@ -359,12 +383,19 @@ def pairing_matrices(q: FiniteGradedAlgebra) -> PairingReport:
         rows_idx = q._by_degree.get(k, [])
         cols_idx = q._by_degree.get(m - k, [])
         if m - k < k:
-            matrix, r = tuple(zip(*by_deg[m - k].matrix)), by_deg[m - k].rank
+            mirror = by_deg[m - k]
+            r, matrix = mirror.rank, lambda mirror=mirror: tuple(zip(*mirror.matrix))
         else:
-            matrix = tuple(tuple(ell(*c) for c in stairs.products(i, cols_idx)) for i in rows_idx)
-            r = rank([list(row) for row in matrix])
+            r = min(len(rows_idx), len(cols_idx))
+            residues = [stairs.residue_products(i, cols_idx) for i in rows_idx]
+            ells = ([num.get(slot, 0) for num, _ in row] for row in residues)
+            if None in residues or _rank_mod_prime(ells, r) < r:
+                built = entries(rows_idx, cols_idx)
+                r, matrix = rank([list(row) for row in built]), lambda built=built: built
+            else:
+                matrix = partial(entries, rows_idx, cols_idx)
         perfect = len(rows_idx) == len(cols_idx) and r == len(rows_idx)
-        by_deg.append(DegreePairing(k, m - k, matrix, r, perfect))
+        by_deg.append(DegreePairing(k, m - k, r, perfect, matrix))
         all_perfect = all_perfect and perfect
     return PairingReport(m, normalized, tuple(by_deg), all_perfect)
 

@@ -684,6 +684,42 @@ def test_monomial_numerator_counts_standard_monomials(monkeypatch):
     assert shapes["zero"] and shapes["unit"] and recursed >= 100
 
 
+def pairwise_minimal(pk, images):
+    """The minimalization the numerator made before: each sorted image
+    against every kept one."""
+    gens = []
+    for u in sorted(set(images)):
+        if all((u - h) & pk.guards for h in gens):
+            gens.append(u)
+    return gens
+
+
+def test_minimal_generators_match_the_pairwise_reference(monkeypatch):
+    # the kept pure powers are tested by one subtraction; on seeded monomial
+    # ideals rich in pure powers (several per variable, so most are not
+    # minimal), under every packing layout, the kept images and the numerators
+    # equal those of the pairwise pass
+    rng = random.Random(37)
+    numerator = groebner._monomial_numerator
+    cases = []
+    for trial in range(300):
+        n = rng.randint(1, 4)
+        # from trial 200 on, pure powers of up to x^40: their degree fields sum
+        # past the 8-bit field, which only their exponent fields may enter
+        top = 6 if trial < 200 else 40
+        powers = rng.choices(range(n), k=rng.randint(0, 6))
+        gens = [tuple(rng.randint(1, top) * (u == v) for u in range(n)) for v in powers]
+        gens += [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(0, 4))]
+        for order, weights, _ in _numerator_layouts(rng, n):
+            pk = groebner._packing(order, n, 8)
+            images = [pk.image(pk.pack(e)) for e in gens]
+            assert groebner._minimal(pk, images) == pairwise_minimal(pk, images), (order, gens)
+            cases.append((pk, images, weights))
+    got = [numerator(pk, images, weights) for pk, images, weights in cases]
+    monkeypatch.setattr(groebner, "_minimal", pairwise_minimal)
+    assert got == [numerator(pk, images, weights) for pk, images, weights in cases]
+
+
 # ------------------------------------------------------------------- krull
 
 

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from sympy import QQ
@@ -189,7 +190,7 @@ def test_integer_rref_matches_fraction_reference_modulo_3(monkeypatch):
     monkeypatch.setattr(multalg.linalg, "_rank_mod_prime", counting_certificate)
     monkeypatch.setattr(multalg.linalg, "_echelon", counting_echelon)
     test_integer_rref_matches_fraction_reference()
-    # 99 and 360 calls; under 2^61 - 1, 237 and 222
+    # 99 and 360 calls; under the default prime 2^30 - 35, 237 and 222
     assert calls["settled"] > 50 and calls["eliminated"] > 300
 
 
@@ -234,6 +235,31 @@ def test_multiplication_matrices_match_normal_forms():
             for b in q.basis:
                 image = mono_mul(b, unit)
                 assert walked(q, image) == sparse_normal_form(q, image)
+
+
+def test_residue_walk_is_the_exact_walk_mod_p(monkeypatch):
+    # every x_v * b_j and b_i * b_j, on a fresh residue cache per prime, against
+    # the exact coordinates reduced mod p; 5 divides a leading coefficient of
+    # some bases, which then have no residue image
+    algebras = reference_algebras()
+    imageless = 0
+    for prime in (multalg.linalg._PRIME, 5, 3):
+        monkeypatch.setattr(multalg.linalg, "_PRIME", prime)
+        for q in algebras:
+            stairs, everything = q._stairs, range(q.dimension)
+            if stairs.residue_times(0, []) is None:
+                assert any(not stairs.cache[lm][1] % prime for lm in stairs.lms)
+                imageless += 1
+                continue
+            got = [stairs.residue_products(i, everything) for i in everything]
+            got += [stairs.residue_times(v, everything) for v in range(len(q.variables))]
+            exact = [stairs.products(i, everything) for i in everything]
+            exact += [stairs.times(v, everything) for v in range(len(q.variables))]
+            for row, exact_row in zip(got, exact):
+                for (res, one), (num, den) in zip(row, exact_row):
+                    inverse = pow(den, -1, prime)
+                    assert one == 1 and res == {i: r for i, x in num.items() if (r := x * inverse % prime)}
+    assert imageless > 0
 
 
 def test_coordinates_of_monomials_past_the_product_width():
@@ -466,8 +492,116 @@ def test_socle_rejects_grading_the_ideal_does_not_respect():
             socle(q)
 
 
+def refused_by_products(q):
+    """The homogeneity checks the socle made product by product before it
+    checked the basis: NF(x_v) of a leading variable in degree w_v, and
+    x_v * b_j of a standard one in degree deg(b_j) + w_v."""
+    n = len(q.variables)
+    for v, w in enumerate(q.grading.weights):
+        unit = tuple(int(u == v) for u in range(n))
+        if unit not in q.index:
+            if q.dimension and any(q.degrees[i] != w for i in q.vector(unit)):
+                return True
+            continue
+        for j, b in enumerate(q.basis):
+            if any(q.degrees[i] != q.degrees[j] + w for i in q.vector(mono_mul(b, unit))):
+                return True
+    return False
+
+
+def test_basis_homogeneity_refuses_what_the_product_checks_refused():
+    # the three hand-made refusals, and seeded ideals under weighted grevlex,
+    # Lex and elimination orders, each with a grading that the order's
+    # weights may or may not match; about half of the ideals are homogeneous
+    rng = random.Random(29)
+    cases = [
+        (("x^2 - y", "y^2"), (1, 1), WeightedGrevlex.units(2)),
+        (("x - y", "y^3"), (2, 1), WeightedGrevlex.units(2)),
+        (("x - z", "z^2 - y", "y^2"), (1, 1, 1), WeightedGrevlex.units(3)),
+    ]
+    cases = [(tuple(P(g, ("x", "y", "z")[: len(w)]) for g in gens), w, o) for gens, w, o in cases]
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        vs = ("x", "y", "z")[:n]
+        weights = tuple(rng.choice((1, 1, 2, 3)) for _ in range(n))
+        homogeneous = rng.random() < 0.5
+        gens = []
+        for v in range(n):  # a pure power of each variable, and two more terms
+            power = tuple(rng.randint(2, 3) * (u == v) for u in range(n))
+            if homogeneous:
+                others = monomials_of_weighted_degree(weights, sum(map(mul, power, weights)))
+            else:
+                others = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(2)]
+            terms = {e: rng.choice((-2, -1, 1, 3)) for e in rng.sample(others, min(2, len(others)))}
+            terms[power] = 1
+            gens.append(Polynomial(vs, terms))
+        other = tuple(rng.randint(1, 3) for _ in range(n))
+        orders = [WeightedGrevlex(weights), WeightedGrevlex(other), Lex()]
+        if n > 1:
+            orders.append(EliminationOrder(block=1))
+        cases.append((tuple(gens), weights, rng.choice(orders)))
+    verdicts = {True: 0, False: 0}
+    for gens, weights, order in cases:
+        try:
+            gb = groebner_basis(Ideal(gens[0].variables, gens), order)
+            q = FiniteGradedAlgebra(gb, WeightedGrading(weights))
+        except multalg.groebner.NotZeroDimensional:
+            continue
+        try:
+            socle(q)
+            refused = False
+        except ValueError as e:
+            assert "not homogeneous" in str(e)
+            refused = True
+        assert refused == refused_by_products(q), (gens, weights, order)
+        verdicts[refused] += 1
+    assert verdicts[True] >= 40 and verdicts[False] >= 40, verdicts
+
+
+def structure_parts(q):
+    """What the structure clauses read off an algebra, exact pairing matrices included."""
+    soc = socle(q)
+    if len(soc) != 1:
+        return soc, None
+    rep = pairing_matrices(q)
+    blocks = [(b.degree, b.complementary_degree, b.rank, b.perfect, b.matrix) for b in rep.by_degree]
+    return soc, (rep.top_degree, rep.jacobian_normalized, rep.perfect, blocks)
+
+
+def test_failed_certificates_fall_back_to_the_exact_blocks(monkeypatch):
+    # modulo 3 many residue blocks lose rank, and a prime that divides a
+    # leading coefficient leaves the staircase with no residue image; either
+    # way the exact blocks answer, as under the default prime
+    def algebras():
+        rng = random.Random(23)
+        shapes = (((1, 1, 1), (2, 3, 4)), ((1, 1, 1, 2), (2, 3, 4, 4)), ((1, 1, 1, 1), (2, 2, 3, 3)))
+        return reference_algebras() + [complete_intersection(rng, w, d) for w, d in shapes]
+
+    exact = {"blocks": 0}
+    for name in ("nullspace", "rank"):  # socle and pairing blocks built exactly
+
+        def counting(*args, _f=getattr(multalg.multiplicity, name)):
+            exact["blocks"] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(multalg.multiplicity, name, counting)
+    expected = [structure_parts(q) for q in algebras()]
+    counts, default = {}, multalg.linalg._PRIME
+    for prime in (default, 3, 2, 5):
+        monkeypatch.setattr(multalg.linalg, "_PRIME", prime)
+        exact["blocks"] = 0
+        qs = algebras()  # new algebras on the cached bases: no memoised socle
+        assert [structure_parts(q) for q in qs] == expected
+        imageless = sum(q._stairs.residue_times(0, []) is None for q in qs)
+        counts[prime] = exact["blocks"], imageless
+    # (exact blocks, bases with no residue image): (6, 0) under the default
+    # prime, then (65, 5), (71, 8) and (55, 6)
+    assert counts[default][1] == 0
+    assert all(counts[p][0] > 2 * counts[default][0] > 0 and counts[p][1] for p in (3, 2, 5))
+
+
 def test_structure_report_computes_each_artefact_once(monkeypatch):
-    calls = {"jacobian": 0, "max_cells": 0, "normal_form": 0}
+    calls = {"jacobian": 0, "max_cells": 0, "normal_form": 0, "exact_rows": 0}
     jacobian, rref_ = multalg.multiplicity.jacobian_determinant, multalg.linalg.rref
     normal_form_ = multalg.groebner.normal_form
 
@@ -488,6 +622,21 @@ def test_structure_report_computes_each_artefact_once(monkeypatch):
     monkeypatch.setattr(multalg.multiplicity, "normal_form", counting_normal_form)
     monkeypatch.setattr(multalg.groebner, "normal_form", counting_normal_form)
     monkeypatch.setattr(multalg.linalg, "rref", measuring_rref)
+    built, quotient = [], multalg.multiplicity.build_quotient
+
+    def keeping_quotient(*args):
+        built.append(quotient(*args))
+        return built[-1]
+
+    monkeypatch.setattr(multalg.multiplicity, "build_quotient", keeping_quotient)
+    stairs = multalg.groebner._Staircase
+    for name in ("times", "products", "coords"):  # the exact coordinate paths
+
+        def counting_exact(self, *args, _exact=getattr(stairs, name)):
+            calls["exact_rows"] += 1
+            return _exact(self, *args)
+
+        monkeypatch.setattr(stairs, name, counting_exact)
     vs = ("x", "y", "z", "w")
     components = ("x^3 + y*z*w", "y^3 - x*z^2", "z^3 + 2*x*y*w", "w^3 - x^2*y")
     m = PolynomialMap.build(tuple(P(c, vs) for c in components), WeightedGrading.units(4))
@@ -495,8 +644,14 @@ def test_structure_report_computes_each_artefact_once(monkeypatch):
     assert rep.dimension == 81 and rep.all_true()
     assert calls["jacobian"] == 1
     assert calls["normal_form"] == 1  # the Jacobian's; products come from neighbours
-    # largest degree block: rows 4 * dim Q^4 = 76, columns dim Q^3 = 16
-    assert 0 < calls["max_cells"] <= 76 * 16
+    # largest degree block, were one eliminated: rows 4 * dim Q^4 = 76,
+    # columns dim Q^3 = 16 (here every residue certificate holds)
+    assert calls["max_cells"] <= 76 * 16
+    # no exact coordinate of any x_v * b_j or b_i * b_j is made: the exact
+    # cache holds only its seeds, the basis and the leading monomials
+    (q,) = built
+    assert calls["exact_rows"] == 0
+    assert len(q._stairs.cache) == q.dimension + len(q.gb.leading)
 
 
 def dense_jacobian_spans_socle(q):
